@@ -7,9 +7,8 @@ over the Gaussian rationals; floating point only enters the monodromy
 integration and the growth diagnostics.
 """
 
-from .coefficients import EXACT, FLOAT, QI, coeff_str, parse_coeff
+from .coefficients import QI, coeff_str, parse_coeff
 from .series import (
-    BackendMismatch,
     PoleOverflow,
     SeriesError,
     TruncationStarvation,

@@ -28,8 +28,6 @@ class VectorFieldRep:
     b: TruncSeries1
 
     def __post_init__(self):
-        if self.a.backend != self.b.backend:
-            raise SeriesError("field components must share one backend")
         if self.a.pole != 0 or self.b.pole != 0:
             raise SeriesError("field components must be pole-free")
 

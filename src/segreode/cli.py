@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from multiprocessing import Pool
 
-from .coefficients import EXACT, QI
+from .coefficients import QI
 from .growth import expected_termination, gevrey_estimate, termination_detect
-from .monodromy import monodromy_report
+from .monodromy import DEVIATION_TOL, monodromy_report
 from .ode import (
     AdmissibleOde,
     RealData,
@@ -33,6 +33,7 @@ from .equiv import (
     coupled_map_g,
     coupled_residual,
     formal_solutions,
+    self_map_probe,
     verify_map_on_hypersurface,
 )
 from .segre import (
@@ -126,7 +127,6 @@ class RunConfig:
     checks: list = field(default_factory=lambda: list(ALL_CHECKS))
     degree: int = 40
     rect: tuple = (8, 24)
-    backend: str = EXACT
     radius: float = 1.0
     tol: float = 1e-10
     out: str | None = None
@@ -138,11 +138,6 @@ class RunConfig:
                 raise ConfigError(f"unknown check {name!r}; known: {ALL_CHECKS}")
         if not self.families and self.explicit is None:
             raise ConfigError("no family members selected")
-        if self.backend != EXACT:
-            raise ConfigError(
-                "identity checks require the exact backend; float is only "
-                "used internally for monodromy and growth"
-            )
 
 
 def config_from_file(path: str) -> dict:
@@ -370,8 +365,6 @@ def check_selfmap(ctx: FamilyContext) -> dict:
 
 
 def self_map_probe_cached(ctx: FamilyContext, degree: int):
-    from .equiv import self_map_probe
-
     def build():
         return self_map_probe(ctx.ode(), degree)
     return ctx._memo(("probe", degree), build)
@@ -383,7 +376,7 @@ def check_monodromy(ctx: FamilyContext) -> dict:
     report = monodromy_report(ctx.m, ctx.beta, numeric=True,
                               radius=ctx.radius, tol=ctx.tol)
     num = report.numeric
-    ok = num.deviation < 1e-6
+    ok = report.relative_deviation() < DEVIATION_TOL
     return {
         "pass": ok,
         "trivial": report.trivial,
@@ -538,7 +531,6 @@ def _add_common(p: argparse.ArgumentParser):
                    help="univariate truncation order (default 40)")
     p.add_argument("--rect", "--trunc", type=str, default="8,24",
                    help="bivariate rectangle Nx,Ny (default 8,24)")
-    p.add_argument("--backend", choices=[EXACT, "float"], default=EXACT)
     p.add_argument("--out", type=str, default=None,
                    help="write JSON here instead of stdout")
     p.add_argument("--jobs", type=int, default=1,
@@ -556,11 +548,6 @@ def _family_args(p: argparse.ArgumentParser):
 
 
 def _context_from_args(args, need_beta: bool = False) -> FamilyContext:
-    if getattr(args, "backend", EXACT) != EXACT:
-        raise ConfigError(
-            "identity checks run on the exact backend only; the float backend "
-            "is used internally by monodromy and growth"
-        )
     rect = parse_rect(args.rect)
     if args.family:
         m, beta = parse_family(args.family[0])
@@ -704,8 +691,11 @@ def cmd_autovec(args) -> int:
 def cmd_growth(args) -> int:
     window = parse_rect(args.window) if args.window else None
     if args.series:
-        with open(args.series, "r", encoding="utf-8") as fh:
-            series = TruncSeries1.from_json(json.load(fh))
+        try:
+            with open(args.series, "r", encoding="utf-8") as fh:
+                series = TruncSeries1.from_json(json.load(fh))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"cannot read series {args.series!r}: {exc}") from exc
         label = args.series
     elif args.family:
         m, beta = parse_family(args.family[0])

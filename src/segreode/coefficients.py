@@ -1,8 +1,7 @@
-"""Exact Gaussian-rational coefficients and the two scalar backends.
+"""Exact Gaussian-rational coefficients.
 
-Every series in this package is either *exact* (coefficients in Q(i),
-represented by :class:`QI`) or *float* (coefficients are Python complex).
-The exact backend never rounds: all arithmetic stays in lowest terms with
+Every series in this package has coefficients in Q(i), represented by
+:class:`QI`.  Arithmetic never rounds: all values stay in lowest terms with
 positive denominators.
 """
 
@@ -11,9 +10,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-
-EXACT = "exact"
-FLOAT = "float"
 
 _COEFF_RE = re.compile(
     r"^\s*(-?\d+(?:/\d+)?)(?:([+-])(\d+(?:/\d+)?))?(i)?\s*$"
@@ -90,9 +86,6 @@ class QI:
 
     def conj(self) -> "QI":
         return QI(self.a, -self.b, self.d)
-
-    def to_complex(self) -> complex:
-        return complex(float(Fraction(self.a, self.d)), float(Fraction(self.b, self.d)))
 
     def log_abs(self) -> float:
         """log|value|, computed from the integer parts (no float overflow)."""
@@ -227,16 +220,8 @@ def parse_coeff(text: str) -> QI:
     return QI.from_parts(Fraction(first), 0)
 
 
-def coeff_to_json(c, backend: str):
-    if backend == EXACT:
-        return coeff_str(c)
-    return [c.real, c.imag]
-
-
-def coeff_from_json(obj):
-    """Returns (coefficient, backend) from a JSON cell."""
+def coeff_from_json(obj) -> QI:
+    """Parse a JSON cell, which must be a COEFF string."""
     if isinstance(obj, str):
-        return parse_coeff(obj), EXACT
-    if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return complex(float(obj[0]), float(obj[1])), FLOAT
-    raise ValueError(f"bad coefficient JSON: {obj!r}")
+        return parse_coeff(obj)
+    raise ValueError(f"bad coefficient JSON {obj!r}: cells are COEFF strings")

@@ -96,10 +96,10 @@ def build_chi_tau(pair: FormalSolutionPair) -> GaugeMap:
     """
     m = pair.m
     n = pair.f.trunc
-    chi = divide(TruncSeries1.one(n, pair.f.backend), pair.f)
+    chi = divide(TruncSeries1.one(n), pair.f)
     lg = divide(pair.u, pair.f).log()
     scale = QI(0, m - 1, 2)  # (1-m)/(2i)
-    inner = TruncSeries1.one(lg.trunc + m - 1, pair.f.backend) \
+    inner = TruncSeries1.one(lg.trunc + m - 1) \
         + lg.scale(scale).shift(m - 1)
     tau = inner.pow_frac(Fraction(1, 1 - m)).shift(1)
     gm = GaugeMap(chi, tau)

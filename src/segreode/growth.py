@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coefficients import EXACT, QI
 from .series import SeriesError, TruncSeries1
 
 
@@ -44,8 +43,6 @@ def termination_detect(s: TruncSeries1, min_tail: int = 1) -> TerminationReport:
     the series is called terminated; longer tails give more confidence for
     series supported on arithmetic progressions.
     """
-    if s.backend != EXACT:
-        raise SeriesError("termination detection needs the exact backend")
     last = None
     for deg, c in s.items():
         if not c.is_zero:
@@ -70,12 +67,6 @@ def expected_termination(m: int, beta) -> bool:
     return r * r == d and (r - 1) % 2 == 0
 
 
-def _log_abs(c) -> float:
-    if isinstance(c, QI):
-        return c.log_abs()
-    return math.log(abs(c))
-
-
 def gevrey_estimate(s: TruncSeries1, window: tuple | None = None,
                     min_points: int = 8) -> GrowthReport:
     """Least-squares fit of log|c_k| ~ s*k*log(k) + k*log(A) + C over the
@@ -91,25 +82,21 @@ def gevrey_estimate(s: TruncSeries1, window: tuple | None = None,
         window = (max(4, n // 8), n)
     k_min, k_max = window
     k_max = min(k_max, n)
-    if s.backend == EXACT:
-        term = termination_detect(s)
-        if term.terminated:
-            return GrowthReport(
-                gevrey=0.0, gevrey_stderr=0.0, confidence=(0.0, 0.0),
-                fit_window=(k_min, k_max), radius=math.inf,
-                terminated=True, termination_degree=term.degree, n_points=0,
-            )
+    term = termination_detect(s)
+    if term.terminated:
+        return GrowthReport(
+            gevrey=0.0, gevrey_stderr=0.0, confidence=(0.0, 0.0),
+            fit_window=(k_min, k_max), radius=math.inf,
+            terminated=True, termination_degree=term.degree, n_points=0,
+        )
     ks = []
     logs = []
     for k in range(max(k_min, 1), k_max + 1):
         c = s.coefficient(k)
-        if isinstance(c, QI):
-            if c.is_zero:
-                continue
-        elif c == 0:
+        if c.is_zero:
             continue
         ks.append(float(k))
-        logs.append(_log_abs(c))
+        logs.append(c.log_abs())
     if len(ks) < min_points:
         raise SeriesError(
             f"Gevrey fit needs at least {min_points} nonzero coefficients in "

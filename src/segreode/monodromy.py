@@ -25,6 +25,10 @@ from scipy.integrate import solve_ivp
 
 TWO_PI = 2.0 * math.pi
 
+# Largest accepted numeric eigenvalue deviation, relative to the predicted
+# eigenvalue moduli (see MonodromyReport.relative_deviation).
+DEVIATION_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class NumericMonodromy:
@@ -49,6 +53,17 @@ class MonodromyReport:
     trivial: bool
     integer_eigenvalues: tuple | None = None
     numeric: NumericMonodromy | None = None
+
+    def relative_deviation(self) -> float:
+        """Numeric eigenvalue deviation over max(1, |p0|, |p1|) for the
+        predicted eigenvalues p0, p1.
+
+        The integrator's tolerance is relative, and for negative beta the
+        predicted moduli grow like exp(pi*sqrt(-4*beta - (m-1)^2)), so an
+        absolute bound would reject accurate integrations.
+        """
+        scale = max(1.0, *(abs(p) for p in self.predicted_eigenvalues))
+        return self.numeric.deviation / scale
 
 
 def residue_analysis(m: int, beta) -> MonodromyReport:

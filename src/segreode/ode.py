@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coefficients import EXACT, QI
+from .coefficients import ONE, QI
 from .series import (
     PoleOverflow,
     SeriesError,
@@ -20,16 +20,6 @@ from .series import (
 HALF_I = QI(0, 1, 2)         # i/2
 NEG_HALF_I = QI(0, -1, 2)    # 1/(2i)
 TWO_I = QI(0, 2)
-
-
-def _first_nonreal(s: TruncSeries1):
-    for deg, c in s.items():
-        if isinstance(c, QI):
-            if c.b != 0:
-                return deg, c
-        elif c.imag != 0.0:
-            return deg, c
-    return None
 
 
 @dataclass(frozen=True)
@@ -50,8 +40,6 @@ class AdmissibleOde:
             raise ValueError(f"admissibility order m must be >= 1, got {self.m}")
         if self.p.pole != 0 or self.q.pole != 0:
             raise SeriesError("P and Q of an admissible ODE must be pole-free")
-        if self.p.backend != self.q.backend:
-            raise SeriesError("P and Q must share one backend")
         n = min(self.p.trunc, self.q.trunc)
         object.__setattr__(self, "p", self.p.truncate(n))
         object.__setattr__(self, "q", self.q.truncate(n))
@@ -59,10 +47,6 @@ class AdmissibleOde:
     @property
     def trunc(self) -> int:
         return self.p.trunc
-
-    @property
-    def backend(self) -> str:
-        return self.p.backend
 
     def alpha(self) -> TruncSeries1:
         """The z'-coefficient P(w)/w^m as a Laurent series."""
@@ -95,7 +79,7 @@ class RealData:
         for name, s in (("a", self.a), ("b", self.b)):
             if s.pole != 0:
                 raise SeriesError(f"{name} must be pole-free")
-            bad = _first_nonreal(s)
+            bad = s.first_nonreal()
             if bad is not None:
                 raise SeriesError(
                     f"{name} must have real coefficients; degree {bad[0]} is {bad[1]}"
@@ -110,8 +94,6 @@ class GaugeMap:
     g: TruncSeries1
 
     def __post_init__(self):
-        if self.f.backend != self.g.backend:
-            raise SeriesError("f and g must share one backend")
         if self.f.pole != 0 or self.g.pole != 0:
             raise SeriesError("gauge components must be pole-free")
         if not self.f.coefficient(0):
@@ -122,13 +104,12 @@ class GaugeMap:
             raise SeriesError("gauge map needs g'(0) != 0")
 
     @classmethod
-    def identity(cls, trunc: int, backend: str = EXACT) -> "GaugeMap":
-        return cls(TruncSeries1.one(trunc, backend), TruncSeries1.var(trunc, backend))
+    def identity(cls, trunc: int) -> "GaugeMap":
+        return cls(TruncSeries1.one(trunc), TruncSeries1.var(trunc))
 
     def is_special(self, m: int) -> bool:
         """f(0) = 1 and g = w + O(w^{m+1})."""
-        one = QI(1) if self.f.backend == EXACT else 1
-        if self.f.coefficient(0) != one or self.g.coefficient(1) != one:
+        if self.f.coefficient(0) != ONE or self.g.coefficient(1) != ONE:
             return False
         for k in range(2, min(m, self.g.trunc) + 1):
             if self.g.coefficient(k):
@@ -166,7 +147,7 @@ def ode_from_real_data(data: RealData) -> AdmissibleOde:
     """Build the admissible ODE with P = 2i*a - m*w^{m-1}, Q = b + i*w^m*a'."""
     m, a, b = data.m, data.a, data.b
     n = a.trunc
-    p = a.scale(TWO_I) - TruncSeries1.monomial(m, m - 1, n, a.backend)
+    p = a.scale(TWO_I) - TruncSeries1.monomial(m, m - 1, n)
     q = b + a.derivative().shift(m).scale(QI(0, 1))
     return AdmissibleOde(m, p, q)
 
@@ -178,14 +159,14 @@ def check_real_structure(e: AdmissibleOde) -> RealStructure:
     b := Q - i*w^m*a' both have purely real coefficients.
     """
     m = e.m
-    a = (e.p + TruncSeries1.monomial(m, m - 1, e.p.trunc, e.backend)).scale(NEG_HALF_I)
-    bad = _first_nonreal(a)
+    a = (e.p + TruncSeries1.monomial(m, m - 1, e.p.trunc)).scale(NEG_HALF_I)
+    bad = a.first_nonreal()
     if bad is not None:
         return RealStructure(False, witness={
             "series": "a", "degree": bad[0], "value": str(bad[1]),
         })
     b = e.q - a.derivative().shift(m).scale(QI(0, 1))
-    bad = _first_nonreal(b)
+    bad = b.first_nonreal()
     if bad is not None:
         return RealStructure(False, witness={
             "series": "b", "degree": bad[0], "value": str(bad[1]),

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coefficients import EXACT, QI
+from .coefficients import QI
 from .ode import AdmissibleOde
 from .series import (
     SeriesError,
@@ -36,16 +36,6 @@ NEG_HALF_I = QI(0, -1, 2)  # 1/(2i)
 class RealityError(SeriesError):
     """Raised when an extraction that presumes a real hypersurface meets a
     nonzero imaginary part."""
-
-
-def _first_nonreal_row(s: TruncSeries1):
-    for deg, c in s.items():
-        if isinstance(c, QI):
-            if c.b != 0:
-                return deg, c
-        elif c.imag != 0.0:
-            return deg, c
-    return None
 
 
 @dataclass(frozen=True)
@@ -65,7 +55,7 @@ class SegreFamily:
         if not self.psi.row(0).is_zero:
             raise SeriesError("psi must vanish at x = 0")
         if self.psi.nx >= 1:
-            one = TruncSeries1.one(self.psi.ny, self.psi.backend)
+            one = TruncSeries1.one(self.psi.ny)
             if self.psi.row(1) != one:
                 raise SeriesError("psi must have x-slope exactly 1")
 
@@ -85,15 +75,11 @@ class Hypersurface:
     real_form: tuple | None = None
 
     def __post_init__(self):
-        eta = TruncSeries1.var(self.rho.ny, self.rho.backend)
+        eta = TruncSeries1.var(self.rho.ny)
         if self.rho.row(0) != eta:
             raise SeriesError("rho(0, eta) must equal eta exactly")
         if self.rho.nx >= 1:
-            lead = TruncSeries1.monomial(QI(0, self.sign), self.m, self.rho.ny,
-                                         self.rho.backend) \
-                if self.rho.backend == EXACT else \
-                TruncSeries1.monomial(complex(0, self.sign), self.m, self.rho.ny,
-                                      self.rho.backend)
+            lead = TruncSeries1.monomial(QI(0, self.sign), self.m, self.rho.ny)
             if self.rho.row(1) != lead:
                 raise SeriesError(
                     "rho must have x-coefficient exactly sign*i*eta^m"
@@ -150,7 +136,7 @@ def _profile_rhs(e: AdmissibleOde, sign: int, y: TruncSeries2) -> TruncSeries2:
     e_22m = x_big.scale(2 - 2 * m).exp()
     yp = y.derivative_x()
     yp2 = yp * yp
-    eta_pow = TruncSeries2.one(y.nx, y.ny, y.backend).shift_y(m - 1)
+    eta_pow = TruncSeries2.one(y.nx, y.ny).shift_y(m - 1)
     first = (yp2 * (eta_pow + p_at * e_1m)).scale(-si)
     second = (yp2 * yp * q_at * e_22m).shift_x(1)
     return first + second
@@ -171,15 +157,14 @@ def solve_psi(e: AdmissibleOde, sign: int = +1,
             f"ODE coefficients known to order {e.trunc}; rectangle "
             f"({nx}, {ny}) needs order >= {nx + ny}"
         )
-    backend = e.backend
-    rows = {0: TruncSeries1.zero(ny, backend), 1: TruncSeries1.one(ny, backend)}
+    rows = {0: TruncSeries1.zero(ny), 1: TruncSeries1.one(ny)}
     for k in range(2, nx + 1):
         y_cur = TruncSeries2.from_rows(
-            {j: s for j, s in rows.items() if j <= k - 1}, k - 1, ny, backend
+            {j: s for j, s in rows.items() if j <= k - 1}, k - 1, ny
         )
         rhs = _profile_rhs(e, sign, y_cur)
         rows[k] = rhs.row(k - 2).scale(Fraction(1, k * (k - 1)))
-    psi = TruncSeries2.from_rows(rows, nx, ny, backend)
+    psi = TruncSeries2.from_rows(rows, nx, ny)
     return SegreFamily(e.m, sign, psi)
 
 
@@ -221,8 +206,7 @@ def extract_pq(fam: SegreFamily):
     ny = fam.psi.ny
     psi2 = fam.psi.row(2)
     psi3 = fam.psi.row(3)
-    backend = fam.psi.backend
-    p = psi2.scale(QI(0, 2 * s)) - TruncSeries1.monomial(1, m - 1, ny, backend)
+    p = psi2.scale(QI(0, 2 * s)) - TruncSeries1.monomial(1, m - 1, ny)
     q = (psi3.scale(6)
          - (psi2 * psi2).scale(8)
          + psi2.shift(m - 1).scale(QI(0, 2 * s * (m - 1)))
@@ -250,9 +234,8 @@ def dual_family(fam: SegreFamily) -> SegreFamily:
     x-order per sweep, so it stabilizes on the stored rectangle.
     """
     nx, ny = fam.psi.rect
-    backend = fam.psi.backend
     neg_si = QI(0, -fam.sign)
-    w_cur = TruncSeries2.var_y(nx, ny, backend)
+    w_cur = TruncSeries2.var_y(nx, ny)
     stabilized = False
     for _ in range(nx + 2):
         psi_at = fam.psi.substitute_y(w_cur)
@@ -298,7 +281,7 @@ def realty_identity_check(h) -> TruncSeries2:
     rho = h.rho if isinstance(h, Hypersurface) else h
     rho_bar = rho.conj()
     inner = rho.substitute_y(rho_bar)
-    return TruncSeries2.var_y(inner.nx, inner.ny, inner.backend) - inner
+    return TruncSeries2.var_y(inner.nx, inner.ny) - inner
 
 
 def real_normal_form(h) -> NormalForm:
@@ -310,9 +293,8 @@ def real_normal_form(h) -> NormalForm:
     """
     rho = h.rho if isinstance(h, Hypersurface) else h
     nx, ny = rho.rect
-    backend = rho.backend
-    u_var = TruncSeries2.var_y(nx, ny, backend)
-    v = TruncSeries2.zero(nx, ny, backend)
+    u_var = TruncSeries2.var_y(nx, ny)
+    v = TruncSeries2.zero(nx, ny)
     for _ in range(nx + 2):
         w_bar = u_var - v.scale(QI(0, 1))
         rho_at = rho.substitute_y(w_bar)
@@ -322,7 +304,7 @@ def real_normal_form(h) -> NormalForm:
         v = v_new
     theta = v.scale(2)
     for j in range(1, nx + 1):
-        bad = _first_nonreal_row(theta.row(j))
+        bad = theta.row(j).first_nonreal()
         if bad is not None:
             raise RealityError(
                 f"normal form row x^{j} has imaginary coefficient {bad[1]} "
@@ -338,8 +320,8 @@ def real_normal_form(h) -> NormalForm:
         raise RealityError("normal form has no x-linear term but is nonzero")
     if m is None:
         m = lead_ord
-    plus = TruncSeries1.monomial(1, m, ny, backend)
-    minus = TruncSeries1.monomial(-1, m, ny, backend)
+    plus = TruncSeries1.monomial(1, m, ny)
+    minus = TruncSeries1.monomial(-1, m, ny)
     if lead == plus:
         sign = +1
     elif lead == minus:
@@ -365,8 +347,7 @@ def _check_reconstruction(rho: TruncSeries2, v: TruncSeries2, sign: int,
                           m: int) -> None:
     """Rebuild the complex defining series from the real form and compare."""
     nx, ny = rho.rect
-    backend = rho.backend
-    y = TruncSeries2.var_y(nx, ny, backend)
+    y = TruncSeries2.var_y(nx, ny)
     w_cur = y
     for _ in range(nx + 2):
         mid = (w_cur + y).scale(HALF)

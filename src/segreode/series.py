@@ -1,5 +1,4 @@
-"""Truncated formal power/Laurent series, exact or floating, in one and two
-variables.
+"""Exact truncated formal power/Laurent series in one and two variables.
 
 Conventions
 -----------
@@ -9,8 +8,8 @@ Conventions
   ``trunc`` field of a result is always a sound guarantee.
 * A :class:`TruncSeries2` stores a dense coefficient rectangle for
   ``x^j * y^k`` with ``0 <= j <= nx``, ``0 <= k <= ny`` and has no pole part.
-* Exact series hold :class:`segreode.coefficients.QI` cells; float series hold
-  Python complex. The two backends never mix inside one operation.
+* Every cell is a Gaussian rational :class:`segreode.coefficients.QI`;
+  floats and complex numbers are rejected.
 * Values are immutable; all operations are pure functions and safe to share
   across threads.
 
@@ -25,7 +24,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .coefficients import EXACT, FLOAT, QI, coeff_from_json, coeff_to_json
+from .coefficients import ONE, QI, ZERO, coeff_from_json, coeff_str
 
 # Largest pole order any operation may produce.  The admissible-ODE layer
 # needs poles up to 2m plus a little slack for intermediate quotients.
@@ -33,10 +32,6 @@ POLE_CAP = 64
 
 
 class SeriesError(ValueError):
-    pass
-
-
-class BackendMismatch(SeriesError):
     pass
 
 
@@ -48,32 +43,16 @@ class PoleOverflow(SeriesError):
     pass
 
 
-Scalar = Union[int, Fraction, QI, float, complex]
+Scalar = Union[int, Fraction, QI]
 
 
-def _zero_cell(backend: str):
-    return QI(0) if backend == EXACT else 0j
-
-
-def _cell_is_zero(c) -> bool:
-    if isinstance(c, QI):
-        return c.is_zero
-    return c == 0
-
-
-def _as_cell(value: Scalar, backend: str):
-    if backend == EXACT:
-        if isinstance(value, (float, complex)):
-            raise BackendMismatch("float scalar used with exact series")
+def _as_cell(value: Scalar) -> QI:
+    try:
         return QI.of(value)
-    if isinstance(value, QI):
-        return value.to_complex()
-    return complex(value)
-
-
-def _check_backends(a, b):
-    if a.backend != b.backend:
-        raise BackendMismatch(f"mixed backends {a.backend!r} and {b.backend!r}")
+    except TypeError:
+        raise SeriesError(
+            f"series coefficients are Gaussian rationals, not {type(value).__name__}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +77,7 @@ def _scaled(cells: Sequence[QI], lcm: int):
     return out
 
 
-def _conv1_exact(a: Sequence[QI], b: Sequence[QI], out_len: int):
+def _conv1(a: Sequence[QI], b: Sequence[QI], out_len: int):
     la = _lcm_den(a)
     lb = _lcm_den(b)
     sa = _scaled(a, la)
@@ -122,22 +101,7 @@ def _conv1_exact(a: Sequence[QI], b: Sequence[QI], out_len: int):
     return [QI(rr[k], ri[k], den) for k in range(out_len)]
 
 
-def _conv1_float(a, b, out_len: int):
-    out = [0j] * out_len
-    for i, ca in enumerate(a):
-        if i >= out_len:
-            break
-        if ca == 0:
-            continue
-        jmax = min(len(b), out_len - i)
-        for j in range(jmax):
-            cb = b[j]
-            if cb != 0:
-                out[i + j] += ca * cb
-    return out
-
-
-def _conv2_exact(rows_a, rows_b, nx: int, ny: int):
+def _conv2(rows_a, rows_b, nx: int, ny: int):
     la = _lcm_den(c for row in rows_a for c in row)
     lb = _lcm_den(c for row in rows_b for c in row)
     sa = [_scaled(row, la) for row in rows_a]
@@ -174,27 +138,52 @@ def _conv2_exact(rows_a, rows_b, nx: int, ny: int):
     ]
 
 
-def _conv2_float(rows_a, rows_b, nx: int, ny: int):
-    acc = [[0j] * (ny + 1) for _ in range(nx + 1)]
-    nxb = len(rows_b) - 1
-    for ja, row_a in enumerate(rows_a):
-        if ja > nx:
-            break
-        jb_hi = min(nxb, nx - ja)
-        for la_idx, ca in enumerate(row_a):
-            if la_idx > ny:
-                break
-            if ca == 0:
-                continue
-            lb_hi = ny - la_idx
-            for jb in range(jb_hi + 1):
-                row_b = rows_b[jb]
-                tr = acc[ja + jb]
-                for l in range(min(len(row_b) - 1, lb_hi) + 1):
-                    cb = row_b[l]
-                    if cb != 0:
-                        tr[la_idx + l] += ca * cb
-    return [tuple(row) for row in acc]
+# ---------------------------------------------------------------------------
+# powers shared by both series classes
+# ---------------------------------------------------------------------------
+
+
+def _powers(one, base, kmax: int):
+    """Yield one, base, base^2, ... up to base^kmax, one product per power;
+    stops before the first power that is zero up to truncation."""
+    power = one
+    yield power
+    for _ in range(kmax):
+        power = power * base
+        if power.is_zero:
+            return
+        yield power
+
+
+def _power_sum(acc, one, base, kmax: int, coeff):
+    """acc + sum_{k=1..kmax} coeff(k) * base^k, skipping zero coefficients."""
+    powers = _powers(one, base, kmax)
+    next(powers)
+    for k, power in enumerate(powers, 1):
+        c = coeff(k)
+        if not c.is_zero:
+            acc = acc + power.scale(c)
+    return acc
+
+
+def _pow_int(result, base, n: int):
+    """result * base^n by binary powering, n >= 0."""
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+def _exp_coeff(k: int) -> QI:
+    return QI(1, 0, math.factorial(k))
+
+
+def _log_coeff(k: int) -> QI:
+    """Coefficient of y^k in log(1 + y)."""
+    return QI(1 if k % 2 else -1, 0, k)
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +194,9 @@ def _conv2_float(rows_a, rows_b, nx: int, ny: int):
 class TruncSeries1:
     """Univariate truncated Laurent series: degrees ``-pole .. trunc``."""
 
-    __slots__ = ("backend", "pole", "trunc", "coeffs")
+    __slots__ = ("pole", "trunc", "coeffs")
 
-    def __init__(self, coeffs: Sequence, pole: int = 0, trunc: int | None = None,
-                 backend: str = EXACT):
+    def __init__(self, coeffs: Sequence, pole: int = 0, trunc: int | None = None):
         if trunc is None:
             trunc = len(coeffs) - 1 - pole
         if len(coeffs) != trunc + pole + 1:
@@ -217,19 +205,13 @@ class TruncSeries1:
             )
         if trunc < 0:
             raise TruncationStarvation(f"truncation order {trunc} < 0")
-        cells = [_as_cell(c, backend) if not isinstance(c, (QI, complex)) else c
-                 for c in coeffs]
-        if backend == EXACT and any(isinstance(c, complex) for c in cells):
-            raise BackendMismatch("complex cell in exact series")
-        if backend == FLOAT:
-            cells = [c.to_complex() if isinstance(c, QI) else complex(c) for c in cells]
+        cells = [c if isinstance(c, QI) else _as_cell(c) for c in coeffs]
         # strip structural zeros below the first nonzero to normalize the pole
-        while pole > 0 and _cell_is_zero(cells[0]):
+        while pole > 0 and cells[0].is_zero:
             cells.pop(0)
             pole -= 1
         if pole > POLE_CAP:
             raise PoleOverflow(f"pole order {pole} exceeds cap {POLE_CAP}")
-        object.__setattr__(self, "backend", backend)
         object.__setattr__(self, "pole", pole)
         object.__setattr__(self, "trunc", trunc)
         object.__setattr__(self, "coeffs", tuple(cells))
@@ -240,63 +222,62 @@ class TruncSeries1:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, trunc: int, backend: str = EXACT) -> "TruncSeries1":
-        return cls([_zero_cell(backend)] * (trunc + 1), 0, trunc, backend)
+    def zero(cls, trunc: int) -> "TruncSeries1":
+        return cls([ZERO] * (trunc + 1), 0, trunc)
 
     @classmethod
-    def constant(cls, value: Scalar, trunc: int, backend: str = EXACT) -> "TruncSeries1":
-        cells = [_zero_cell(backend)] * (trunc + 1)
-        cells[0] = _as_cell(value, backend)
-        return cls(cells, 0, trunc, backend)
+    def constant(cls, value: Scalar, trunc: int) -> "TruncSeries1":
+        cells = [ZERO] * (trunc + 1)
+        cells[0] = _as_cell(value)
+        return cls(cells, 0, trunc)
 
     @classmethod
-    def one(cls, trunc: int, backend: str = EXACT) -> "TruncSeries1":
-        return cls.constant(1, trunc, backend)
+    def one(cls, trunc: int) -> "TruncSeries1":
+        return cls.constant(1, trunc)
 
     @classmethod
-    def var(cls, trunc: int, backend: str = EXACT) -> "TruncSeries1":
-        return cls.monomial(1, 1, trunc, backend)
+    def var(cls, trunc: int) -> "TruncSeries1":
+        return cls.monomial(1, 1, trunc)
 
     @classmethod
-    def monomial(cls, value: Scalar, degree: int, trunc: int,
-                 backend: str = EXACT) -> "TruncSeries1":
+    def monomial(cls, value: Scalar, degree: int, trunc: int) -> "TruncSeries1":
         pole = max(0, -degree)
         if degree > trunc:
             raise TruncationStarvation(f"monomial degree {degree} above trunc {trunc}")
-        cells = [_zero_cell(backend)] * (trunc + pole + 1)
-        cells[degree + pole] = _as_cell(value, backend)
-        return cls(cells, pole, trunc, backend)
+        cells = [ZERO] * (trunc + pole + 1)
+        cells[degree + pole] = _as_cell(value)
+        return cls(cells, pole, trunc)
 
     @classmethod
-    def from_terms(cls, terms: dict, trunc: int, backend: str = EXACT) -> "TruncSeries1":
+    def from_terms(cls, terms: dict, trunc: int) -> "TruncSeries1":
         pole = max(0, -min(terms.keys(), default=0))
-        cells = [_zero_cell(backend)] * (trunc + pole + 1)
+        cells = [ZERO] * (trunc + pole + 1)
         for deg, val in terms.items():
             if deg > trunc:
                 raise TruncationStarvation(f"term degree {deg} above trunc {trunc}")
-            cells[deg + pole] = _as_cell(val, backend)
-        return cls(cells, pole, trunc, backend)
+            cells[deg + pole] = _as_cell(val)
+        return cls(cells, pole, trunc)
 
     # -- queries ----------------------------------------------------------
 
-    def coefficient(self, degree: int):
+    def coefficient(self, degree: int) -> QI:
         """Coefficient at ``degree``; degrees above trunc are unknown."""
         if degree > self.trunc:
             raise TruncationStarvation(
                 f"coefficient of degree {degree} is beyond truncation {self.trunc}"
             )
         if degree < -self.pole:
-            return _zero_cell(self.backend)
+            return ZERO
         return self.coeffs[degree + self.pole]
 
     @property
     def is_zero(self) -> bool:
-        return all(_cell_is_zero(c) for c in self.coeffs)
+        return all(c.is_zero for c in self.coeffs)
 
     def order(self) -> int | None:
         """Degree of the lowest nonzero stored coefficient, or None."""
         for i, c in enumerate(self.coeffs):
-            if not _cell_is_zero(c):
+            if not c.is_zero:
                 return i - self.pole
         return None
 
@@ -307,6 +288,14 @@ class TruncSeries1:
             return None
         return v, self.coefficient(v)
 
+    def first_nonreal(self):
+        """(degree, coefficient) of the lowest coefficient with a nonzero
+        imaginary part, or None."""
+        for deg, c in self.items():
+            if not c.is_real:
+                return deg, c
+        return None
+
     def items(self):
         for i, c in enumerate(self.coeffs):
             yield i - self.pole, c
@@ -315,8 +304,6 @@ class TruncSeries1:
         """Equality of all coefficients up to the common truncation."""
         if not isinstance(other, TruncSeries1):
             return NotImplemented
-        if self.backend != other.backend:
-            return False
         hi = min(self.trunc, other.trunc)
         lo = -max(self.pole, other.pole)
         if hi < lo:
@@ -331,7 +318,7 @@ class TruncSeries1:
     def __repr__(self):
         shown = []
         for deg, c in self.items():
-            if not _cell_is_zero(c):
+            if not c.is_zero:
                 shown.append(f"({c})*w^{deg}" if deg else f"({c})")
             if len(shown) >= 6:
                 break
@@ -348,41 +335,28 @@ class TruncSeries1:
         if trunc == self.trunc:
             return self
         return TruncSeries1(list(self.coeffs[: trunc + self.pole + 1]),
-                            self.pole, trunc, self.backend)
+                            self.pole, trunc)
 
     def shift(self, k: int) -> "TruncSeries1":
         """Multiply by w^k (exact, k of either sign)."""
         if self.pole - k >= 0:
-            return TruncSeries1(list(self.coeffs), self.pole - k,
-                                self.trunc + k, self.backend)
-        pad = [_zero_cell(self.backend)] * (k - self.pole)
-        return TruncSeries1(pad + list(self.coeffs), 0, self.trunc + k,
-                            self.backend)
+            return TruncSeries1(list(self.coeffs), self.pole - k, self.trunc + k)
+        pad = [ZERO] * (k - self.pole)
+        return TruncSeries1(pad + list(self.coeffs), 0, self.trunc + k)
 
     def conj(self) -> "TruncSeries1":
-        if self.backend == EXACT:
-            cells = [c.conj() for c in self.coeffs]
-        else:
-            cells = [c.conjugate() for c in self.coeffs]
-        return TruncSeries1(cells, self.pole, self.trunc, self.backend)
-
-    def to_float(self) -> "TruncSeries1":
-        if self.backend == FLOAT:
-            return self
-        return TruncSeries1([c.to_complex() for c in self.coeffs],
-                            self.pole, self.trunc, FLOAT)
+        return TruncSeries1([c.conj() for c in self.coeffs], self.pole, self.trunc)
 
     # -- ring ops ----------------------------------------------------------
 
     def _aligned(self, other):
         pole = max(self.pole, other.pole)
         trunc = min(self.trunc, other.trunc)
-        z = _zero_cell(self.backend)
 
         def cells(s):
-            out = [z] * (pole - s.pole)
+            out = [ZERO] * (pole - s.pole)
             out.extend(s.coeffs[: trunc + s.pole + 1])
-            out.extend([z] * (trunc + pole + 1 - len(out)))
+            out.extend([ZERO] * (trunc + pole + 1 - len(out)))
             return out
 
         return cells(self), cells(other), pole, trunc
@@ -390,70 +364,48 @@ class TruncSeries1:
     def __add__(self, other):
         if not isinstance(other, TruncSeries1):
             return NotImplemented
-        _check_backends(self, other)
         ca, cb, pole, trunc = self._aligned(other)
-        return TruncSeries1([x + y for x, y in zip(ca, cb)], pole, trunc, self.backend)
+        return TruncSeries1([x + y for x, y in zip(ca, cb)], pole, trunc)
 
     def __sub__(self, other):
         if not isinstance(other, TruncSeries1):
             return NotImplemented
-        _check_backends(self, other)
         ca, cb, pole, trunc = self._aligned(other)
-        return TruncSeries1([x - y for x, y in zip(ca, cb)], pole, trunc, self.backend)
+        return TruncSeries1([x - y for x, y in zip(ca, cb)], pole, trunc)
 
     def __neg__(self):
-        return TruncSeries1([-c for c in self.coeffs], self.pole, self.trunc,
-                            self.backend)
+        return TruncSeries1([-c for c in self.coeffs], self.pole, self.trunc)
 
     def scale(self, value: Scalar) -> "TruncSeries1":
-        c = _as_cell(value, self.backend)
-        return TruncSeries1([c * x for x in self.coeffs], self.pole, self.trunc,
-                            self.backend)
+        c = _as_cell(value)
+        return TruncSeries1([c * x for x in self.coeffs], self.pole, self.trunc)
 
     def __mul__(self, other):
         if not isinstance(other, TruncSeries1):
             return self.scale(other)
-        _check_backends(self, other)
         trunc = min(self.trunc - other.pole, other.trunc - self.pole)
         pole = self.pole + other.pole
         if trunc < -pole:
             raise TruncationStarvation("product truncation exhausted")
-        out_len = trunc + pole + 1
-        if self.backend == EXACT:
-            cells = _conv1_exact(self.coeffs, other.coeffs, out_len)
-        else:
-            cells = _conv1_float(self.coeffs, other.coeffs, out_len)
-        return TruncSeries1(cells, pole, trunc, self.backend)
+        cells = _conv1(self.coeffs, other.coeffs, trunc + pole + 1)
+        return TruncSeries1(cells, pole, trunc)
 
     __rmul__ = __mul__
 
     def pow_int(self, n: int) -> "TruncSeries1":
         if n < 0:
             return self.inverse().pow_int(-n)
-        result = TruncSeries1.one(self.trunc, self.backend)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _pow_int(TruncSeries1.one(self.trunc), self, n)
 
     # -- division ------------------------------------------------------------
 
     def inverse(self) -> "TruncSeries1":
-        return divide(TruncSeries1.one(self.trunc + self.pole, self.backend), self)
+        return divide(TruncSeries1.one(self.trunc + self.pole), self)
 
     def __truediv__(self, other):
         if isinstance(other, TruncSeries1):
             return divide(self, other)
-        c = _as_cell(other, self.backend)
-        if self.backend == EXACT:
-            inv = QI(1) / c
-        else:
-            inv = 1.0 / c
-        return self.scale(inv)
+        return self.scale(ONE / _as_cell(other))
 
     # -- calculus -------------------------------------------------------------
 
@@ -462,47 +414,29 @@ class TruncSeries1:
             raise TruncationStarvation("cannot differentiate a trunc-0 series")
         pole = self.pole + 1 if self.pole > 0 else 0
         trunc = self.trunc - 1
-        z = _zero_cell(self.backend)
-        cells = [z] * (trunc + pole + 1)
+        cells = [ZERO] * (trunc + pole + 1)
         for deg, c in self.items():
-            if deg == 0 or _cell_is_zero(c):
+            if deg == 0 or c.is_zero:
                 continue
             tgt = deg - 1
             if -pole <= tgt <= trunc:
                 cells[tgt + pole] = c * deg
-        return TruncSeries1(cells, pole, trunc, self.backend)
+        return TruncSeries1(cells, pole, trunc)
 
     # -- transcendental -------------------------------------------------------
 
     def exp(self) -> "TruncSeries1":
-        if self.pole > 0 or not _cell_is_zero(self.coefficient(0)):
+        if self.pole > 0 or not self.coefficient(0).is_zero:
             raise SeriesError("exp requires a pole-free series with zero constant term")
-        result = TruncSeries1.one(self.trunc, self.backend)
-        term = TruncSeries1.one(self.trunc, self.backend)
-        for k in range(1, self.trunc + 1):
-            term = term * self
-            if term.is_zero:
-                break
-            scaled = term.scale(Fraction(1, math.factorial(k))) if self.backend == EXACT \
-                else term.scale(1.0 / math.factorial(k))
-            result = result + scaled
-        return result
+        one = TruncSeries1.one(self.trunc)
+        return _power_sum(one, one, self, self.trunc, _exp_coeff)
 
     def log(self) -> "TruncSeries1":
-        one = _as_cell(1, self.backend)
-        if self.pole > 0 or self.coefficient(0) != one:
+        if self.pole > 0 or self.coefficient(0) != ONE:
             raise SeriesError("log requires constant term exactly 1")
-        y = self - TruncSeries1.one(self.trunc, self.backend)
-        result = TruncSeries1.zero(self.trunc, self.backend)
-        term = TruncSeries1.one(self.trunc, self.backend)
-        for k in range(1, self.trunc + 1):
-            term = term * y
-            if term.is_zero:
-                break
-            coeff = Fraction(1 if k % 2 else -1, k) if self.backend == EXACT \
-                else (1.0 if k % 2 else -1.0) / k
-            result = result + term.scale(coeff)
-        return result
+        one = TruncSeries1.one(self.trunc)
+        return _power_sum(TruncSeries1.zero(self.trunc), one, self - one,
+                          self.trunc, _log_coeff)
 
     def pow_frac(self, alpha) -> "TruncSeries1":
         """Principal formal branch u^alpha = exp(alpha*log(u)); needs u(0) = 1."""
@@ -520,22 +454,13 @@ class TruncSeries1:
         return {
             "pole": self.pole,
             "trunc": self.trunc,
-            "coeffs": [coeff_to_json(c, self.backend) for c in self.coeffs],
+            "coeffs": [coeff_str(c) for c in self.coeffs],
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "TruncSeries1":
-        cells = []
-        backend = None
-        for raw in obj["coeffs"]:
-            c, b = coeff_from_json(raw)
-            if backend is None:
-                backend = b
-            elif backend != b:
-                raise BackendMismatch("mixed exact and float coefficients in JSON")
-            cells.append(c)
-        backend = backend or EXACT
-        return cls(cells, obj.get("pole", 0), obj["trunc"], backend)
+        cells = [coeff_from_json(raw) for raw in obj["coeffs"]]
+        return cls(cells, obj.get("pole", 0), obj["trunc"])
 
 
 # ---------------------------------------------------------------------------
@@ -546,10 +471,10 @@ class TruncSeries1:
 class TruncSeries2:
     """Bivariate truncated power series on the rectangle (nx, ny), no poles."""
 
-    __slots__ = ("backend", "nx", "ny", "rows")
+    __slots__ = ("nx", "ny", "rows")
 
     def __init__(self, rows: Sequence[Sequence], nx: int | None = None,
-                 ny: int | None = None, backend: str = EXACT):
+                 ny: int | None = None):
         if nx is None:
             nx = len(rows) - 1
         if ny is None:
@@ -558,15 +483,8 @@ class TruncSeries2:
             raise TruncationStarvation(f"rectangle ({nx}, {ny}) is empty")
         if len(rows) != nx + 1 or any(len(r) != ny + 1 for r in rows):
             raise SeriesError("rectangle shape mismatch")
-        conv = []
-        for r in rows:
-            cells = [_as_cell(c, backend) if not isinstance(c, (QI, complex)) else c
-                     for c in r]
-            if backend == FLOAT:
-                cells = [c.to_complex() if isinstance(c, QI) else complex(c)
-                         for c in cells]
-            conv.append(tuple(cells))
-        object.__setattr__(self, "backend", backend)
+        conv = [tuple([c if isinstance(c, QI) else _as_cell(c) for c in r])
+                for r in rows]
         object.__setattr__(self, "nx", nx)
         object.__setattr__(self, "ny", ny)
         object.__setattr__(self, "rows", tuple(conv))
@@ -577,44 +495,39 @@ class TruncSeries2:
     # -- constructors -----------------------------------------------------------
 
     @classmethod
-    def zero(cls, nx: int, ny: int, backend: str = EXACT) -> "TruncSeries2":
-        z = _zero_cell(backend)
-        return cls([[z] * (ny + 1) for _ in range(nx + 1)], nx, ny, backend)
+    def zero(cls, nx: int, ny: int) -> "TruncSeries2":
+        return cls([[ZERO] * (ny + 1) for _ in range(nx + 1)], nx, ny)
 
     @classmethod
-    def constant(cls, value: Scalar, nx: int, ny: int, backend: str = EXACT):
-        z = _zero_cell(backend)
-        rows = [[z] * (ny + 1) for _ in range(nx + 1)]
-        rows[0][0] = _as_cell(value, backend)
-        return cls(rows, nx, ny, backend)
+    def constant(cls, value: Scalar, nx: int, ny: int):
+        rows = [[ZERO] * (ny + 1) for _ in range(nx + 1)]
+        rows[0][0] = _as_cell(value)
+        return cls(rows, nx, ny)
 
     @classmethod
-    def one(cls, nx: int, ny: int, backend: str = EXACT) -> "TruncSeries2":
-        return cls.constant(1, nx, ny, backend)
+    def one(cls, nx: int, ny: int) -> "TruncSeries2":
+        return cls.constant(1, nx, ny)
 
     @classmethod
-    def var_x(cls, nx: int, ny: int, backend: str = EXACT) -> "TruncSeries2":
-        z = _zero_cell(backend)
-        rows = [[z] * (ny + 1) for _ in range(nx + 1)]
+    def var_x(cls, nx: int, ny: int) -> "TruncSeries2":
+        rows = [[ZERO] * (ny + 1) for _ in range(nx + 1)]
         if nx < 1:
             raise TruncationStarvation("nx < 1 cannot hold x")
-        rows[1][0] = _as_cell(1, backend)
-        return cls(rows, nx, ny, backend)
+        rows[1][0] = ONE
+        return cls(rows, nx, ny)
 
     @classmethod
-    def var_y(cls, nx: int, ny: int, backend: str = EXACT) -> "TruncSeries2":
-        z = _zero_cell(backend)
-        rows = [[z] * (ny + 1) for _ in range(nx + 1)]
+    def var_y(cls, nx: int, ny: int) -> "TruncSeries2":
+        rows = [[ZERO] * (ny + 1) for _ in range(nx + 1)]
         if ny < 1:
             raise TruncationStarvation("ny < 1 cannot hold y")
-        rows[0][1] = _as_cell(1, backend)
-        return cls(rows, nx, ny, backend)
+        rows[0][1] = ONE
+        return cls(rows, nx, ny)
 
     @classmethod
-    def from_rows(cls, rows_map: dict, nx: int, ny: int, backend: str = EXACT):
+    def from_rows(cls, rows_map: dict, nx: int, ny: int):
         """Build from a {x_degree: TruncSeries1-in-y} mapping."""
-        z = _zero_cell(backend)
-        rows = [[z] * (ny + 1) for _ in range(nx + 1)]
+        rows = [[ZERO] * (ny + 1) for _ in range(nx + 1)]
         for j, s in rows_map.items():
             if j > nx:
                 raise TruncationStarvation(f"row {j} above nx {nx}")
@@ -626,7 +539,7 @@ class TruncSeries2:
                 )
             for k in range(ny + 1):
                 rows[j][k] = s.coefficient(k)
-        return cls(rows, nx, ny, backend)
+        return cls(rows, nx, ny)
 
     @classmethod
     def embed_y(cls, s: TruncSeries1, nx: int, ny: int | None = None):
@@ -637,7 +550,7 @@ class TruncSeries2:
             ny = s.trunc
         if ny > s.trunc:
             raise TruncationStarvation(f"ny {ny} above series truncation {s.trunc}")
-        return cls.from_rows({0: s}, nx, ny, s.backend)
+        return cls.from_rows({0: s}, nx, ny)
 
     @classmethod
     def embed_x(cls, s: TruncSeries1, ny: int, nx: int | None = None):
@@ -647,11 +560,10 @@ class TruncSeries2:
             nx = s.trunc
         if nx > s.trunc:
             raise TruncationStarvation(f"nx {nx} above series truncation {s.trunc}")
-        z = _zero_cell(s.backend)
-        rows = [[z] * (ny + 1) for _ in range(nx + 1)]
+        rows = [[ZERO] * (ny + 1) for _ in range(nx + 1)]
         for j in range(nx + 1):
             rows[j][0] = s.coefficient(j)
-        return cls(rows, nx, ny, s.backend)
+        return cls(rows, nx, ny)
 
     # -- queries ----------------------------------------------------------------
 
@@ -659,31 +571,31 @@ class TruncSeries2:
     def rect(self):
         return (self.nx, self.ny)
 
-    def coefficient(self, j: int, k: int):
+    def coefficient(self, j: int, k: int) -> QI:
         if j > self.nx or k > self.ny:
             raise TruncationStarvation(
                 f"cell ({j}, {k}) is beyond the rectangle {self.rect}"
             )
         if j < 0 or k < 0:
-            return _zero_cell(self.backend)
+            return ZERO
         return self.rows[j][k]
 
     def row(self, j: int) -> TruncSeries1:
         """The coefficient series of x^j, as a univariate series in y."""
         if j > self.nx:
             raise TruncationStarvation(f"row {j} beyond nx {self.nx}")
-        return TruncSeries1(list(self.rows[j]), 0, self.ny, self.backend)
+        return TruncSeries1(list(self.rows[j]), 0, self.ny)
 
     @property
     def is_zero(self) -> bool:
-        return all(_cell_is_zero(c) for row in self.rows for c in row)
+        return all(c.is_zero for row in self.rows for c in row)
 
     def first_nonzero(self):
         """((j, k), coefficient) minimizing total degree then x-degree."""
         best = None
         for j, row in enumerate(self.rows):
             for k, c in enumerate(row):
-                if not _cell_is_zero(c):
+                if not c.is_zero:
                     key = (j + k, j)
                     if best is None or key < best[0]:
                         best = (key, (j, k), c)
@@ -693,7 +605,7 @@ class TruncSeries2:
 
     def x_order(self) -> int | None:
         for j, row in enumerate(self.rows):
-            if any(not _cell_is_zero(c) for c in row):
+            if any(not c.is_zero for c in row):
                 return j
         return None
 
@@ -701,7 +613,7 @@ class TruncSeries2:
         best = None
         for row in self.rows:
             for k, c in enumerate(row):
-                if not _cell_is_zero(c):
+                if not c.is_zero:
                     best = k if best is None else min(best, k)
                     break
         return best
@@ -709,8 +621,6 @@ class TruncSeries2:
     def __eq__(self, other):
         if not isinstance(other, TruncSeries2):
             return NotImplemented
-        if self.backend != other.backend:
-            return False
         nx = min(self.nx, other.nx)
         ny = min(self.ny, other.ny)
         return all(
@@ -722,7 +632,7 @@ class TruncSeries2:
     __hash__ = None
 
     def __repr__(self):
-        nz = sum(1 for row in self.rows for c in row if not _cell_is_zero(c))
+        nz = sum(1 for row in self.rows for c in row if not c.is_zero)
         return f"<series2 rect={self.rect} nonzero_cells={nz}>"
 
     # -- structural --------------------------------------------------------------
@@ -733,52 +643,41 @@ class TruncSeries2:
                 f"cannot extend rectangle {self.rect} to ({nx}, {ny})"
             )
         rows = [list(self.rows[j][: ny + 1]) for j in range(nx + 1)]
-        return TruncSeries2(rows, nx, ny, self.backend)
+        return TruncSeries2(rows, nx, ny)
 
     def shift_x(self, k: int) -> "TruncSeries2":
         """Multiply by x^k (k >= 0); cells pushed past nx are dropped."""
         if k < 0:
             raise SeriesError("negative x-shift is not defined on power series")
-        z = _zero_cell(self.backend)
-        rows = [[z] * (self.ny + 1) for _ in range(k)]
+        rows = [[ZERO] * (self.ny + 1) for _ in range(k)]
         rows.extend(list(r) for r in self.rows[: self.nx + 1 - k])
         while len(rows) < self.nx + 1:
-            rows.append([z] * (self.ny + 1))
-        return TruncSeries2(rows, self.nx, self.ny, self.backend)
+            rows.append([ZERO] * (self.ny + 1))
+        return TruncSeries2(rows, self.nx, self.ny)
 
     def shift_y(self, k: int) -> "TruncSeries2":
         """Multiply by y^k; k < 0 requires exact divisibility and shrinks ny."""
-        z = _zero_cell(self.backend)
         if k >= 0:
             rows = [
-                [z] * k + list(r[: self.ny + 1 - k]) for r in self.rows
+                [ZERO] * k + list(r[: self.ny + 1 - k]) for r in self.rows
             ]
-            return TruncSeries2(rows, self.nx, self.ny, self.backend)
+            return TruncSeries2(rows, self.nx, self.ny)
         k = -k
         ny = self.ny - k
         if ny < 0:
             raise TruncationStarvation("y-shift empties the rectangle")
         for j, r in enumerate(self.rows):
             for l in range(k):
-                if not _cell_is_zero(r[l]):
+                if not r[l].is_zero:
                     raise SeriesError(
                         f"series is not divisible by y^{k} (cell ({j}, {l}) nonzero)"
                     )
         rows = [list(r[k: self.ny + 1]) for r in self.rows]
-        return TruncSeries2(rows, self.nx, ny, self.backend)
+        return TruncSeries2(rows, self.nx, ny)
 
     def conj(self) -> "TruncSeries2":
-        if self.backend == EXACT:
-            rows = [[c.conj() for c in r] for r in self.rows]
-        else:
-            rows = [[c.conjugate() for c in r] for r in self.rows]
-        return TruncSeries2(rows, self.nx, self.ny, self.backend)
-
-    def to_float(self) -> "TruncSeries2":
-        if self.backend == FLOAT:
-            return self
-        rows = [[c.to_complex() for c in r] for r in self.rows]
-        return TruncSeries2(rows, self.nx, self.ny, FLOAT)
+        rows = [[c.conj() for c in r] for r in self.rows]
+        return TruncSeries2(rows, self.nx, self.ny)
 
     # -- ring ops -----------------------------------------------------------------
 
@@ -788,59 +687,44 @@ class TruncSeries2:
     def __add__(self, other):
         if not isinstance(other, TruncSeries2):
             return NotImplemented
-        _check_backends(self, other)
         nx, ny = self._common_rect(other)
         rows = [
             [self.rows[j][k] + other.rows[j][k] for k in range(ny + 1)]
             for j in range(nx + 1)
         ]
-        return TruncSeries2(rows, nx, ny, self.backend)
+        return TruncSeries2(rows, nx, ny)
 
     def __sub__(self, other):
         if not isinstance(other, TruncSeries2):
             return NotImplemented
-        _check_backends(self, other)
         nx, ny = self._common_rect(other)
         rows = [
             [self.rows[j][k] - other.rows[j][k] for k in range(ny + 1)]
             for j in range(nx + 1)
         ]
-        return TruncSeries2(rows, nx, ny, self.backend)
+        return TruncSeries2(rows, nx, ny)
 
     def __neg__(self):
         rows = [[-c for c in r] for r in self.rows]
-        return TruncSeries2(rows, self.nx, self.ny, self.backend)
+        return TruncSeries2(rows, self.nx, self.ny)
 
     def scale(self, value: Scalar) -> "TruncSeries2":
-        c = _as_cell(value, self.backend)
+        c = _as_cell(value)
         rows = [[c * x for x in r] for r in self.rows]
-        return TruncSeries2(rows, self.nx, self.ny, self.backend)
+        return TruncSeries2(rows, self.nx, self.ny)
 
     def __mul__(self, other):
         if not isinstance(other, TruncSeries2):
             return self.scale(other)
-        _check_backends(self, other)
         nx, ny = self._common_rect(other)
-        if self.backend == EXACT:
-            rows = _conv2_exact(self.rows, other.rows, nx, ny)
-        else:
-            rows = _conv2_float(self.rows, other.rows, nx, ny)
-        return TruncSeries2(rows, nx, ny, self.backend)
+        return TruncSeries2(_conv2(self.rows, other.rows, nx, ny), nx, ny)
 
     __rmul__ = __mul__
 
     def pow_int(self, n: int) -> "TruncSeries2":
         if n < 0:
             raise SeriesError("negative powers of bivariate series are not defined")
-        result = TruncSeries2.one(self.nx, self.ny, self.backend)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _pow_int(TruncSeries2.one(self.nx, self.ny), self, n)
 
     # -- calculus ----------------------------------------------------------------
 
@@ -850,7 +734,7 @@ class TruncSeries2:
         rows = []
         for j in range(1, self.nx + 1):
             rows.append([c * j for c in self.rows[j]])
-        return TruncSeries2(rows, self.nx - 1, self.ny, self.backend)
+        return TruncSeries2(rows, self.nx - 1, self.ny)
 
     def derivative_y(self) -> "TruncSeries2":
         if self.ny < 1:
@@ -858,38 +742,22 @@ class TruncSeries2:
         rows = []
         for r in self.rows:
             rows.append([r[k] * k for k in range(1, self.ny + 1)])
-        return TruncSeries2(rows, self.nx, self.ny - 1, self.backend)
+        return TruncSeries2(rows, self.nx, self.ny - 1)
 
     # -- transcendental -----------------------------------------------------------
 
     def exp(self) -> "TruncSeries2":
-        if not _cell_is_zero(self.rows[0][0]):
+        if not self.rows[0][0].is_zero:
             raise SeriesError("exp requires zero constant term")
-        result = TruncSeries2.one(self.nx, self.ny, self.backend)
-        term = TruncSeries2.one(self.nx, self.ny, self.backend)
-        for k in range(1, self.nx + self.ny + 1):
-            term = term * self
-            if term.is_zero:
-                break
-            coeff = Fraction(1, math.factorial(k)) if self.backend == EXACT \
-                else 1.0 / math.factorial(k)
-            result = result + term.scale(coeff)
-        return result
+        one = TruncSeries2.one(self.nx, self.ny)
+        return _power_sum(one, one, self, self.nx + self.ny, _exp_coeff)
 
     def log(self) -> "TruncSeries2":
-        if self.rows[0][0] != _as_cell(1, self.backend):
+        if self.rows[0][0] != ONE:
             raise SeriesError("log requires constant term exactly 1")
-        y = self - TruncSeries2.one(self.nx, self.ny, self.backend)
-        result = TruncSeries2.zero(self.nx, self.ny, self.backend)
-        term = TruncSeries2.one(self.nx, self.ny, self.backend)
-        for k in range(1, self.nx + self.ny + 1):
-            term = term * y
-            if term.is_zero:
-                break
-            coeff = Fraction(1 if k % 2 else -1, k) if self.backend == EXACT \
-                else (1.0 if k % 2 else -1.0) / k
-            result = result + term.scale(coeff)
-        return result
+        one = TruncSeries2.one(self.nx, self.ny)
+        return _power_sum(TruncSeries2.zero(self.nx, self.ny), one, self - one,
+                          self.nx + self.ny, _log_coeff)
 
     def pow_frac(self, alpha) -> "TruncSeries2":
         a = Fraction(alpha) if not isinstance(alpha, Fraction) else alpha
@@ -898,21 +766,23 @@ class TruncSeries2:
     # -- substitution ---------------------------------------------------------------
 
     def eval_first(self, u: TruncSeries1) -> TruncSeries1:
-        """Substitute the x-variable by a series u(y); returns a series in y."""
+        """Substitute the x-variable by a series u(y); returns a series in y.
+
+        The unknown terms beyond x^nx enter at y^((nx+1)*ord u), which caps
+        the guaranteed truncation of the result.
+        """
         if u.pole != 0:
             raise SeriesError("substituted series must be pole-free")
-        ny = min(self.ny, u.trunc)
-        acc = self.row(0).truncate(ny)
-        if self.nx == 0:
-            return acc
-        power = TruncSeries1.one(ny, self.backend)
-        ut = u.truncate(ny)
-        if ut.order() is not None and ut.order() < 1:
+        if not u.coefficient(0).is_zero:
             raise SeriesError("substituted series must have zero constant term")
-        for j in range(1, self.nx + 1):
-            power = power * ut
-            if power.is_zero:
-                break
+        v = u.order()
+        if v is None:
+            v = u.trunc + 1
+        ny = min(self.ny, u.trunc, (self.nx + 1) * v - 1)
+        acc = self.row(0).truncate(ny)
+        powers = _powers(TruncSeries1.one(ny), u.truncate(ny), self.nx)
+        next(powers)
+        for j, power in enumerate(powers, 1):
             acc = acc + self.row(j).truncate(ny) * power
         return acc
 
@@ -925,8 +795,7 @@ class TruncSeries2:
         by total degree; with y-order >= 1 the full common rectangle carries
         over.
         """
-        _check_backends(self, g)
-        if not _cell_is_zero(g.rows[0][0]):
+        if not g.rows[0][0].is_zero:
             raise SeriesError("substituted series must have zero constant term")
         fn = g.first_nonzero()
         v_tot = (fn[0][0] + fn[0][1]) if fn else (g.nx + g.ny + 1)
@@ -943,21 +812,15 @@ class TruncSeries2:
                         "y-order-0 substitution"
                     )
         gt = g.restrict(nx, ny)
-        acc = TruncSeries2.zero(nx, ny, self.backend)
-        power = TruncSeries2.one(nx, ny, self.backend)
+        acc = TruncSeries2.zero(nx, ny)
         # row-wise Horner would recompute powers per row; sharing them is cheaper
-        powers = [power]
-        for _ in range(1, min(self.ny, nx + ny) + 1):
-            power = power * gt
-            if power.is_zero:
-                break
-            powers.append(power)
+        powers = list(_powers(TruncSeries2.one(nx, ny), gt, min(self.ny, nx + ny)))
         for j in range(nx + 1):
             row = self.rows[j]
-            combo = TruncSeries2.zero(nx, ny, self.backend)
+            combo = TruncSeries2.zero(nx, ny)
             nonzero = False
             for l, c in enumerate(row[: self.ny + 1]):
-                if _cell_is_zero(c) or l >= len(powers):
+                if c.is_zero or l >= len(powers):
                     continue
                 combo = combo + powers[l].scale(c)
                 nonzero = True
@@ -970,27 +833,14 @@ class TruncSeries2:
     def to_json(self) -> dict:
         return {
             "trunc": [self.nx, self.ny],
-            "coeffs": [
-                [coeff_to_json(c, self.backend) for c in row] for row in self.rows
-            ],
+            "coeffs": [[coeff_str(c) for c in row] for row in self.rows],
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "TruncSeries2":
         nx, ny = obj["trunc"]
-        rows = []
-        backend = None
-        for raw_row in obj["coeffs"]:
-            row = []
-            for raw in raw_row:
-                c, b = coeff_from_json(raw)
-                if backend is None:
-                    backend = b
-                elif backend != b:
-                    raise BackendMismatch("mixed exact and float coefficients in JSON")
-                row.append(c)
-            rows.append(row)
-        return cls(rows, nx, ny, backend or EXACT)
+        rows = [[coeff_from_json(raw) for raw in raw_row] for raw_row in obj["coeffs"]]
+        return cls(rows, nx, ny)
 
 
 # ---------------------------------------------------------------------------
@@ -1000,16 +850,13 @@ class TruncSeries2:
 
 def divide(a: TruncSeries1, b: TruncSeries1) -> TruncSeries1:
     """Laurent quotient a/b; b must have a nonzero stored coefficient."""
-    _check_backends(a, b)
     v = b.order()
     if v is None:
         raise ZeroDivisionError("division by a series that is zero up to truncation")
     unit = b.shift(-v)
     n = unit.trunc
-    c0 = unit.coefficient(0)
-    inv0 = (QI(1) / c0) if a.backend == EXACT else (1.0 / c0)
-    y = TruncSeries1.constant(inv0, n, a.backend)
-    two = TruncSeries1.constant(2, n, a.backend)
+    y = TruncSeries1.constant(ONE / unit.coefficient(0), n)
+    two = TruncSeries1.constant(2, n)
     correct = 0
     while correct < n:
         y = y * (two - unit * y)
@@ -1029,10 +876,9 @@ def compose(outer: TruncSeries1, inner):
 
 
 def _compose_1_1(outer: TruncSeries1, inner: TruncSeries1) -> TruncSeries1:
-    _check_backends(outer, inner)
     if inner.pole != 0:
         raise SeriesError("inner series of a composition cannot have a pole")
-    if not _cell_is_zero(inner.coefficient(0)):
+    if not inner.coefficient(0).is_zero:
         raise SeriesError("inner series must have zero constant term")
     v = inner.order()
     if v is None:
@@ -1043,33 +889,19 @@ def _compose_1_1(outer: TruncSeries1, inner: TruncSeries1) -> TruncSeries1:
         )
     cap = (outer.trunc + 1) * v - 1
     n = inner.trunc
-    acc = TruncSeries1.constant(outer.coefficient(0), n, outer.backend)
-    power = TruncSeries1.one(n, outer.backend)
-    for k in range(1, outer.trunc + 1):
-        power = power * inner
-        if power.is_zero:
-            break
-        c = outer.coefficient(k)
-        if not _cell_is_zero(c):
-            acc = acc + power.scale(c)
+    one = TruncSeries1.one(n)
+    acc = _power_sum(TruncSeries1.constant(outer.coefficient(0), n), one, inner,
+                     outer.trunc, outer.coefficient)
     if outer.pole > 0:
-        inv = divide(TruncSeries1.one(n, outer.backend), inner)
-        neg = TruncSeries1.zero(n, outer.backend)
-        ipow = TruncSeries1.one(n, outer.backend)
-        for k in range(1, outer.pole + 1):
-            ipow = ipow * inv
-            c = outer.coefficient(-k)
-            if not _cell_is_zero(c):
-                neg = neg + ipow.scale(c)
-        acc = acc + neg
+        acc = _power_sum(acc, one, divide(one, inner), outer.pole,
+                         lambda k: outer.coefficient(-k))
     return acc if acc.trunc <= cap else acc.truncate(min(acc.trunc, cap))
 
 
 def _compose_1_2(outer: TruncSeries1, inner: TruncSeries2) -> TruncSeries2:
-    _check_backends(outer, inner)
     if outer.pole > 0:
         raise SeriesError("pole-part composition with a bivariate inner series")
-    if not _cell_is_zero(inner.rows[0][0]):
+    if not inner.rows[0][0].is_zero:
         raise SeriesError("inner series must have zero constant term")
     fn = inner.first_nonzero()
     v_tot = (fn[0][0] + fn[0][1]) if fn else (inner.nx + inner.ny + 1)
@@ -1082,94 +914,41 @@ def _compose_1_2(outer: TruncSeries1, inner: TruncSeries2) -> TruncSeries2:
                 f"outer truncation {outer.trunc} cannot cover the rectangle "
                 f"({inner.nx}, {inner.ny})"
             )
-    it = inner.restrict(nx, ny)
-    acc = TruncSeries2.constant(outer.coefficient(0), nx, ny, outer.backend)
-    power = TruncSeries2.one(nx, ny, outer.backend)
-    for k in range(1, min(outer.trunc, nx + ny) + 1):
-        power = power * it
-        if power.is_zero:
-            break
-        c = outer.coefficient(k)
-        if not _cell_is_zero(c):
-            acc = acc + power.scale(c)
-    return acc
+    return _power_sum(TruncSeries2.constant(outer.coefficient(0), nx, ny),
+                      TruncSeries2.one(nx, ny), inner.restrict(nx, ny),
+                      min(outer.trunc, nx + ny), outer.coefficient)
 
 
-def compose2(outer: TruncSeries2, first: TruncSeries2, second) -> TruncSeries2:
-    """Full bivariate substitution outer(first(x, y), second).
+def compose2(outer: TruncSeries2, first: TruncSeries2,
+             second: TruncSeries1) -> TruncSeries2:
+    """Full bivariate substitution outer(first(x, y), second(y)).
 
-    ``first`` must have x-order >= 1; ``second`` (univariate in y, or
-    bivariate) must have y-order >= 1 and zero constant term.
+    ``first`` must have x-order >= 1; ``second`` is univariate in y and must
+    have order >= 1.
     """
-    _check_backends(outer, first)
     vx = first.x_order()
     if vx is None:
         vx = first.nx + 1
     if vx < 1:
         raise SeriesError("first substituted series must have x-order >= 1")
-    if isinstance(second, TruncSeries1):
-        if second.pole != 0 or not _cell_is_zero(second.coefficient(0)):
-            raise SeriesError("second substituted series must vanish at the origin")
-        vy = second.order() or (second.trunc + 1)
-        ny_second = second.trunc
-    else:
-        _check_backends(outer, second)
-        if not _cell_is_zero(second.rows[0][0]):
-            raise SeriesError("second substituted series must vanish at the origin")
-        vy = second.y_order() or (second.ny + 1)
-        ny_second = second.ny
-    if vy < 1:
-        raise SeriesError("second substituted series must have y-order >= 1")
+    if not isinstance(second, TruncSeries1):
+        raise SeriesError("second substituted series must be univariate in y")
+    if second.pole != 0 or not second.coefficient(0).is_zero:
+        raise SeriesError("second substituted series must vanish at the origin")
+    vy = second.order() or (second.trunc + 1)
     nx = min(first.nx, (outer.nx + 1) * vx - 1)
-    ny = min(first.ny, ny_second, (outer.ny + 1) * vy - 1)
-    ft = first.restrict(nx, ny)
-
-    if isinstance(second, TruncSeries1):
-        st = second.truncate(ny)
-        spowers = [TruncSeries1.one(ny, outer.backend)]
-        p = spowers[0]
-        for _ in range(1, ny + 1):
-            p = p * st
-            if p.is_zero:
-                break
-            spowers.append(p)
-
-        def row_composed(j):
-            acc = TruncSeries1.zero(ny, outer.backend)
-            for l in range(min(outer.ny, len(spowers) - 1) + 1):
-                c = outer.rows[j][l]
-                if not _cell_is_zero(c):
-                    acc = acc + spowers[l].scale(c)
-            return TruncSeries2.embed_y(acc, nx, ny)
-    else:
-        st2 = second.restrict(nx, ny)
-        spowers2 = [TruncSeries2.one(nx, ny, outer.backend)]
-        p2 = spowers2[0]
-        for _ in range(1, ny + 1):
-            p2 = p2 * st2
-            if p2.is_zero:
-                break
-            spowers2.append(p2)
-
-        def row_composed(j):
-            acc = TruncSeries2.zero(nx, ny, outer.backend)
-            for l in range(min(outer.ny, len(spowers2) - 1) + 1):
-                c = outer.rows[j][l]
-                if not _cell_is_zero(c):
-                    acc = acc + spowers2[l].scale(c)
-            return acc
-
-    fpowers = [TruncSeries2.one(nx, ny, outer.backend)]
-    p = fpowers[0]
-    for _ in range(1, min(outer.nx, nx) + 1):
-        p = p * ft
-        if p.is_zero:
-            break
-        fpowers.append(p)
-
-    acc = TruncSeries2.zero(nx, ny, outer.backend)
+    ny = min(first.ny, second.trunc, (outer.ny + 1) * vy - 1)
+    spowers = list(_powers(TruncSeries1.one(ny), second.truncate(ny), ny))
+    fpowers = list(_powers(TruncSeries2.one(nx, ny), first.restrict(nx, ny),
+                           min(outer.nx, nx)))
+    acc = TruncSeries2.zero(nx, ny)
     for j in range(min(outer.nx, len(fpowers) - 1) + 1):
-        rc = row_composed(j)
+        row = TruncSeries1.zero(ny)
+        for l in range(min(outer.ny, len(spowers) - 1) + 1):
+            c = outer.rows[j][l]
+            if not c.is_zero:
+                row = row + spowers[l].scale(c)
+        rc = TruncSeries2.embed_y(row, nx, ny)
         if not rc.is_zero:
             acc = acc + rc * fpowers[j]
     return acc
@@ -1181,34 +960,35 @@ def solve_implicit(phi: TruncSeries2) -> TruncSeries1:
     The x-slot of ``phi`` is the unknown; requires phi(0, 0) = 0 and a
     nonzero linear coefficient d(phi)/dx at the origin.
     """
-    if not _cell_is_zero(phi.rows[0][0]):
+    if not phi.rows[0][0].is_zero:
         raise SeriesError("implicit solve requires phi(0, 0) = 0")
     if phi.nx < 1:
         raise SeriesError("phi carries no x-slot to solve for")
     lin = phi.rows[1][0]
-    if _cell_is_zero(lin):
+    if lin.is_zero:
         raise SeriesError("degenerate linear part in implicit solve")
-    inv_lin = (QI(1) / lin) if phi.backend == EXACT else (1.0 / lin)
+    inv_lin = ONE / lin
     ny = phi.ny
-    u = TruncSeries1.zero(ny, phi.backend)
+    u = TruncSeries1.zero(ny)
     for _ in range(ny + 1):
         r = phi.eval_first(u)
+        # subtracting even a zero residual carries its truncation into u
+        u = u - r.scale(inv_lin)
         if r.is_zero:
             break
-        u = u - r.scale(inv_lin)
     return u
 
 
 def compositional_inverse(g: TruncSeries1) -> TruncSeries1:
     """The series h with g(h(w)) = w up to truncation; needs g(0)=0, g'(0)!=0."""
-    if g.pole != 0 or not _cell_is_zero(g.coefficient(0)):
+    if g.pole != 0 or not g.coefficient(0).is_zero:
         raise SeriesError("compositional inverse requires g(0) = 0")
     c1 = g.coefficient(1)
-    if _cell_is_zero(c1):
+    if c1.is_zero:
         raise SeriesError("compositional inverse requires g'(0) != 0")
     n = g.trunc
-    w = TruncSeries1.var(n, g.backend)
-    inv1 = (QI(1) / c1) if g.backend == EXACT else (1.0 / c1)
+    w = TruncSeries1.var(n)
+    inv1 = ONE / c1
     h = w.scale(inv1)
     for _ in range(n):
         r = compose(g, h) - w

@@ -177,6 +177,31 @@ def test_cli_growth_series_file(tmp_path, capsys):
     assert payload["termination_degree"] == 1
 
 
+@pytest.mark.parametrize("content", [
+    json.dumps({"pole": 0, "trunc": 2, "coeffs": [[1.0, 0.0], [0.5, 0.0], [0.0, 1.0]]}),
+    '{"pole": 0, "trunc": 2, "coeffs": ["1", ',
+    json.dumps([1, 2, 3]),
+])
+def test_cli_growth_series_file_rejected(tmp_path, capsys, content):
+    """Float [re, im] cells, bad JSON and a wrong shape exit 2 with one line."""
+    path = tmp_path / "series.json"
+    path.write_text(content)
+    assert cli.main(["growth", "--series", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_growth_series_file_missing(tmp_path, capsys):
+    assert cli.main(["growth", "--series", str(tmp_path / "absent.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_monodromy_check_beta_minus_4(capsys):
+    assert cli.main(["run", "--family", "2,-4", "--checks", "monodromy"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["runs"][0]["checks"]["monodromy"]["pass"] is True
+
+
 def test_cli_monodromy_exact_only(capsys):
     code = cli.main(["monodromy", "--family", "2,2"])
     assert code == 0

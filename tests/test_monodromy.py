@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from segreode import monodromy_report, numeric_monodromy, residue_analysis
+from segreode import cli, monodromy, monodromy_report, numeric_monodromy, residue_analysis
+from segreode.monodromy import DEVIATION_TOL
 
 
 def test_trivial_beta2():
@@ -105,3 +106,24 @@ def test_monodromy_report_combined():
     predicted = sorted(report.predicted_eigenvalues, key=lambda z: z.real)
     golden = (1 + math.sqrt(5)) / 2
     assert abs(predicted[0] - cmath.exp(2j * math.pi * golden)) < 1e-9
+
+
+@pytest.mark.parametrize("beta", [-4, -5])
+def test_large_predicted_eigenvalues_pass_relative_tolerance(beta):
+    """For m = 2 and beta <= -4 one eigenvalue has modulus above 1e5, so the
+    integrator's relative tolerance shows up as an absolute deviation above
+    1e-6; relative to the moduli it is tiny."""
+    report = monodromy_report(2, beta, numeric=True)
+    assert max(abs(p) for p in report.predicted_eigenvalues) > 1e5
+    assert report.relative_deviation() < DEVIATION_TOL
+    ctx = cli.FamilyContext(2, beta=Fraction(beta))
+    assert cli.check_monodromy(ctx)["pass"] is True
+
+
+def test_wrong_prediction_still_fails(monkeypatch):
+    true_analysis = monodromy.residue_analysis
+    monkeypatch.setattr(monodromy, "residue_analysis",
+                        lambda m, beta: true_analysis(m, Fraction(beta) + Fraction(1, 2)))
+    entry = cli.check_monodromy(cli.FamilyContext(2, beta=Fraction(-4)))
+    assert entry["pass"] is False
+    assert entry["witness"]["deviation"] > 1.0

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from segreode import (
     QI,
-    BackendMismatch,
     SeriesError,
     TruncSeries1,
     TruncSeries2,
@@ -124,20 +123,19 @@ def test_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
 
 
-@given(series1(), series1())
-def test_backend_mixing_rejected(a, b):
-    fb = b.to_float()
-    with pytest.raises(BackendMismatch):
-        a * fb
-
-
-def test_float_bivariate_product():
-    one = TruncSeries2.one(2, 2, backend="float")
-    x = TruncSeries2.var_x(2, 2, backend="float")
-    y = TruncSeries2.var_y(2, 2, backend="float")
-    s = (one + x.scale(0.5)) * (one + y.scale(2j))
-    assert s.coefficient(1, 1) == 1j
-    assert s.coefficient(1, 0) == 0.5
+@given(series1(), st.sampled_from([0.5, 2.0, 1j, 1 + 2j]))
+def test_backend_mixing_rejected(a, value):
+    """Series are exact only: float and complex scalars and cells raise."""
+    with pytest.raises(SeriesError):
+        a * value
+    with pytest.raises(SeriesError):
+        a / value
+    with pytest.raises(SeriesError):
+        TruncSeries1.constant(value, 2)
+    with pytest.raises(SeriesError):
+        TruncSeries1([QI(1), value], 0, 1)
+    with pytest.raises(SeriesError):
+        TruncSeries2([[QI(1), value]], 0, 1)
 
 
 # -- division ----------------------------------------------------------------
@@ -250,20 +248,6 @@ def test_compose_linear_substitution_bivariate():
     assert c.coefficient(1, 1) == QI(0, -2)
 
 
-def test_compose2_bivariate_second_argument():
-    from segreode import compose2
-    nx, ny = 4, 4
-    outer = TruncSeries2.var_x(nx, ny) * TruncSeries2.var_y(nx, ny)
-    first = TruncSeries2.var_x(nx, ny) * (
-        TruncSeries2.one(nx, ny) + TruncSeries2.var_y(nx, ny)
-    )
-    second = TruncSeries2.var_y(nx, ny) + \
-        TruncSeries2.var_x(nx, ny) * TruncSeries2.var_y(nx, ny)
-    result = compose2(outer, first, second)
-    expected = first * second
-    assert result == expected.restrict(result.nx, result.ny)
-
-
 def test_exp_log_compose_roundtrip():
     t = TruncSeries1.var(N)
     expm1 = t.exp() - TruncSeries1.one(N)
@@ -303,8 +287,8 @@ def test_implicit_identity():
 
 
 def test_implicit_catalan():
-    x = TruncSeries2.var_x(2, 8)
-    y = TruncSeries2.var_y(2, 8)
+    x = TruncSeries2.var_x(5, 8)
+    y = TruncSeries2.var_y(5, 8)
     phi = x - y - x * x
     u = solve_implicit(phi)
     for k, c in enumerate([0, 1, 1, 2, 5, 14]):
@@ -313,12 +297,29 @@ def test_implicit_catalan():
 
 
 def test_implicit_geometric():
-    x = TruncSeries2.var_x(1, 8)
-    y = TruncSeries2.var_y(1, 8)
-    phi = x * (TruncSeries2.one(1, 8) + y) - y
+    x = TruncSeries2.var_x(7, 8)
+    y = TruncSeries2.var_y(7, 8)
+    phi = x * (TruncSeries2.one(7, 8) + y) - y
     u = solve_implicit(phi)
     for k in range(1, 8):
         assert u.coefficient(k) == QI((-1) ** (k + 1))
+
+
+def test_implicit_claims_only_what_the_x_rectangle_carries():
+    """At nx = 1 the unknown x^2 term of phi enters at y^2, so the solve can
+    only guarantee u = y + O(y^2); the truth is y + y^2 + 2y^3 + 5y^4."""
+    x = TruncSeries2.var_x(2, 4)
+    y = TruncSeries2.var_y(2, 4)
+    phi = (x - y - x * x).restrict(1, 4)
+    u = solve_implicit(phi)
+    assert u.trunc <= 1
+    assert u == TruncSeries1.from_terms({1: 1, 2: 1, 3: 2, 4: 5}, 4)
+
+
+def test_eval_first_caps_truncation_by_order_of_u():
+    phi = TruncSeries2.var_x(2, 9) + TruncSeries2.var_y(2, 9)
+    u = TruncSeries1.monomial(1, 2, 9)
+    assert phi.eval_first(u).trunc == 3 * 2 - 1
 
 
 def test_implicit_degenerate():
@@ -375,13 +376,6 @@ def test_series1_json_roundtrip():
     assert back == s and back.pole == s.pole and back.trunc == s.trunc
 
 
-def test_series1_json_float():
-    s = TruncSeries1([1 + 2j, 0j, -0.5j], 0, 2, backend="float")
-    back = TruncSeries1.from_json(s.to_json())
-    assert back.backend == "float"
-    assert back.coeffs == s.coeffs
-
-
 def test_series2_json_roundtrip():
     s = TruncSeries2.var_y(2, 3) + TruncSeries2.var_x(2, 3).scale(QI(0, 1, 2))
     back = TruncSeries2.from_json(s.to_json())
@@ -390,5 +384,5 @@ def test_series2_json_roundtrip():
 
 def test_json_rejects_mixed_backends():
     blob = {"pole": 0, "trunc": 1, "coeffs": ["1", [0.0, 1.0]]}
-    with pytest.raises(BackendMismatch):
+    with pytest.raises(ValueError):
         TruncSeries1.from_json(blob)
