@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -115,6 +116,15 @@ def parse_rect(text: str):
         raise ConfigError(f"bad rectangle {text!r}") from exc
 
 
+def validate_shape(rect, degree) -> None:
+    """Reject a rectangle or degree no stage can work on, before any work."""
+    if (len(rect) != 2 or not all(isinstance(n, int) for n in rect)
+            or min(rect) < 1):
+        raise ConfigError(f"rectangle needs Nx, Ny >= 1, got {list(rect)}")
+    if not isinstance(degree, int) or degree < 0:
+        raise ConfigError(f"degree needs to be an integer >= 0, got {degree!r}")
+
+
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -138,6 +148,9 @@ class RunConfig:
                 raise ConfigError(f"unknown check {name!r}; known: {ALL_CHECKS}")
         if not self.families and self.explicit is None:
             raise ConfigError("no family members selected")
+        validate_shape(self.rect, self.degree)
+        if not isinstance(self.jobs, int) or self.jobs < 1:
+            raise ConfigError(f"jobs needs to be an integer >= 1, got {self.jobs!r}")
 
 
 def config_from_file(path: str) -> dict:
@@ -351,6 +364,9 @@ def check_coupled(ctx: FamilyContext) -> dict:
 
 def check_selfmap(ctx: FamilyContext) -> dict:
     degree = min(12, ctx.degree)
+    if degree < 1:
+        return {"pass": None, "degree": degree,
+                "detail": "the probe runs no stage below degree 1"}
     report = self_map_probe_cached(ctx, degree)
     dims = [st.dimension for st in report.stages]
     return {
@@ -466,15 +482,17 @@ def _run_one(payload) -> dict:
                         TruncSeries1.from_json(spec["b"]))
         ctx = FamilyContext(spec["m"], data=data, degree=degree, rect=rect,
                             radius=radius, tol=tol)
-    results = {}
-    for name in checks:
-        try:
-            entry = CHECKS[name](ctx)
-        except (SeriesError, RealityError, ValueError, ZeroDivisionError,
-                RuntimeError) as exc:
-            entry = {"pass": False, "error": str(exc), "witness": None}
-        results[name] = entry
-    return {"family": ctx.label(), "checks": results}
+    return {"family": ctx.label(),
+            "checks": {name: run_check(name, ctx) for name in checks}}
+
+
+def run_check(name: str, ctx: FamilyContext) -> dict:
+    """One check's entry; a library error inside it is a failed check."""
+    try:
+        return CHECKS[name](ctx)
+    except (SeriesError, RealityError, ValueError, ZeroDivisionError,
+            RuntimeError) as exc:
+        return {"pass": False, "error": str(exc), "witness": None}
 
 
 def run_pipeline(cfg: RunConfig) -> tuple[dict, int]:
@@ -486,8 +504,9 @@ def run_pipeline(cfg: RunConfig) -> tuple[dict, int]:
     if cfg.explicit is not None:
         payloads.append((cfg.explicit, cfg.checks, cfg.degree, cfg.rect,
                          cfg.radius, cfg.tol))
-    if cfg.jobs > 1 and len(payloads) > 1:
-        with Pool(min(cfg.jobs, len(payloads))) as pool:
+    workers = min(cfg.jobs, len(payloads), os.cpu_count() or 1)
+    if workers > 1:
+        with Pool(workers) as pool:
             runs = pool.map(_run_one, payloads)
     else:
         runs = [_run_one(p) for p in payloads]
@@ -549,6 +568,7 @@ def _family_args(p: argparse.ArgumentParser):
 
 def _context_from_args(args, need_beta: bool = False) -> FamilyContext:
     rect = parse_rect(args.rect)
+    validate_shape(rect, args.degree)
     if args.family:
         m, beta = parse_family(args.family[0])
         return FamilyContext(m, beta=beta, degree=args.degree, rect=rect)
@@ -597,11 +617,10 @@ def cmd_check(args) -> int:
     ctx = _context_from_args(args)
     names = args.checks.split(",") if args.checks else ["roundtrip", "reality",
                                                         "realty"]
-    results = {}
     for name in names:
         if name not in CHECKS:
             raise ConfigError(f"unknown check {name!r}")
-        results[name] = CHECKS[name](ctx)
+    results = {name: run_check(name, ctx) for name in names}
     report = {"version": REPORT_VERSION,
               "runs": [{"family": ctx.label(), "checks": results}]}
     emit(report, args.out)
@@ -690,6 +709,8 @@ def cmd_autovec(args) -> int:
 
 def cmd_growth(args) -> int:
     window = parse_rect(args.window) if args.window else None
+    if window is not None and not 0 <= window[0] <= window[1]:
+        raise ConfigError(f"window needs 0 <= KMIN <= KMAX, got {args.window!r}")
     if args.series:
         try:
             with open(args.series, "r", encoding="utf-8") as fh:
@@ -707,7 +728,10 @@ def cmd_growth(args) -> int:
     out = {"series": label, "terminated": term.terminated,
            "termination_degree": term.degree}
     if not term.terminated:
-        report = gevrey_estimate(series, window=window)
+        try:
+            report = gevrey_estimate(series, window=window)
+        except SeriesError as exc:
+            raise ConfigError(str(exc)) from exc
         out.update({
             "gevrey": report.gevrey,
             "gevrey_stderr": report.gevrey_stderr,

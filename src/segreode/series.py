@@ -143,26 +143,54 @@ def _conv2(rows_a, rows_b, nx: int, ny: int):
 # ---------------------------------------------------------------------------
 
 
-def _powers(one, base, kmax: int):
-    """Yield one, base, base^2, ... up to base^kmax, one product per power;
-    stops before the first power that is zero up to truncation."""
-    power = one
+def _powers(base, kmax: int):
+    """Yield base, base^2, ... up to base^kmax, one product per power after
+    the first; stops before the first power that is zero up to truncation."""
+    if kmax < 1 or base.is_zero:
+        return
+    power = base
     yield power
-    for _ in range(kmax):
+    for _ in range(kmax - 1):
         power = power * base
         if power.is_zero:
             return
         yield power
 
 
-def _power_sum(acc, one, base, kmax: int, coeff):
-    """acc + sum_{k=1..kmax} coeff(k) * base^k, skipping zero coefficients."""
-    powers = _powers(one, base, kmax)
-    next(powers)
-    for k, power in enumerate(powers, 1):
-        c = coeff(k)
+def _power_sum(acc, base, kmax: int, coeff):
+    """acc + sum_{k=1..kmax} coeff(k) * base^k, skipping zero coefficients;
+    powering stops at the last nonzero coefficient."""
+    coeffs = [coeff(k) for k in range(1, kmax + 1)]
+    while coeffs and coeffs[-1].is_zero:
+        coeffs.pop()
+    for c, power in zip(coeffs, _powers(base, len(coeffs))):
         if not c.is_zero:
             acc = acc + power.scale(c)
+    return acc
+
+
+def _horner_x(top: int, coeff_rows, base, vx: int, nx: int, ny: int):
+    """sum_{k=0..top} (x^vx * phi)^k * C_k on the rectangle (nx, ny), by
+    Horner in x^vx * phi, where x^vx * phi is the part of ``base`` on x-rows
+    vx..nx; needs top * vx <= nx.
+
+    ``coeff_rows(k, hi)`` returns the x-rows 0..hi of C_k as lists of ny + 1
+    cells.  The k-th partial sum is later multiplied by x^(k*vx), so only its
+    rows up to nx - k*vx reach the result and each product runs on that
+    trimmed rectangle.
+    """
+    hi = nx - top * vx
+    acc = TruncSeries2(coeff_rows(top, hi), hi, ny)
+    if top:
+        phi = TruncSeries2([list(r[: ny + 1]) for r in base.rows[vx: nx + 1]],
+                           nx - vx, ny)
+    for k in range(top - 1, -1, -1):
+        prod = acc * phi.restrict(hi, ny)
+        hi += vx
+        rows = coeff_rows(k, hi)
+        for r, prow in enumerate(prod.rows, vx):
+            rows[r] = [a + b for a, b in zip(rows[r], prow)]
+        acc = TruncSeries2(rows, hi, ny)
     return acc
 
 
@@ -428,15 +456,15 @@ class TruncSeries1:
     def exp(self) -> "TruncSeries1":
         if self.pole > 0 or not self.coefficient(0).is_zero:
             raise SeriesError("exp requires a pole-free series with zero constant term")
-        one = TruncSeries1.one(self.trunc)
-        return _power_sum(one, one, self, self.trunc, _exp_coeff)
+        return _power_sum(TruncSeries1.one(self.trunc), self, self.trunc,
+                          _exp_coeff)
 
     def log(self) -> "TruncSeries1":
         if self.pole > 0 or self.coefficient(0) != ONE:
             raise SeriesError("log requires constant term exactly 1")
-        one = TruncSeries1.one(self.trunc)
-        return _power_sum(TruncSeries1.zero(self.trunc), one, self - one,
-                          self.trunc, _log_coeff)
+        return _power_sum(TruncSeries1.zero(self.trunc),
+                          self - TruncSeries1.one(self.trunc), self.trunc,
+                          _log_coeff)
 
     def pow_frac(self, alpha) -> "TruncSeries1":
         """Principal formal branch u^alpha = exp(alpha*log(u)); needs u(0) = 1."""
@@ -749,14 +777,14 @@ class TruncSeries2:
     def exp(self) -> "TruncSeries2":
         if not self.rows[0][0].is_zero:
             raise SeriesError("exp requires zero constant term")
-        one = TruncSeries2.one(self.nx, self.ny)
-        return _power_sum(one, one, self, self.nx + self.ny, _exp_coeff)
+        return _power_sum(TruncSeries2.one(self.nx, self.ny), self,
+                          self.nx + self.ny, _exp_coeff)
 
     def log(self) -> "TruncSeries2":
         if self.rows[0][0] != ONE:
             raise SeriesError("log requires constant term exactly 1")
-        one = TruncSeries2.one(self.nx, self.ny)
-        return _power_sum(TruncSeries2.zero(self.nx, self.ny), one, self - one,
+        return _power_sum(TruncSeries2.zero(self.nx, self.ny),
+                          self - TruncSeries2.one(self.nx, self.ny),
                           self.nx + self.ny, _log_coeff)
 
     def pow_frac(self, alpha) -> "TruncSeries2":
@@ -780,23 +808,26 @@ class TruncSeries2:
             v = u.trunc + 1
         ny = min(self.ny, u.trunc, (self.nx + 1) * v - 1)
         acc = self.row(0).truncate(ny)
-        powers = _powers(TruncSeries1.one(ny), u.truncate(ny), self.nx)
-        next(powers)
-        for j, power in enumerate(powers, 1):
+        for j, power in enumerate(_powers(u.truncate(ny), self.nx), 1):
             acc = acc + self.row(j).truncate(ny) * power
         return acc
 
     def substitute_y(self, g: "TruncSeries2") -> "TruncSeries2":
-        """Substitute the y-variable by a bivariate series g(x, y) with zero
-        constant term.
+        """Substitute the y-variable by a bivariate series g(x, y) with
+        g(0, y) = y; any other g raises :class:`SeriesError`.
 
-        When g has y-order 0 (an x-term without y), terms beyond the outer
-        truncation can reach low y-orders, so the guaranteed region is capped
-        by total degree; with y-order >= 1 the full common rectangle carries
-        over.
+        With g = y + delta, delta of x-order >= 1, this is the Taylor shift
+        f(x, y + delta) = sum_{k <= nx} delta^k * D_k f with
+        (D_k f)_{j,l} = C(l+k, k) * f_{j,l+k}, evaluated by Horner in delta:
+        at most nx bivariate products.
+
+        With g of y-order >= 1 the full common rectangle carries over.  When
+        delta has y^0 terms, terms beyond the outer truncation can reach low
+        y-orders, so the guaranteed region is capped by total degree:
+        ny = min(g.ny, self.ny - nx).
         """
-        if not g.rows[0][0].is_zero:
-            raise SeriesError("substituted series must have zero constant term")
+        if any(c != (ONE if l == 1 else ZERO) for l, c in enumerate(g.rows[0])):
+            raise SeriesError("substitute_y needs g(0, y) = y")
         fn = g.first_nonzero()
         v_tot = (fn[0][0] + fn[0][1]) if fn else (g.nx + g.ny + 1)
         vy = g.y_order()
@@ -811,22 +842,33 @@ class TruncSeries2:
                         "outer truncation cannot cover the rectangle for a "
                         "y-order-0 substitution"
                     )
-        gt = g.restrict(nx, ny)
-        acc = TruncSeries2.zero(nx, ny)
-        # row-wise Horner would recompute powers per row; sharing them is cheaper
-        powers = list(_powers(TruncSeries2.one(nx, ny), gt, min(self.ny, nx + ny)))
+        # delta = g - y lives on rows >= 1 of g; its first nonzero row is vx
+        delta_rows = g.rows[1: nx + 1]
+        vx = 1 + next((j for j, row in enumerate(delta_rows)
+                       if any(not c.is_zero for c in row[: ny + 1])),
+                      len(delta_rows))
+        # no D_k f with k > top has a nonzero cell on rows <= nx - k*vx
+        top = 0
         for j in range(nx + 1):
-            row = self.rows[j]
-            combo = TruncSeries2.zero(nx, ny)
-            nonzero = False
-            for l, c in enumerate(row[: self.ny + 1]):
-                if c.is_zero or l >= len(powers):
-                    continue
-                combo = combo + powers[l].scale(c)
-                nonzero = True
-            if nonzero:
-                acc = acc + combo.shift_x(j)
-        return acc
+            for l, c in enumerate(self.rows[j]):
+                if not c.is_zero:
+                    top = max(top, min(l, (nx - j) // vx))
+
+        def shifted(k, hi):
+            # cells f_{j,l+k} beyond the outer truncation meet delta^k, of
+            # y-order >= k (total order >= k when delta has y^0 terms), so
+            # they land outside the rectangle and count as zero
+            rows = []
+            for src in self.rows[: hi + 1]:
+                row = [ZERO] * (ny + 1)
+                for l in range(min(ny, self.ny - k) + 1):
+                    c = src[l + k]
+                    if not c.is_zero:
+                        row[l] = c * math.comb(l + k, k)
+                rows.append(row)
+            return rows
+
+        return _horner_x(top, shifted, g, vx, nx, ny)
 
     # -- serialization -----------------------------------------------------------------
 
@@ -889,11 +931,10 @@ def _compose_1_1(outer: TruncSeries1, inner: TruncSeries1) -> TruncSeries1:
         )
     cap = (outer.trunc + 1) * v - 1
     n = inner.trunc
-    one = TruncSeries1.one(n)
-    acc = _power_sum(TruncSeries1.constant(outer.coefficient(0), n), one, inner,
+    acc = _power_sum(TruncSeries1.constant(outer.coefficient(0), n), inner,
                      outer.trunc, outer.coefficient)
     if outer.pole > 0:
-        acc = _power_sum(acc, one, divide(one, inner), outer.pole,
+        acc = _power_sum(acc, divide(TruncSeries1.one(n), inner), outer.pole,
                          lambda k: outer.coefficient(-k))
     return acc if acc.trunc <= cap else acc.truncate(min(acc.trunc, cap))
 
@@ -915,8 +956,8 @@ def _compose_1_2(outer: TruncSeries1, inner: TruncSeries2) -> TruncSeries2:
                 f"({inner.nx}, {inner.ny})"
             )
     return _power_sum(TruncSeries2.constant(outer.coefficient(0), nx, ny),
-                      TruncSeries2.one(nx, ny), inner.restrict(nx, ny),
-                      min(outer.trunc, nx + ny), outer.coefficient)
+                      inner.restrict(nx, ny), min(outer.trunc, nx + ny),
+                      outer.coefficient)
 
 
 def compose2(outer: TruncSeries2, first: TruncSeries2,
@@ -938,20 +979,25 @@ def compose2(outer: TruncSeries2, first: TruncSeries2,
     vy = second.order() or (second.trunc + 1)
     nx = min(first.nx, (outer.nx + 1) * vx - 1)
     ny = min(first.ny, second.trunc, (outer.ny + 1) * vy - 1)
-    spowers = list(_powers(TruncSeries1.one(ny), second.truncate(ny), ny))
-    fpowers = list(_powers(TruncSeries2.one(nx, ny), first.restrict(nx, ny),
-                           min(outer.nx, nx)))
-    acc = TruncSeries2.zero(nx, ny)
-    for j in range(min(outer.nx, len(fpowers) - 1) + 1):
-        row = TruncSeries1.zero(ny)
-        for l in range(min(outer.ny, len(spowers) - 1) + 1):
-            c = outer.rows[j][l]
+    # outer rows above nx // vx meet first^j of x-order > nx
+    rows = outer.rows[: min(outer.nx, nx // vx) + 1]
+    top = max((j for j, row in enumerate(rows)
+               if any(not c.is_zero for c in row)), default=0)
+    rows = rows[: top + 1]
+    cols = max((l for row in rows for l, c in enumerate(row[: ny + 1])
+                if not c.is_zero), default=0)
+    spowers = [TruncSeries1.one(ny)]
+    spowers.extend(_powers(second.truncate(ny), cols))
+
+    def row_sums(j, hi):
+        # outer row j summed against the powers of second, as row 0
+        acc = TruncSeries1.zero(ny)
+        for c, power in zip(rows[j], spowers):
             if not c.is_zero:
-                row = row + spowers[l].scale(c)
-        rc = TruncSeries2.embed_y(row, nx, ny)
-        if not rc.is_zero:
-            acc = acc + rc * fpowers[j]
-    return acc
+                acc = acc + power.scale(c)
+        return [list(acc.coeffs)] + [[ZERO] * (ny + 1) for _ in range(hi)]
+
+    return _horner_x(top, row_sums, first, vx, nx, ny)
 
 
 def solve_implicit(phi: TruncSeries2) -> TruncSeries1:

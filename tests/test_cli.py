@@ -255,3 +255,90 @@ def test_cli_check_command(capsys):
     checks = payload["runs"][0]["checks"]
     assert set(checks) == {"roundtrip", "reality", "realty"}
     assert all(entry["pass"] for entry in checks.values())
+
+
+def test_cli_growth_series_file_too_sparse(tmp_path, capsys):
+    """A file whose fit window holds fewer than 8 nonzero coefficients is a
+    usage error: exit 2 with one line, no traceback."""
+    coeffs = ["0"] * 21
+    for k in (1, 10, 20):
+        coeffs[k] = "1"
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps({"pole": 0, "trunc": 20, "coeffs": coeffs}))
+    assert cli.main(["growth", "--series", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_growth_inverted_window_rejected_before_work(monkeypatch, capsys):
+    def no_work(*_):
+        raise AssertionError("formal solutions computed for a bad window")
+
+    monkeypatch.setattr(cli, "formal_solutions", no_work)
+    assert cli.main(["growth", "--family", "2,1", "--window", "50,10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--family", "2,1", "--rect", "0,5"],
+    ["check", "--family", "2,1", "--rect", "4,0"],
+    ["check", "--family", "2,1", "--degree", "-1"],
+    ["run", "--family", "2,1", "--rect", "0,5"],
+    ["run", "--family", "2,1", "--jobs", "0"],
+    ["run", "--family", "2,1", "--jobs", "-3"],
+])
+def test_cli_bad_shape_or_jobs_rejected_before_work(monkeypatch, capsys, argv):
+    def no_work(*_):
+        raise AssertionError("work started on a rejected configuration")
+
+    monkeypatch.setattr(cli, "solve_psi", no_work)
+    monkeypatch.setattr(cli, "beta_family", no_work)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_check_library_error_is_a_failed_check(capsys):
+    """A check that cannot finish is a failed verdict (exit 1), as in run."""
+    code = cli.main(["check", "--family", "2,1", "--rect", "2,5",
+                     "--degree", "16", "--checks", "roundtrip"])
+    assert code == 1
+    entry = json.loads(capsys.readouterr().out)["runs"][0]["checks"]["roundtrip"]
+    assert entry["pass"] is False and entry["error"]
+
+
+@pytest.mark.parametrize("cpus, jobs, pool_sizes", [(1, 4, []), (2, 8, [2])])
+def test_run_pipeline_caps_pool_at_cpu_count(monkeypatch, cpus, jobs,
+                                             pool_sizes):
+    sizes = []
+
+    class FakePool:
+        def __init__(self, n):
+            sizes.append(n)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "Pool", FakePool)
+    cfg = RunConfig(families=[(2, Fraction(b)) for b in (1, 2, 3)],
+                    checks=["model0"], degree=24, rect=(6, 12), jobs=jobs)
+    _, code = run_pipeline(cfg)
+    assert code == 0
+    assert sizes == pool_sizes
+
+
+def test_cli_selfmap_degree_zero_is_not_a_pass(capsys):
+    """Zero probe stages verify nothing: not applicable, not a pass."""
+    code = cli.main(["run", "--family", "2,1", "--checks", "selfmap",
+                     "--degree", "0"])
+    assert code == 0
+    entry = json.loads(capsys.readouterr().out)["runs"][0]["checks"]["selfmap"]
+    assert entry["pass"] is None and entry["detail"]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import family_hyper
 from segreode import (
     QI,
     SeriesError,
@@ -13,11 +14,13 @@ from segreode import (
     TruncSeries2,
     coeff_str,
     compose,
+    compose2,
     compositional_inverse,
     divide,
     parse_coeff,
     solve_implicit,
 )
+from segreode.coefficients import ONE, ZERO
 
 N = 10
 
@@ -275,6 +278,190 @@ def test_compositional_inverse_examples():
     h = compositional_inverse(g)
     assert h.coefficient(3) == QI(-1)
     assert h.coefficient(5) == QI(3)
+
+
+def _full_power_compose(outer, inner):
+    """sum_k outer_k * inner^k with every power up to min(trunc, nx + ny)."""
+    nx, ny = inner.rect
+    acc = TruncSeries2.constant(outer.coefficient(0), nx, ny)
+    power = TruncSeries2.one(nx, ny)
+    for k in range(1, min(outer.trunc, nx + ny) + 1):
+        power = power * inner
+        acc = acc + power.scale(outer.coefficient(k))
+    return acc
+
+
+def _counting_mul2(monkeypatch):
+    calls = []
+    mul = TruncSeries2.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncSeries2, "__mul__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 5])
+def test_compose_polynomial_outer_stops_powering(monkeypatch, degree):
+    """A degree-d outer polynomial costs at most d bivariate products (d - 1:
+    the first power is the inner series itself), however long its
+    truncation, and equals the sum over all powers."""
+    outer = TruncSeries1.from_terms(
+        {k: QI(k, 1 - k, k + 1) for k in range(degree + 1)}, 12)
+    x = TruncSeries2.var_x(4, 6)
+    y = TruncSeries2.var_y(4, 6)
+    inner = y + (x * y).scale(QI(1, 2)) + (x * x).scale(QI(0, -1, 3))
+    expect = _full_power_compose(outer, inner)
+    calls = _counting_mul2(monkeypatch)
+    got = compose(outer, inner)
+    assert len(calls) <= degree - 1
+    assert got.rect == expect.rect and got == expect
+
+
+def test_compose2_stops_at_last_nonzero_outer_row(monkeypatch):
+    """outer = y + x*y^2 needs one bivariate product: first * (row-1 sum)."""
+    outer = TruncSeries2.var_y(6, 8) + (
+        TruncSeries2.var_x(6, 8) * TruncSeries2.var_y(6, 8).pow_int(2))
+    x = TruncSeries2.var_x(5, 7)
+    first = x + (x * TruncSeries2.var_y(5, 7)).scale(3)
+    second = TruncSeries1.from_terms({1: 1, 2: QI(0, 1)}, 7)
+    calls = _counting_mul2(monkeypatch)
+    got = compose2(outer, first, second)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    s = TruncSeries2.embed_y(second, 5, 7)
+    assert got.rect == (5, 7)
+    assert got == s + first * s * s
+
+
+# -- substitution in y ----------------------------------------------------------
+
+
+def _substitute_y_oracle(f, g):
+    """The power-table substitution: sum_j x^j * sum_l f_{j,l} * g^l with every
+    power of g built once, on the rectangle substitute_y claims."""
+    fn = g.first_nonzero()
+    v_tot = (fn[0][0] + fn[0][1]) if fn else (g.nx + g.ny + 1)
+    nx = min(f.nx, g.nx)
+    ny = min(f.ny, g.ny)
+    if g.y_order() == 0:
+        tot_cap = f.ny * max(v_tot, 1)
+        if nx + ny > tot_cap:
+            ny = tot_cap - nx
+    gt = g.restrict(nx, ny)
+    powers = [TruncSeries2.one(nx, ny)]
+    for _ in range(min(f.ny, nx + ny)):
+        powers.append(powers[-1] * gt)
+    acc = TruncSeries2.zero(nx, ny)
+    for j in range(nx + 1):
+        combo = TruncSeries2.zero(nx, ny)
+        for l, c in enumerate(f.rows[j][: len(powers)]):
+            combo = combo + powers[l].scale(c)
+        acc = acc + combo.shift_x(j)
+    return acc
+
+
+def _rows(draw, nx, ny, density):
+    cell = st.one_of(st.just(ZERO), qi_values) if density else st.just(ZERO)
+    return [[draw(cell) for _ in range(ny + 1)] for _ in range(nx + 1)]
+
+
+@st.composite
+def substitution_pairs(draw, max_nx=4, max_ny=6):
+    """(f, g) with g(0, y) = y; delta = g - y has x-order 1 or 2 and has y^0
+    terms or not."""
+    f_nx, g_nx = (draw(st.sampled_from(range(1, max_nx + 1))) for _ in "fg")
+    f_ny, g_ny = (draw(st.sampled_from(range(1, max_ny + 1))) for _ in "fg")
+    x_order = draw(st.integers(1, 2))
+    y0_terms = draw(st.booleans())
+    f = TruncSeries2(_rows(draw, f_nx, f_ny, True), f_nx, f_ny)
+    rows = _rows(draw, g_nx, g_ny, True)
+    rows[0] = [ONE if l == 1 else ZERO for l in range(g_ny + 1)]
+    rows[1: x_order] = [[ZERO] * (g_ny + 1) for _ in rows[1: x_order]]
+    if not y0_terms:
+        for row in rows[1:]:
+            row[0] = ZERO
+    elif x_order <= g_nx and all(row[0].is_zero for row in rows[1:]):
+        rows[x_order][0] = ONE
+    return f, TruncSeries2(rows, g_nx, g_ny)
+
+
+@given(substitution_pairs())
+def test_substitute_y_matches_power_table_oracle(pair):
+    f, g = pair
+    if g.y_order() == 0 and min(f.nx, g.nx) > f.ny:
+        with pytest.raises(SeriesError):
+            f.substitute_y(g)
+        return
+    got = f.substitute_y(g)
+    expect = _substitute_y_oracle(f, g)
+    assert got.rect == expect.rect
+    assert got.rows == expect.rows
+
+
+def test_substitute_y_matches_oracle_on_family_rho():
+    rho = family_hyper(2, "1", 6, 12).rho
+    got = rho.substitute_y(rho.conj())
+    assert got.rows == _substitute_y_oracle(rho, rho.conj()).rows
+
+
+def test_substitute_y_claimed_rectangles():
+    """Full common rectangle for y-order >= 1; ny = min(g.ny, f.ny - nx) when
+    delta has y^0 terms (the raw-series realty case y + x on (4, 6))."""
+    x = TruncSeries2.var_x(4, 6)
+    y = TruncSeries2.var_y(4, 6)
+    g = y + x * y
+    assert (y * y).substitute_y(g).rect == (4, 6)
+    broken = y + x
+    res = broken.substitute_y(broken.conj())
+    assert res.rect == (4, 2)
+    assert res.rows == _substitute_y_oracle(broken, broken.conj()).rows
+    assert res.coefficient(1, 0) == QI(2)
+
+
+@pytest.mark.parametrize("g", [
+    TruncSeries2.var_y(3, 4).scale(2),
+    TruncSeries2.var_y(3, 4) + TruncSeries2.var_y(3, 4).pow_int(2),
+    TruncSeries2.var_y(3, 4) + TruncSeries2.one(3, 4),
+    TruncSeries2.var_x(3, 4),
+])
+def test_substitute_y_needs_identity_at_x0(g):
+    f = TruncSeries2.var_y(3, 4) + TruncSeries2.var_x(3, 4)
+    with pytest.raises(SeriesError):
+        f.substitute_y(g)
+
+
+@st.composite
+def extended_substitution(draw):
+    """(f, g) and random extensions of both beyond their truncation; f's
+    extension is long enough in y that the larger result covers the smaller
+    one's rectangle."""
+    f, g = draw(substitution_pairs(max_nx=3, max_ny=4))
+    a = draw(st.integers(0, 2))
+    b = draw(st.integers(0, 2))
+    f_big = _rows(draw, f.nx + a, f.ny + b + g.nx + a, True)
+    for j, row in enumerate(f.rows):
+        f_big[j][: f.ny + 1] = row
+    g_big = _rows(draw, g.nx + a, g.ny + b, True)
+    for j, row in enumerate(g.rows):
+        g_big[j][: g.ny + 1] = row
+    g_big[0] = [ONE if l == 1 else ZERO for l in range(g.ny + b + 1)]
+    return f, g, TruncSeries2(f_big), TruncSeries2(g_big)
+
+
+@given(extended_substitution())
+def test_substitute_y_claim_is_sound(case):
+    """Cells beyond the truncation of f and g never change the claimed
+    rectangle of the smaller substitution."""
+    f, g, f_big, g_big = case
+    if g.y_order() == 0 and min(f.nx, g.nx) > f.ny:
+        return
+    small = f.substitute_y(g)
+    big = f_big.substitute_y(g_big)
+    assert small.nx <= big.nx and small.ny <= big.ny
+    assert small == big
 
 
 # -- implicit solving ---------------------------------------------------------
