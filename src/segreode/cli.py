@@ -55,6 +55,9 @@ ALL_CHECKS = (
     "monodromy", "tangency", "model0", "growth",
 )
 
+# checks built on the gauge map (chi, tau), which has no terms at degree 0
+GAUGE_CHECKS = ("map", "coupled", "tangency")
+
 _POLY_TERM = re.compile(r"([+-]?)\s*(\d+(?:/\d+)?)\s*\*\s*w\^(\d+)\s*")
 
 
@@ -116,13 +119,21 @@ def parse_rect(text: str):
         raise ConfigError(f"bad rectangle {text!r}") from exc
 
 
-def validate_shape(rect, degree) -> None:
-    """Reject a rectangle or degree no stage can work on, before any work."""
+def validate_shape(rect, degree, needs_gauge=()) -> None:
+    """Reject a rectangle or degree no stage can work on, before any work.
+
+    ``needs_gauge`` names the selected checks or commands that build the
+    gauge map (chi, tau); degree 0 leaves them nothing to work on.
+    """
     if (len(rect) != 2 or not all(isinstance(n, int) for n in rect)
             or min(rect) < 1):
         raise ConfigError(f"rectangle needs Nx, Ny >= 1, got {list(rect)}")
     if not isinstance(degree, int) or degree < 0:
         raise ConfigError(f"degree needs to be an integer >= 0, got {degree!r}")
+    if degree == 0 and needs_gauge:
+        raise ConfigError(
+            f"degree 0 leaves the gauge map (chi, tau) without terms, and "
+            f"{', '.join(needs_gauge)} build on it")
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +159,8 @@ class RunConfig:
                 raise ConfigError(f"unknown check {name!r}; known: {ALL_CHECKS}")
         if not self.families and self.explicit is None:
             raise ConfigError("no family members selected")
-        validate_shape(self.rect, self.degree)
+        validate_shape(self.rect, self.degree,
+                       [c for c in self.checks if c in GAUGE_CHECKS])
         if not isinstance(self.jobs, int) or self.jobs < 1:
             raise ConfigError(f"jobs needs to be an integer >= 1, got {self.jobs!r}")
 
@@ -566,9 +578,10 @@ def _family_args(p: argparse.ArgumentParser):
                    help="polynomial for b, e.g. '1*w^2'")
 
 
-def _context_from_args(args, need_beta: bool = False) -> FamilyContext:
+def _context_from_args(args, need_beta: bool = False,
+                       needs_gauge=()) -> FamilyContext:
     rect = parse_rect(args.rect)
-    validate_shape(rect, args.degree)
+    validate_shape(rect, args.degree, needs_gauge)
     if args.family:
         m, beta = parse_family(args.family[0])
         return FamilyContext(m, beta=beta, degree=args.degree, rect=rect)
@@ -591,35 +604,42 @@ def cmd_build_ode(args) -> int:
 def cmd_segre(args) -> int:
     ctx = _context_from_args(args)
     pieces = args.emit.split(",")
-    out = {"family": ctx.label(), "rect": list(ctx.rect), "sign": args.sign}
-    if args.sign == +1:
-        fam = ctx.family()
-        hyper = ctx.hyper()
-    else:
-        fam = solve_psi(ctx.ode(), args.sign, ctx.rect)
-        hyper = build_rho(fam)
     for piece in pieces:
-        if piece == "psi":
-            out["psi"] = fam.psi.to_json()
-        elif piece == "rho":
-            out["rho"] = hyper.rho.to_json()
-        elif piece == "hk":
-            nf = real_normal_form(hyper)
-            out["normal_form_sign"] = nf.sign
-            out["hk"] = {str(k): s.to_json() for k, s in nf.hks.items()}
-        else:
+        if piece not in ("psi", "rho", "hk"):
             raise ConfigError(f"unknown --emit piece {piece!r}")
+    out = {"family": ctx.label(), "rect": list(ctx.rect), "sign": args.sign}
+    # segre gives no verdict: a series the rectangle cannot carry is a usage
+    # error, not a failed check
+    try:
+        if args.sign == +1:
+            fam = ctx.family()
+            hyper = ctx.hyper()
+        else:
+            fam = solve_psi(ctx.ode(), args.sign, ctx.rect)
+            hyper = build_rho(fam)
+        for piece in pieces:
+            if piece == "psi":
+                out["psi"] = fam.psi.to_json()
+            elif piece == "rho":
+                out["rho"] = hyper.rho.to_json()
+            else:
+                nf = real_normal_form(hyper)
+                out["normal_form_sign"] = nf.sign
+                out["hk"] = {str(k): s.to_json() for k, s in nf.hks.items()}
+    except SeriesError as exc:
+        raise ConfigError(f"segre at rect {list(ctx.rect)}: {exc}") from exc
     emit(out, args.out)
     return 0
 
 
 def cmd_check(args) -> int:
-    ctx = _context_from_args(args)
     names = args.checks.split(",") if args.checks else ["roundtrip", "reality",
                                                         "realty"]
     for name in names:
         if name not in CHECKS:
             raise ConfigError(f"unknown check {name!r}")
+    ctx = _context_from_args(
+        args, needs_gauge=[n for n in names if n in GAUGE_CHECKS])
     results = {name: run_check(name, ctx) for name in names}
     report = {"version": REPORT_VERSION,
               "runs": [{"family": ctx.label(), "checks": results}]}
@@ -628,7 +648,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    ctx = _context_from_args(args, need_beta=True)
+    mapping = {"ode": "map", "hypersurface": "map", "coupled": "coupled"}
+    targets = args.verify.split(",") if args.verify else []
+    for name in targets:
+        if name not in mapping:
+            raise ConfigError(f"unknown --verify target {name!r}")
+    ctx = _context_from_args(args, need_beta=True,
+                             needs_gauge=[f"--verify {n}" for n in targets])
     out = {"family": ctx.label(), "degree": ctx.degree}
     gauge = ctx.chi_tau()
     for piece in (args.emit.split(",") if args.emit else []):
@@ -642,10 +668,7 @@ def cmd_equiv(args) -> int:
         else:
             raise ConfigError(f"unknown --emit piece {piece!r}")
     failed = False
-    for name in (args.verify.split(",") if args.verify else []):
-        mapping = {"ode": "map", "hypersurface": "map", "coupled": "coupled"}
-        if name not in mapping:
-            raise ConfigError(f"unknown --verify target {name!r}")
+    for name in targets:
         entry = CHECKS[mapping[name]](ctx)
         out.setdefault("verify", {})[name] = entry
         failed = failed or entry.get("pass") is False
@@ -657,8 +680,12 @@ def cmd_monodromy(args) -> int:
     m, beta = parse_family(args.family[0]) if args.family else (None, None)
     if m is None:
         raise ConfigError("monodromy needs --family m,beta")
-    report = monodromy_report(m, beta, numeric=args.numeric,
-                              radius=args.radius, tol=args.tol)
+    try:
+        report = monodromy_report(m, beta, numeric=args.numeric,
+                                  radius=args.radius, tol=args.tol)
+    except ValueError as exc:
+        # monodromy gives no verdict: input it cannot analyse is a usage error
+        raise ConfigError(str(exc)) from exc
     out = {
         "family": [m, str(beta)],
         "trivial": report.trivial,
@@ -687,7 +714,8 @@ def cmd_monodromy(args) -> int:
 
 
 def cmd_autovec(args) -> int:
-    ctx = _context_from_args(args, need_beta=True)
+    # the vector field is built from the gauge map whatever --check selects
+    ctx = _context_from_args(args, need_beta=True, needs_gauge=["autovec"])
     out = {"family": ctx.label()}
     failed = False
     for name in args.check.split(","):

@@ -16,6 +16,13 @@ Conventions
 Multiplication extracts a common denominator per operand and convolves raw
 integers, which keeps exact arithmetic fast enough for the rectangle sizes
 used elsewhere in the package.
+
+Univariate division, exp, log and fractional powers run the classical O(n^2)
+coefficient recurrences (Knuth, TAOCP vol. 2, section 4.7) through one online
+kernel, :func:`_recurrence`: the quotient q_k = (a_k - sum u_j q_{k-j}) / u_0,
+k*E_k = sum j*f_j*E_{k-j} for E = exp(f), log(u) as the integral of u'/u, and
+Miller's power recurrence k*P_k = sum ((alpha+1)*j - k)*u_j*P_{k-j} for
+P = u^alpha.
 """
 
 from __future__ import annotations
@@ -203,6 +210,54 @@ def _pow_int(result, base, n: int):
         if n:
             base = base * base
     return result
+
+
+def _recurrence(w: Sequence[QI], n: int, c0: QI, a: int, b: int, q: int = 1,
+                t: Sequence[QI] | None = None, mu: QI = ONE):
+    """Cells c_0 .. c_n of a series defined online by the cells of ``w``:
+
+        c_k = mu * (t_k + (a*k*s0 + b*s1) / (q*k))   for k >= 1,
+        s0 = sum_{j=1..k} w_j * c_{k-j},   s1 = sum_{j=1..k} j * w_j * c_{k-j},
+
+    with integers a, b and q != 0, and t_k = 0 when ``t`` is None; only
+    w_1 .. w_n are read.  The combined sum runs over Gaussian integers: w_j
+    over the common denominator of w_1 .. w_n and c_0 .. c_{k-1} over their
+    running common denominator, so each step builds one reduced QI.
+    """
+    dw = _lcm_den(w[1: n + 1])
+    ws = [(j, b * j, wr, wi)
+          for j, (wr, wi) in enumerate(_scaled(w[1: n + 1], dw), 1)
+          if wr or wi]
+    out = []
+    nums = []  # (re, im) numerators of c_0 .. c_{k-1} over dc
+    dc = 1
+    cell = c0
+    for k in range(n + 1):
+        if k:
+            ak = a * k
+            r = i = 0
+            for j, bj, wr, wi in ws:
+                if j > k:
+                    break
+                cr, ci = nums[k - j]
+                wt = ak + bj
+                r += wt * (wr * cr - wi * ci)
+                i += wt * (wr * ci + wi * cr)
+            den = q * k * dw * dc
+            tk = t[k] if t is not None else ZERO
+            if not tk.is_zero:
+                r, i = r * tk.d + tk.a * den, i * tk.d + tk.b * den
+                den *= tk.d
+            cell = QI(r * mu.a - i * mu.b, r * mu.b + i * mu.a, den * mu.d)
+        out.append(cell)
+        d = cell.d
+        if dc % d:
+            grow = d // math.gcd(dc, d)
+            dc *= grow
+            nums = [(cr * grow, ci * grow) for cr, ci in nums]
+        m = dc // d
+        nums.append((cell.a * m, cell.b * m))
+    return out
 
 
 def _exp_coeff(k: int) -> QI:
@@ -454,22 +509,35 @@ class TruncSeries1:
     # -- transcendental -------------------------------------------------------
 
     def exp(self) -> "TruncSeries1":
+        """E = exp(f) by E' = f'*E: k*E_k = sum_{j=1..k} j*f_j*E_{k-j}."""
         if self.pole > 0 or not self.coefficient(0).is_zero:
             raise SeriesError("exp requires a pole-free series with zero constant term")
-        return _power_sum(TruncSeries1.one(self.trunc), self, self.trunc,
-                          _exp_coeff)
+        cells = _recurrence(self.coeffs, self.trunc, ONE, 0, 1)
+        return TruncSeries1(cells, 0, self.trunc)
 
     def log(self) -> "TruncSeries1":
-        if self.pole > 0 or self.coefficient(0) != ONE:
-            raise SeriesError("log requires constant term exactly 1")
-        return _power_sum(TruncSeries1.zero(self.trunc),
-                          self - TruncSeries1.one(self.trunc), self.trunc,
-                          _log_coeff)
+        """L = log(u) by u*L' = u':
+        L_k = u_k - sum_{j=1..k} (1 - j/k)*u_j*L_{k-j}."""
+        self._require_unit()
+        cells = _recurrence(self.coeffs, self.trunc, ZERO, -1, 1,
+                            t=self.coeffs)
+        return TruncSeries1(cells, 0, self.trunc)
 
     def pow_frac(self, alpha) -> "TruncSeries1":
-        """Principal formal branch u^alpha = exp(alpha*log(u)); needs u(0) = 1."""
-        a = Fraction(alpha) if not isinstance(alpha, Fraction) else alpha
-        return self.log().scale(a).exp()
+        """Principal formal branch u^alpha = exp(alpha*log(u)); needs u(0) = 1.
+
+        Miller's recurrence from u*P' = alpha*u'*P:
+        k*P_k = sum_{j=1..k} ((alpha+1)*j - k)*u_j*P_{k-j}.
+        """
+        alpha = Fraction(alpha)
+        self._require_unit()
+        p, q = alpha.numerator, alpha.denominator
+        cells = _recurrence(self.coeffs, self.trunc, ONE, -q, p + q, q)
+        return TruncSeries1(cells, 0, self.trunc)
+
+    def _require_unit(self):
+        if self.pole > 0 or self.coefficient(0) != ONE:
+            raise SeriesError("log requires constant term exactly 1")
 
     # -- composition ----------------------------------------------------------
 
@@ -891,19 +959,22 @@ class TruncSeries2:
 
 
 def divide(a: TruncSeries1, b: TruncSeries1) -> TruncSeries1:
-    """Laurent quotient a/b; b must have a nonzero stored coefficient."""
+    """Laurent quotient a/b; b must have a nonzero stored coefficient.
+
+    With b = w^v * u, u(0) != 0, the cells of a/u follow from
+    q_k = (a_k - sum_{j=1..k} u_j * q_{k-j}) / u_0 on the truncation a product
+    a * (1/u) would claim.
+    """
     v = b.order()
     if v is None:
         raise ZeroDivisionError("division by a series that is zero up to truncation")
     unit = b.shift(-v)
-    n = unit.trunc
-    y = TruncSeries1.constant(ONE / unit.coefficient(0), n)
-    two = TruncSeries1.constant(2, n)
-    correct = 0
-    while correct < n:
-        y = y * (two - unit * y)
-        correct = 2 * correct + 1
-    return (a * y).shift(-v)
+    trunc = min(a.trunc, unit.trunc - a.pole)
+    num = a.coeffs
+    inv0 = ONE / unit.coeffs[0]
+    cells = _recurrence(unit.coeffs, trunc + a.pole, num[0] * inv0, -1, 0,
+                        t=num, mu=inv0)
+    return TruncSeries1(cells, a.pole, trunc).shift(-v)
 
 
 def compose(outer: TruncSeries1, inner):

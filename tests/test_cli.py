@@ -342,3 +342,45 @@ def test_cli_selfmap_degree_zero_is_not_a_pass(capsys):
     assert code == 0
     entry = json.loads(capsys.readouterr().out)["runs"][0]["checks"]["selfmap"]
     assert entry["pass"] is None and entry["detail"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--family", "2,1", "--degree", "0", "--rect", "4,8"],
+    ["run", "--family", "2,1", "--degree", "0", "--checks", "selfmap,map"],
+    ["run", "--family", "2,1", "--degree", "0", "--checks", "coupled"],
+    ["run", "--family", "2,1", "--degree", "0", "--checks", "tangency"],
+    ["check", "--family", "2,1", "--degree", "0", "--checks", "map"],
+    ["equiv", "--family", "2,1", "--degree", "0", "--verify", "coupled"],
+    ["autovec", "--family", "2,1", "--degree", "0", "--check", "lambda"],
+])
+def test_cli_degree_zero_rejected_for_gauge_checks(monkeypatch, capsys, argv):
+    """map, coupled and tangency build on the gauge map, which has no terms
+    at degree 0: a usage error before any work, not a failed check."""
+    def no_work(*_):
+        raise AssertionError("work started on a rejected configuration")
+
+    monkeypatch.setattr(cli, "solve_psi", no_work)
+    monkeypatch.setattr(cli, "beta_family", no_work)
+    monkeypatch.setattr(cli, "formal_solutions", no_work)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: degree 0") and err.count("\n") == 1
+
+
+def test_cli_segre_rect_too_small_is_usage_error(capsys):
+    code = cli.main(["segre", "--family", "2,1", "--rect", "1,1",
+                     "--emit", "hk"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_cli_monodromy_stiff_radius_is_usage_error(capsys):
+    code = cli.main(["monodromy", "--family", "2,1", "--numeric",
+                     "--radius", "0.05"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: radius 0.05") \
+        and captured.err.count("\n") == 1

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import family_hyper
@@ -228,6 +228,214 @@ def test_log_requires_unit():
         (TruncSeries1.var(N)).log()
     with pytest.raises(SeriesError):
         TruncSeries1.constant(2, N).exp()
+    with pytest.raises(SeriesError):
+        TruncSeries1.monomial(1, -1, N).exp()
+
+
+@pytest.mark.parametrize("u", [
+    TruncSeries1.one(N) + TruncSeries1.monomial(1, -1, N),
+    TruncSeries1.constant(2, N) + TruncSeries1.var(N),
+    TruncSeries1.var(N),
+])
+def test_pow_frac_requires_unit_like_log(u):
+    """A pole, or u(0) != 1, makes pow_frac raise the error log raises."""
+    with pytest.raises(SeriesError) as log_error:
+        u.log()
+    with pytest.raises(SeriesError) as pow_error:
+        u.pow_frac(Fraction(1, 2))
+    assert type(pow_error.value) is type(log_error.value)
+    assert str(pow_error.value) == str(log_error.value) \
+        == "log requires constant term exactly 1"
+
+
+# -- recurrence kernels against the product-based oracles --------------------
+
+
+def _divide_oracle(a, b):
+    """Newton inversion of the unit part of b, then one product."""
+    v = b.order()
+    unit = b.shift(-v)
+    n = unit.trunc
+    y = TruncSeries1.constant(ONE / unit.coefficient(0), n)
+    two = TruncSeries1.constant(2, n)
+    correct = 0
+    while correct < n:
+        y = y * (two - unit * y)
+        correct = 2 * correct + 1
+    return (a * y).shift(-v)
+
+
+def _power_sum_oracle(acc, base, coeff):
+    """acc + sum_{k=1..trunc} coeff(k) * base^k, one product per power."""
+    power = TruncSeries1.one(base.trunc)
+    for k in range(1, base.trunc + 1):
+        power = power * base
+        acc = acc + power.scale(coeff(k))
+    return acc
+
+
+def _exp_oracle(f):
+    return _power_sum_oracle(TruncSeries1.one(f.trunc), f,
+                             lambda k: QI(1, 0, math.factorial(k)))
+
+
+def _log_oracle(u):
+    return _power_sum_oracle(TruncSeries1.zero(u.trunc),
+                             u - TruncSeries1.one(u.trunc),
+                             lambda k: QI(1 if k % 2 else -1, 0, k))
+
+
+def _pow_frac_oracle(u, alpha):
+    return _exp_oracle(_log_oracle(u).scale(alpha))
+
+
+def _same_cells(got, expect):
+    assert (got.pole, got.trunc) == (expect.pole, expect.trunc)
+    assert got.coeffs == expect.coeffs
+
+
+sparse_qi = st.one_of(st.just(ZERO), qi_values)
+
+# 1/(1-m) for m = 2, 3, other negative exponents, and a few positive ones
+ALPHAS = st.one_of(
+    st.sampled_from([Fraction(-1), Fraction(-1, 2), Fraction(-3, 2),
+                     Fraction(-2, 5), Fraction(0), Fraction(1, 3),
+                     Fraction(5, 2)]),
+    st.fractions(-3, 3, max_denominator=6))
+
+
+@st.composite
+def laurent1(draw, max_pole=3, max_trunc=8, head=sparse_qi):
+    """Gaussian-rational Laurent series with pole 0..max_pole, trunc
+    0..max_trunc and first stored cell drawn from ``head``."""
+    pole = draw(st.integers(0, max_pole))
+    trunc = draw(st.integers(0, max_trunc))
+    cells = [draw(head)] + [draw(sparse_qi) for _ in range(trunc + pole)]
+    return TruncSeries1(cells, pole, trunc)
+
+
+def with_head(head, max_trunc=8):
+    """Power series (pole 0, trunc 0..max_trunc) with constant term ``head``."""
+    return laurent1(max_pole=0, max_trunc=max_trunc, head=st.just(head))
+
+
+_T0 = TruncSeries1([QI(3, 1, 2)], 0, 0)
+_T1 = TruncSeries1([QI(2), QI(0, -1, 3)], 0, 1)
+_LAURENT = TruncSeries1([QI(1, 1), ZERO, QI(-2, 0, 3), QI(0, 1)], 2, 1)
+
+
+@given(laurent1(), laurent1(max_pole=2))
+@example(_T0, _T0)
+@example(_T1, _T1)
+@example(_LAURENT, _T1.shift(1))
+@example(_T1, _LAURENT)
+@example(_LAURENT, _T0)
+def test_divide_matches_newton_oracle(a, b):
+    """Laurent numerators and denominators, units with any constant term,
+    denominators of positive order: same cells, pole and truncation, or the
+    same error."""
+    if b.order() is None:
+        with pytest.raises(ZeroDivisionError):
+            divide(a, b)
+        return
+    try:
+        expect = _divide_oracle(a, b)
+    except SeriesError as exc:
+        with pytest.raises(type(exc)) as err:
+            divide(a, b)
+        assert str(err.value) == str(exc)
+        return
+    _same_cells(divide(a, b), expect)
+
+
+@given(with_head(ZERO))
+@example(TruncSeries1.zero(0))
+@example(TruncSeries1([ZERO, QI(1, -2, 3)], 0, 1))
+def test_exp_matches_power_sum_oracle(f):
+    _same_cells(f.exp(), _exp_oracle(f))
+
+
+@given(with_head(ONE))
+@example(TruncSeries1.one(0))
+@example(TruncSeries1([ONE, QI(1, -2, 3)], 0, 1))
+def test_log_matches_power_sum_oracle(u):
+    _same_cells(u.log(), _log_oracle(u))
+
+
+_UNIT = TruncSeries1([ONE, QI(1, 1, 2), ZERO, QI(-3, 0, 5), QI(0, 2)], 0, 4)
+
+
+@given(with_head(ONE, max_trunc=7), ALPHAS)
+@example(TruncSeries1.one(0), Fraction(-1))
+@example(TruncSeries1([ONE, QI(0, 1)], 0, 1), Fraction(-1, 2))
+@example(_UNIT, Fraction(-1))
+@example(_UNIT, Fraction(-1, 2))
+@example(_UNIT, Fraction(-3, 2))
+def test_pow_frac_matches_log_exp_oracle(u, alpha):
+    _same_cells(u.pow_frac(alpha), _pow_frac_oracle(u, alpha))
+
+
+def test_recurrences_make_no_series_products(monkeypatch):
+    u = TruncSeries1.from_terms({0: 1, 1: QI(1, 2), 3: QI(-1, 0, 3)}, 12)
+    f = u - TruncSeries1.one(12)
+    b = TruncSeries1.from_terms({-1: 2, 2: QI(0, 1)}, 12)
+    calls = []
+    mul = TruncSeries1.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncSeries1, "__mul__", counted)
+    results = (divide(u, b), b.inverse(), f.exp(), u.log(),
+               u.pow_frac(Fraction(-1, 2)))
+    assert not calls
+    monkeypatch.undo()
+    expect = (_divide_oracle(u, b), _divide_oracle(TruncSeries1.one(13), b),
+              _exp_oracle(f), _log_oracle(u),
+              _pow_frac_oracle(u, Fraction(-1, 2)))
+    for got, want in zip(results, expect):
+        _same_cells(got, want)
+
+
+def _extended(draw, s):
+    """s with 1 to 3 random cells appended beyond its truncation."""
+    extra = draw(st.integers(1, 3))
+    cells = list(s.coeffs) + [draw(sparse_qi) for _ in range(extra)]
+    return TruncSeries1(cells, s.pole, s.trunc + extra)
+
+
+def _assert_sound(small, big):
+    """The larger run covers the smaller one's claim and agrees on it."""
+    assert small.trunc <= big.trunc
+    assert small == big
+
+
+@given(st.data(), laurent1(),
+       laurent1(max_pole=2, head=qi_values.filter(bool)))
+def test_divide_claim_is_sound(data, a, b):
+    a_big = _extended(data.draw, a)
+    b_big = _extended(data.draw, b)
+    try:
+        small = divide(a, b)
+    except SeriesError:
+        return
+    _assert_sound(small, divide(a_big, b_big))
+
+
+@given(st.data(), with_head(ZERO))
+def test_exp_claim_is_sound(data, f):
+    _assert_sound(f.exp(), _extended(data.draw, f).exp())
+
+
+@given(st.data(), with_head(ONE))
+def test_log_claim_is_sound(data, u):
+    _assert_sound(u.log(), _extended(data.draw, u).log())
+
+
+@given(st.data(), with_head(ONE), ALPHAS)
+def test_pow_frac_claim_is_sound(data, u, alpha):
+    _assert_sound(u.pow_frac(alpha), _extended(data.draw, u).pow_frac(alpha))
 
 
 # -- composition -------------------------------------------------------------
