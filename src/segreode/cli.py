@@ -13,13 +13,14 @@ import json
 import os
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from multiprocessing import Pool
 
 from .coefficients import QI
 from .growth import expected_termination, gevrey_estimate, termination_detect
-from .monodromy import DEVIATION_TOL, monodromy_report
+from .monodromy import DEVIATION_TOL, check_radius, monodromy_report
 from .ode import (
     AdmissibleOde,
     RealData,
@@ -81,6 +82,8 @@ def parse_family(text: str):
         m = int(parts[0])
     except ValueError as exc:
         raise ConfigError(f"bad order in family spec {text!r}") from exc
+    if m < 1:
+        raise ConfigError(f"order m needs to be >= 1 in family spec {text!r}")
     return m, parse_rational(parts[1])
 
 
@@ -163,6 +166,11 @@ class RunConfig:
                        [c for c in self.checks if c in GAUGE_CHECKS])
         if not isinstance(self.jobs, int) or self.jobs < 1:
             raise ConfigError(f"jobs needs to be an integer >= 1, got {self.jobs!r}")
+        if "monodromy" in self.checks:
+            try:
+                check_radius(self.radius)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
 
 
 def config_from_file(path: str) -> dict:
@@ -498,13 +506,29 @@ def _run_one(payload) -> dict:
             "checks": {name: run_check(name, ctx) for name in checks}}
 
 
+# errors the library raises on input it cannot work on
+LIBRARY_ERRORS = (SeriesError, RealityError, ValueError, ZeroDivisionError,
+                  RuntimeError)
+
+
 def run_check(name: str, ctx: FamilyContext) -> dict:
     """One check's entry; a library error inside it is a failed check."""
     try:
         return CHECKS[name](ctx)
-    except (SeriesError, RealityError, ValueError, ZeroDivisionError,
-            RuntimeError) as exc:
+    except LIBRARY_ERRORS as exc:
         return {"pass": False, "error": str(exc), "witness": None}
+
+
+@contextmanager
+def no_verdict(what: str | None = None):
+    """Work that gives no verdict: a library error in it is a usage error
+    (exit 2 with one ``error:`` line), prefixed by ``what``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except LIBRARY_ERRORS as exc:
+        raise ConfigError(f"{what}: {exc}" if what else str(exc)) from exc
 
 
 def run_pipeline(cfg: RunConfig) -> tuple[dict, int]:
@@ -590,8 +614,9 @@ def _context_from_args(args, need_beta: bool = False,
     if need_beta:
         raise ConfigError("this command needs a --family member")
     work = max(rect[0] + rect[1] + 2 * args.m + 2, args.degree + 2 * args.m + 10)
-    data = RealData(args.m, parse_polynomial(args.a, work),
-                    parse_polynomial(args.b, work))
+    with no_verdict("real data"):
+        data = RealData(args.m, parse_polynomial(args.a, work),
+                        parse_polynomial(args.b, work))
     return FamilyContext(args.m, data=data, degree=args.degree, rect=rect)
 
 
@@ -608,9 +633,7 @@ def cmd_segre(args) -> int:
         if piece not in ("psi", "rho", "hk"):
             raise ConfigError(f"unknown --emit piece {piece!r}")
     out = {"family": ctx.label(), "rect": list(ctx.rect), "sign": args.sign}
-    # segre gives no verdict: a series the rectangle cannot carry is a usage
-    # error, not a failed check
-    try:
+    with no_verdict(f"segre at rect {list(ctx.rect)}"):
         if args.sign == +1:
             fam = ctx.family()
             hyper = ctx.hyper()
@@ -626,8 +649,6 @@ def cmd_segre(args) -> int:
                 nf = real_normal_form(hyper)
                 out["normal_form_sign"] = nf.sign
                 out["hk"] = {str(k): s.to_json() for k, s in nf.hks.items()}
-    except SeriesError as exc:
-        raise ConfigError(f"segre at rect {list(ctx.rect)}: {exc}") from exc
     emit(out, args.out)
     return 0
 
@@ -655,21 +676,22 @@ def cmd_equiv(args) -> int:
             raise ConfigError(f"unknown --verify target {name!r}")
     ctx = _context_from_args(args, need_beta=True,
                              needs_gauge=[f"--verify {n}" for n in targets])
-    out = {"family": ctx.label(), "degree": ctx.degree}
-    gauge = ctx.chi_tau()
-    for piece in (args.emit.split(",") if args.emit else []):
-        if piece == "chi":
-            out["chi"] = gauge.f.to_json()
-        elif piece == "tau":
-            out["tau"] = gauge.g.to_json()
-        elif piece == "G":
-            paired = coupled_map_g(gauge, ctx.m)
-            out["G"] = paired.to_json()
-        else:
+    pieces = args.emit.split(",") if args.emit else []
+    for piece in pieces:
+        if piece not in ("chi", "tau", "G"):
             raise ConfigError(f"unknown --emit piece {piece!r}")
+    out = {"family": ctx.label(), "degree": ctx.degree}
+    with no_verdict(f"equiv --emit at degree {ctx.degree}"):
+        for piece in pieces:
+            if piece == "chi":
+                out["chi"] = ctx.chi_tau().f.to_json()
+            elif piece == "tau":
+                out["tau"] = ctx.chi_tau().g.to_json()
+            else:
+                out["G"] = coupled_map_g(ctx.chi_tau(), ctx.m).to_json()
     failed = False
     for name in targets:
-        entry = CHECKS[mapping[name]](ctx)
+        entry = run_check(mapping[name], ctx)
         out.setdefault("verify", {})[name] = entry
         failed = failed or entry.get("pass") is False
     emit(out, args.out)
@@ -680,12 +702,9 @@ def cmd_monodromy(args) -> int:
     m, beta = parse_family(args.family[0]) if args.family else (None, None)
     if m is None:
         raise ConfigError("monodromy needs --family m,beta")
-    try:
+    with no_verdict():
         report = monodromy_report(m, beta, numeric=args.numeric,
                                   radius=args.radius, tol=args.tol)
-    except ValueError as exc:
-        # monodromy gives no verdict: input it cannot analyse is a usage error
-        raise ConfigError(str(exc)) from exc
     out = {
         "family": [m, str(beta)],
         "trivial": report.trivial,
@@ -714,22 +733,25 @@ def cmd_monodromy(args) -> int:
 
 
 def cmd_autovec(args) -> int:
+    names = args.check.split(",")
+    for name in names:
+        if name not in ("tangency", "lambda"):
+            raise ConfigError(f"unknown --check target {name!r}")
     # the vector field is built from the gauge map whatever --check selects
     ctx = _context_from_args(args, need_beta=True, needs_gauge=["autovec"])
     out = {"family": ctx.label()}
     failed = False
-    for name in args.check.split(","):
+    for name in names:
         if name == "tangency":
-            entry = check_tangency(ctx)
+            entry = run_check("tangency", ctx)
             out["tangency"] = entry
             failed = failed or entry.get("pass") is False
-        elif name == "lambda":
+        else:
             chk = straightening_check(ctx.m)
             out["lambda"] = {"pass": chk.ok, "witness": chk.witness}
             failed = failed or not chk.ok
-        else:
-            raise ConfigError(f"unknown --check target {name!r}")
-    fieldrep = build_vector_field(ctx.chi_tau(), ctx.m)
+    with no_verdict(f"autovec vector field at degree {ctx.degree}"):
+        fieldrep = build_vector_field(ctx.chi_tau(), ctx.m)
     out["field"] = {"A": fieldrep.a.to_json(), "B": fieldrep.b.to_json()}
     emit(out, args.out)
     return 1 if failed else 0
@@ -756,10 +778,8 @@ def cmd_growth(args) -> int:
     out = {"series": label, "terminated": term.terminated,
            "termination_degree": term.degree}
     if not term.terminated:
-        try:
+        with no_verdict():
             report = gevrey_estimate(series, window=window)
-        except SeriesError as exc:
-            raise ConfigError(str(exc)) from exc
         out.update({
             "gevrey": report.gevrey,
             "gevrey_stderr": report.gevrey_stderr,
@@ -772,10 +792,16 @@ def cmd_growth(args) -> int:
     return 0
 
 
+def _family_from_file(entry) -> tuple:
+    if not isinstance(entry, list) or len(entry) != 2:
+        raise ConfigError(f"config families need [m, beta] pairs, got {entry!r}")
+    return parse_family(f"{entry[0]},{entry[1]}")
+
+
 def cmd_run(args) -> int:
     file_cfg = config_from_file(args.config) if args.config else {}
     families = [parse_family(f) for f in args.family] if args.family else [
-        (int(f[0]), Fraction(str(f[1]))) for f in file_cfg.get("families", [])
+        _family_from_file(f) for f in file_cfg.get("families", [])
     ]
     checks = (args.checks.split(",") if args.checks
               else file_cfg.get("checks", list(ALL_CHECKS)))

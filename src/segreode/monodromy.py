@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +29,22 @@ TWO_PI = 2.0 * math.pi
 # Largest accepted numeric eigenvalue deviation, relative to the predicted
 # eigenvalue moduli (see MonodromyReport.relative_deviation).
 DEVIATION_TOL = 1e-6
+
+# Smallest accepted integration radius: closer to the irregular singularity
+# at w = 0 the system is numerically stiff.
+MIN_RADIUS = 0.1
+
+
+def check_radius(radius) -> None:
+    """Raise ValueError for a radius numeric_monodromy does not integrate on."""
+    if (isinstance(radius, bool) or not isinstance(radius, numbers.Real)
+            or not math.isfinite(radius)):
+        raise ValueError(f"radius needs to be a finite number, got {radius!r}")
+    if radius < MIN_RADIUS:
+        raise ValueError(
+            f"radius {radius} rejected: integrating closer than {MIN_RADIUS} "
+            "to the irregular singularity is numerically stiff"
+        )
 
 
 @dataclass(frozen=True)
@@ -131,16 +148,12 @@ def numeric_monodromy(m: int, beta, radius: float = 1.0,
     Uses an adaptive embedded Runge-Kutta scheme with per-step error control
     at the requested tolerance.  On |w| = 1 the irregular factor
     exp(2i/(1-m) w^{1-m}) has modulus bounded by e^{2/(m-1)}, so the default
-    radius keeps the system well-conditioned; radii below 0.1 are rejected as
-    stiff.
+    radius keeps the system well-conditioned; radii below MIN_RADIUS are
+    rejected as stiff.
     """
     if m < 2:
         raise ValueError(f"monodromy integration needs m >= 2, got {m}")
-    if radius < 0.1:
-        raise ValueError(
-            f"radius {radius} rejected: integrating closer than 0.1 to the "
-            "irregular singularity is numerically stiff"
-        )
+    check_radius(radius)
     beta = Fraction(beta)
     p_coeffs, q_coeffs = _family_polynomials(m, beta)
 

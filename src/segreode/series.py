@@ -23,6 +23,13 @@ kernel, :func:`_recurrence`: the quotient q_k = (a_k - sum u_j q_{k-j}) / u_0,
 k*E_k = sum j*f_j*E_{k-j} for E = exp(f), log(u) as the integral of u'/u, and
 Miller's power recurrence k*P_k = sum ((alpha+1)*j - k)*u_j*P_{k-j} for
 P = u^alpha.
+
+Bivariate exp, log and fractional powers run the same recurrences row by row
+in x through :func:`_row_recurrence`, whose cells are the x-rows, each a
+y-polynomial mod y^(ny+1): row 0 is the univariate exp, log or power of
+f(0, y), then k*E_k = sum j*f_j*E_{k-j}, L_k = (u_k - sum (1 - j/k)*u_j*L_{k-j})
+/ u_0 and Miller's rule with the products taken between rows.  No bivariate
+product is formed.
 """
 
 from __future__ import annotations
@@ -260,13 +267,84 @@ def _recurrence(w: Sequence[QI], n: int, c0: QI, a: int, b: int, q: int = 1,
     return out
 
 
-def _exp_coeff(k: int) -> QI:
-    return QI(1, 0, math.factorial(k))
+def _row_recurrence(w, nx: int, ny: int, c0: Sequence[QI], a: int, b: int,
+                    q: int = 1, t=None, mu: Sequence[QI] | None = None):
+    """x-rows c_0 .. c_nx of a bivariate series, each a y-polynomial mod
+    y^(ny+1), defined online by the x-rows of ``w``:
 
+        c_k = mu * (t_k + (a*k*s0 + b*s1) / (q*k))   for k >= 1,
+        s0 = sum_{j=1..k} w_j * c_{k-j},   s1 = sum_{j=1..k} j * w_j * c_{k-j},
 
-def _log_coeff(k: int) -> QI:
-    """Coefficient of y^k in log(1 + y)."""
-    return QI(1 if k % 2 else -1, 0, k)
+    the twin of :func:`_recurrence` with y-polynomial cells; mu = 1 when
+    None and t_k = 0 when ``t`` is None; only rows 1 .. nx of ``w`` are read.
+    The sums run over Gaussian integers: w_1 .. w_nx over their common
+    denominator and c_0 .. c_{k-1} over their running common denominator,
+    so each step builds one reduced QI per output cell.
+    """
+    dw = _lcm_den(c for row in w[1: nx + 1] for c in row)
+    ws = []
+    for j in range(1, nx + 1):
+        row = [(l, wr, wi) for l, (wr, wi) in enumerate(_scaled(w[j], dw))
+               if wr or wi]
+        if row:
+            ws.append((j, b * j, row))
+    if mu is not None:
+        dm = _lcm_den(mu)
+        ms = [(l, mr, mi) for l, (mr, mi) in enumerate(_scaled(mu, dm))
+              if mr or mi]
+    out = []
+    nums = []  # nonzero (l, re, im) numerators of c_0 .. c_{k-1} over dc
+    dc = 1
+    cells = list(c0)
+    for k in range(nx + 1):
+        if k:
+            ak = a * k
+            acc_r = [0] * (ny + 1)
+            acc_i = [0] * (ny + 1)
+            for j, bj, row in ws:
+                if j > k:
+                    break
+                wt = ak + bj
+                if not wt:
+                    continue
+                prev = nums[k - j]
+                for l1, wr, wi in row:
+                    wr *= wt
+                    wi *= wt
+                    top = ny - l1
+                    for l2, cr, ci in prev:
+                        if l2 > top:
+                            break
+                        acc_r[l1 + l2] += wr * cr - wi * ci
+                        acc_i[l1 + l2] += wr * ci + wi * cr
+            den = q * k * dw * dc
+            if t is not None:
+                dt = _lcm_den(t[k])
+                for l, (tr, ti) in enumerate(_scaled(t[k], dt)):
+                    acc_r[l] = acc_r[l] * dt + tr * den
+                    acc_i[l] = acc_i[l] * dt + ti * den
+                den *= dt
+            if mu is not None:
+                prod_r = [0] * (ny + 1)
+                prod_i = [0] * (ny + 1)
+                for l1, mr, mi in ms:
+                    for l2 in range(ny + 1 - l1):
+                        r, i = acc_r[l2], acc_i[l2]
+                        prod_r[l1 + l2] += mr * r - mi * i
+                        prod_i[l1 + l2] += mr * i + mi * r
+                acc_r, acc_i = prod_r, prod_i
+                den *= dm
+            cells = [QI(r, i, den) for r, i in zip(acc_r, acc_i)]
+        out.append(cells)
+        d = _lcm_den(cells)
+        if dc % d:
+            grow = d // math.gcd(dc, d)
+            dc *= grow
+            nums = [[(l, cr * grow, ci * grow) for l, cr, ci in prev]
+                    for prev in nums]
+        nums.append([(l, cr, ci) for l, (cr, ci) in enumerate(_scaled(cells, dc))
+                     if cr or ci])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -843,21 +921,38 @@ class TruncSeries2:
     # -- transcendental -----------------------------------------------------------
 
     def exp(self) -> "TruncSeries2":
+        """E = exp(f) row by row in x: E_0 = exp(f(0, y)) and
+        k*E_k = sum_{j=1..k} j*f_j*E_{k-j}."""
         if not self.rows[0][0].is_zero:
             raise SeriesError("exp requires zero constant term")
-        return _power_sum(TruncSeries2.one(self.nx, self.ny), self,
-                          self.nx + self.ny, _exp_coeff)
+        rows = _row_recurrence(self.rows, self.nx, self.ny,
+                               self.row(0).exp().coeffs, 0, 1)
+        return TruncSeries2(rows, self.nx, self.ny)
 
     def log(self) -> "TruncSeries2":
-        if self.rows[0][0] != ONE:
-            raise SeriesError("log requires constant term exactly 1")
-        return _power_sum(TruncSeries2.zero(self.nx, self.ny),
-                          self - TruncSeries2.one(self.nx, self.ny),
-                          self.nx + self.ny, _log_coeff)
+        """L = log(u) row by row in x: L_0 = log(u(0, y)) and
+        L_k = (u_k - sum_{j=1..k} (1 - j/k)*u_j*L_{k-j}) / u_0."""
+        u0 = self._unit_row0()
+        rows = _row_recurrence(self.rows, self.nx, self.ny, u0.log().coeffs,
+                               -1, 1, t=self.rows, mu=u0.inverse().coeffs)
+        return TruncSeries2(rows, self.nx, self.ny)
 
     def pow_frac(self, alpha) -> "TruncSeries2":
-        a = Fraction(alpha) if not isinstance(alpha, Fraction) else alpha
-        return self.log().scale(a).exp()
+        """Principal formal branch u^alpha = exp(alpha*log(u)); needs
+        u(0, 0) = 1.  P_0 = u(0, y)^alpha and Miller's recurrence
+        k*P_k = sum_{j=1..k} ((alpha+1)*j - k)*u_j*P_{k-j} / u_0."""
+        alpha = Fraction(alpha)
+        u0 = self._unit_row0()
+        p, q = alpha.numerator, alpha.denominator
+        rows = _row_recurrence(self.rows, self.nx, self.ny,
+                               u0.pow_frac(alpha).coeffs, -q, p + q, q,
+                               mu=u0.inverse().coeffs)
+        return TruncSeries2(rows, self.nx, self.ny)
+
+    def _unit_row0(self) -> TruncSeries1:
+        if self.rows[0][0] != ONE:
+            raise SeriesError("log requires constant term exactly 1")
+        return self.row(0)
 
     # -- substitution ---------------------------------------------------------------
 

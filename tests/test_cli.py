@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from segreode import cli
+from segreode import cli, numeric_monodromy
 from segreode.cli import (
     ConfigError,
     RunConfig,
@@ -12,6 +12,8 @@ from segreode.cli import (
     parse_rect,
     run_pipeline,
 )
+from segreode.monodromy import MIN_RADIUS
+from segreode.series import TruncationStarvation
 
 
 def test_parse_family():
@@ -384,3 +386,149 @@ def test_cli_monodromy_stiff_radius_is_usage_error(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: radius 0.05") \
         and captured.err.count("\n") == 1
+
+
+def _forbid_work(monkeypatch):
+    def no_work(*_, **__):
+        raise AssertionError("work started on a rejected configuration")
+
+    for name in ("solve_psi", "beta_family", "formal_solutions",
+                 "monodromy_report"):
+        monkeypatch.setattr(cli, name, no_work)
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["run", "--family", "2,1", "--checks", "monodromy", "--radius", "0.05"],
+     None),
+    (["run", "--family", "2,1", "--radius", "0.09"], None),
+    (["run", "--family", "2,1", "--checks", "monodromy", "--radius", "inf"],
+     None),
+    (["run", "--checks", "growth,monodromy"],
+     {"families": [[2, "1"]], "radius": 0.05}),
+    (["run", "--checks", "monodromy"], {"families": [[2, "1"]], "radius": "1"}),
+])
+def test_cli_run_stiff_radius_rejected_before_work(monkeypatch, capsys,
+                                                    tmp_path, argv, config):
+    """A radius numeric_monodromy rejects (below 0.1, not finite, not a
+    number) is a usage error of run when the monodromy check is selected:
+    exit 2, one error line, no work."""
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    _forbid_work(monkeypatch)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: radius") \
+        and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("radius", ["inf", "nan"])
+def test_cli_monodromy_non_finite_radius_is_usage_error(capsys, radius):
+    """An infinite radius would integrate forever: exit 2 before."""
+    code = cli.main(["monodromy", "--family", "2,1", "--numeric",
+                     "--radius", radius])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: radius needs to be a finite") \
+        and captured.err.count("\n") == 1
+
+
+def test_run_config_radius_bound_is_the_integrators():
+    cfg = RunConfig(families=[(2, Fraction(1))], checks=["monodromy"],
+                    radius=MIN_RADIUS)
+    cfg.validate()
+    below = MIN_RADIUS * (1 - 1e-9)
+    with pytest.raises(ValueError) as integrator:
+        numeric_monodromy(2, 1, radius=below)
+    cfg.radius = below
+    with pytest.raises(ConfigError) as config:
+        cfg.validate()
+    assert str(config.value) == str(integrator.value)
+    # the radius only matters to the monodromy check
+    cfg.checks = ["roundtrip"]
+    cfg.validate()
+
+
+def test_cli_equiv_verify_library_error_is_a_failed_check(capsys):
+    """At degree 1 the coupled check runs out of terms: a failed verdict
+    with an error field, exit 1, as in run and check."""
+    code = cli.main(["equiv", "--family", "2,1", "--degree", "1",
+                     "--verify", "coupled"])
+    assert code == 1
+    entry = json.loads(capsys.readouterr().out)["verify"]["coupled"]
+    assert entry["pass"] is False and entry["error"]
+
+
+def test_cli_autovec_tangency_library_error_is_a_failed_check(capsys):
+    code = cli.main(["autovec", "--family", "2,1", "--degree", "1",
+                     "--rect", "4,8"])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["tangency"]["pass"] is False
+    assert payload["tangency"]["error"]
+    assert payload["lambda"]["pass"] is True
+
+
+def test_cli_equiv_emit_library_error_is_usage_error(capsys):
+    """--emit G gives no verdict: a library error there exits 2."""
+    code = cli.main(["equiv", "--family", "2,1", "--degree", "1",
+                     "--emit", "chi,G"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: equiv --emit at degree 1: ") \
+        and captured.err.count("\n") == 1
+
+
+def test_cli_autovec_field_library_error_is_usage_error(monkeypatch, capsys):
+    def starved(*_):
+        raise TruncationStarvation("gauge map too short for the field")
+
+    monkeypatch.setattr(cli, "build_vector_field", starved)
+    code = cli.main(["autovec", "--family", "2,1", "--degree", "8",
+                     "--rect", "4,8", "--check", "lambda"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: autovec vector field at degree 8: ") \
+        and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["build-ode", "--family", "0,1"], None),
+    (["run", "--family", "0,1", "--checks", "roundtrip"], None),
+    (["check", "--family=-1,1"], None),
+    (["build-ode", "--m", "0", "--a", "1*w^0", "--b", "1*w^2"], None),
+    (["check", "--m", "-1", "--a", "1*w^0", "--b", "1*w^2"], None),
+    (["run"], {"families": [[0, "1"]]}),
+    (["run"], {"families": [[2]]}),
+    (["run"], {"families": [[2.5, "1"]]}),
+])
+def test_cli_bad_order_rejected_before_work(monkeypatch, capsys, tmp_path,
+                                            argv, config):
+    """An order m below 1, or a malformed family entry, is a usage error:
+    exit 2 with one error line, before any work."""
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    _forbid_work(monkeypatch)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") \
+        and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["equiv", "--family", "2,1", "--degree", "4", "--emit", "chi,X"],
+    ["autovec", "--family", "2,1", "--degree", "4", "--check", "lambda,X"],
+])
+def test_cli_unknown_pieces_rejected_before_work(monkeypatch, capsys, argv):
+    _forbid_work(monkeypatch)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown") and err.count("\n") == 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import family_hyper
+from conftest import family_hyper, family_profile
 from segreode import (
     QI,
     SeriesError,
@@ -436,6 +436,147 @@ def test_log_claim_is_sound(data, u):
 @given(st.data(), with_head(ONE), ALPHAS)
 def test_pow_frac_claim_is_sound(data, u, alpha):
     _assert_sound(u.pow_frac(alpha), _extended(data.draw, u).pow_frac(alpha))
+
+
+# -- bivariate row recurrences against the power-sum oracles ------------------
+
+
+def _power_sum2_oracle(acc, base, coeff):
+    """acc + sum_{k=1..nx+ny} coeff(k) * base^k, one product per power."""
+    power = TruncSeries2.one(base.nx, base.ny)
+    for k in range(1, base.nx + base.ny + 1):
+        power = power * base
+        acc = acc + power.scale(coeff(k))
+    return acc
+
+
+def _exp2_oracle(f):
+    return _power_sum2_oracle(TruncSeries2.one(f.nx, f.ny), f,
+                              lambda k: QI(1, 0, math.factorial(k)))
+
+
+def _log2_oracle(u):
+    one = TruncSeries2.one(u.nx, u.ny)
+    return _power_sum2_oracle(TruncSeries2.zero(u.nx, u.ny), u - one,
+                              lambda k: QI(1 if k % 2 else -1, 0, k))
+
+
+def _pow_frac2_oracle(u, alpha):
+    return _exp2_oracle(_log2_oracle(u).scale(alpha))
+
+
+def _same_rect_cells(got, expect):
+    assert got.rect == expect.rect
+    assert got.rows == expect.rows
+
+
+@st.composite
+def series2(draw, head, max_nx=3, max_ny=5):
+    """Bivariate series on a rectangle up to (max_nx, max_ny) with constant
+    term ``head``.  The first 0, 1 or 2 x-rows and y-columns are zero apart
+    from the head, so f(0, y) - head and f(x, 0) - head are random or zero,
+    and the x- and y-orders of f - head are 0, >= 1 or >= 2."""
+    nx = draw(st.integers(0, max_nx))
+    ny = draw(st.integers(0, max_ny))
+    rows = _rows(draw, nx, ny, True)
+    for j in range(min(draw(st.integers(0, 2)), nx + 1)):
+        rows[j] = [ZERO] * (ny + 1)
+    for l in range(min(draw(st.integers(0, 2)), ny + 1)):
+        for row in rows:
+            row[l] = ZERO
+    rows[0][0] = head
+    return TruncSeries2(rows, nx, ny)
+
+
+_ROW2 = TruncSeries2([[ZERO, QI(1, 2), ZERO, QI(0, -1, 3)]], 0, 3)
+_COL2 = TruncSeries2([[ZERO], [QI(2)], [QI(1, 1, 2)]], 2, 0)
+_ONE2 = TruncSeries2.one(0, 0)
+
+
+@given(series2(ZERO))
+@example(_ROW2)
+@example(_COL2)
+@example(TruncSeries2.zero(0, 0))
+def test_exp2_matches_power_sum_oracle(f):
+    _same_rect_cells(f.exp(), _exp2_oracle(f))
+
+
+@given(series2(ONE))
+@example(_ROW2 + _ONE2)
+@example(_COL2 + TruncSeries2.one(2, 0))
+@example(_ONE2)
+def test_log2_matches_power_sum_oracle(u):
+    _same_rect_cells(u.log(), _log2_oracle(u))
+
+
+@given(series2(ONE, max_nx=2, max_ny=4), ALPHAS)
+@example(_ROW2 + _ONE2, Fraction(-1, 2))
+@example(_COL2 + TruncSeries2.one(2, 0), Fraction(-1))
+@example(_ONE2, Fraction(5, 2))
+def test_pow_frac2_matches_log_exp_oracle(u, alpha):
+    _same_rect_cells(u.pow_frac(alpha), _pow_frac2_oracle(u, alpha))
+
+
+def test_exp2_matches_oracle_on_family_exponent():
+    """The exponent build_rho exponentiates: i * eta * psi for (2, 1)."""
+    psi = family_profile(2, "1", 4, 8).psi
+    f = psi.shift_y(1).scale(QI(0, 1))
+    _same_rect_cells(f.exp(), _exp2_oracle(f))
+
+
+@pytest.mark.parametrize("op", ["log", "pow_frac"])
+def test_log2_and_pow_frac2_require_unit(op):
+    u = TruncSeries2.constant(2, 2, 3) + TruncSeries2.var_y(2, 3)
+    with pytest.raises(SeriesError, match="log requires constant term exactly 1"):
+        u.log() if op == "log" else u.pow_frac(Fraction(1, 2))
+    with pytest.raises(SeriesError, match="exp requires zero constant term"):
+        u.exp()
+
+
+def test_bivariate_recurrences_make_no_series_products(monkeypatch):
+    x = TruncSeries2.var_x(3, 6)
+    y = TruncSeries2.var_y(3, 6)
+    f = x.scale(QI(1, 1, 2)) + (x * y).scale(QI(0, -2)) + y.pow_int(3)
+    u = TruncSeries2.one(3, 6) + f
+    calls = _counting_mul2(monkeypatch)
+    results = (f.exp(), u.log(), u.pow_frac(Fraction(-1, 2)))
+    assert not calls
+    monkeypatch.undo()
+    expect = (_exp2_oracle(f), _log2_oracle(u),
+              _pow_frac2_oracle(u, Fraction(-1, 2)))
+    for got, want in zip(results, expect):
+        _same_rect_cells(got, want)
+
+
+def _extended2(draw, s):
+    """s on a rectangle grown by 0 to 2 in each direction and by at least 1
+    in one, with random cells outside the original rectangle."""
+    a, b = draw(st.sampled_from([(0, 1), (1, 0), (1, 1), (2, 0), (0, 2)]))
+    rows = _rows(draw, s.nx + a, s.ny + b, True)
+    for j, row in enumerate(s.rows):
+        rows[j][: s.ny + 1] = row
+    return TruncSeries2(rows, s.nx + a, s.ny + b)
+
+
+def _assert_sound2(small, big):
+    assert small.nx <= big.nx and small.ny <= big.ny
+    assert small == big
+
+
+@given(st.data(), series2(ZERO))
+def test_exp2_claim_is_sound(data, f):
+    _assert_sound2(f.exp(), _extended2(data.draw, f).exp())
+
+
+@given(st.data(), series2(ONE))
+def test_log2_claim_is_sound(data, u):
+    _assert_sound2(u.log(), _extended2(data.draw, u).log())
+
+
+@given(st.data(), series2(ONE), ALPHAS)
+def test_pow_frac2_claim_is_sound(data, u, alpha):
+    _assert_sound2(u.pow_frac(alpha),
+                   _extended2(data.draw, u).pow_frac(alpha))
 
 
 # -- composition -------------------------------------------------------------
