@@ -16,9 +16,7 @@ from .series import (
     TruncSeries2,
     compose,
     compose2,
-    compositional_inverse,
     divide,
-    solve_implicit,
 )
 from .ode import (
     AdmissibleOde,

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import numbers
 import os
 import re
 import sys
@@ -122,16 +124,20 @@ def parse_rect(text: str):
         raise ConfigError(f"bad rectangle {text!r}") from exc
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_shape(rect, degree, needs_gauge=()) -> None:
     """Reject a rectangle or degree no stage can work on, before any work.
 
     ``needs_gauge`` names the selected checks or commands that build the
     gauge map (chi, tau); degree 0 leaves them nothing to work on.
     """
-    if (len(rect) != 2 or not all(isinstance(n, int) for n in rect)
-            or min(rect) < 1):
-        raise ConfigError(f"rectangle needs Nx, Ny >= 1, got {list(rect)}")
-    if not isinstance(degree, int) or degree < 0:
+    if (not isinstance(rect, (list, tuple)) or len(rect) != 2
+            or not all(_is_int(n) for n in rect) or min(rect) < 1):
+        raise ConfigError(f"rectangle needs Nx, Ny >= 1, got {rect!r}")
+    if not _is_int(degree) or degree < 0:
         raise ConfigError(f"degree needs to be an integer >= 0, got {degree!r}")
     if degree == 0 and needs_gauge:
         raise ConfigError(
@@ -157,6 +163,16 @@ class RunConfig:
     jobs: int = 1
 
     def validate(self):
+        """Check every value, whether it came from a flag or a config file,
+        before any work; family entries become (m, Fraction) pairs."""
+        if not isinstance(self.families, (list, tuple)):
+            raise ConfigError(
+                f"families needs a list of [m, beta] pairs, got {self.families!r}")
+        self.families = [_family_entry(f) for f in self.families]
+        if (not isinstance(self.checks, (list, tuple))
+                or not all(isinstance(c, str) for c in self.checks)):
+            raise ConfigError(
+                f"checks needs a list of check names, got {self.checks!r}")
         for name in self.checks:
             if name not in ALL_CHECKS:
                 raise ConfigError(f"unknown check {name!r}; known: {ALL_CHECKS}")
@@ -164,13 +180,20 @@ class RunConfig:
             raise ConfigError("no family members selected")
         validate_shape(self.rect, self.degree,
                        [c for c in self.checks if c in GAUGE_CHECKS])
-        if not isinstance(self.jobs, int) or self.jobs < 1:
+        self.rect = tuple(self.rect)
+        if not _is_int(self.jobs) or self.jobs < 1:
             raise ConfigError(f"jobs needs to be an integer >= 1, got {self.jobs!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out needs a file name, got {self.out!r}")
         if "monodromy" in self.checks:
             try:
                 check_radius(self.radius)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
+            if (isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real)
+                    or not math.isfinite(self.tol) or self.tol <= 0):
+                raise ConfigError(
+                    f"tol needs to be a finite number > 0, got {self.tol!r}")
 
 
 def config_from_file(path: str) -> dict:
@@ -792,32 +815,28 @@ def cmd_growth(args) -> int:
     return 0
 
 
-def _family_from_file(entry) -> tuple:
-    if not isinstance(entry, list) or len(entry) != 2:
+def _family_entry(entry) -> tuple:
+    if not isinstance(entry, (list, tuple)) or len(entry) != 2:
         raise ConfigError(f"config families need [m, beta] pairs, got {entry!r}")
     return parse_family(f"{entry[0]},{entry[1]}")
 
 
 def cmd_run(args) -> int:
     file_cfg = config_from_file(args.config) if args.config else {}
-    families = [parse_family(f) for f in args.family] if args.family else [
-        _family_from_file(f) for f in file_cfg.get("families", [])
-    ]
-    checks = (args.checks.split(",") if args.checks
-              else file_cfg.get("checks", list(ALL_CHECKS)))
-    cfg = RunConfig(
-        families=families,
-        checks=checks,
-        degree=args.degree if args.degree is not None
-        else file_cfg.get("degree", 40),
-        rect=parse_rect(args.rect) if args.rect
-        else tuple(file_cfg.get("rect", (8, 24))),
-        radius=args.radius if args.radius is not None
-        else file_cfg.get("radius", 1.0),
-        tol=args.tol if args.tol is not None else file_cfg.get("tol", 1e-10),
-        out=args.out or file_cfg.get("out"),
-        jobs=args.jobs if args.jobs is not None else file_cfg.get("jobs", 1),
-    )
+    flags = {
+        "families": [parse_family(f) for f in args.family] or None,
+        "checks": args.checks.split(",") if args.checks else None,
+        "rect": parse_rect(args.rect) if args.rect else None,
+        "degree": args.degree,
+        "radius": args.radius,
+        "tol": args.tol,
+        "out": args.out or None,
+        "jobs": args.jobs,
+    }
+    # flags override file values; RunConfig.validate checks both alike
+    values = {key: file_cfg[key] for key in flags if key in file_cfg}
+    values.update((key, v) for key, v in flags.items() if v is not None)
+    cfg = RunConfig(**values)
     report, code = run_pipeline(cfg)
     emit(report, cfg.out)
     return code

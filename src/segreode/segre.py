@@ -226,28 +226,43 @@ def build_rho(fam: SegreFamily) -> Hypersurface:
 # ---------------------------------------------------------------------------
 
 
+def _grow_x(step, start: TruncSeries2) -> TruncSeries2:
+    """Fixed point of ``step`` on the rectangle of ``start``, grown in x.
+
+    x-row k of the image of ``step`` must depend only on the x-rows below k
+    of its input; the fixed points below qualify because rho - y, psi and v
+    have x-order >= 1.  Sweep k runs ``step`` on the rectangle (k, ny),
+    seeded with the rows 0..k-1 settled by sweep k-1 plus row k of
+    ``start``, and so settles row k.  A confirming sweep on the full
+    rectangle must return its input.
+    """
+    nx, ny = start.rect
+    rows = ()
+    for k in range(nx + 1):
+        cur = step(TruncSeries2(rows + (start.rows[k][: ny + 1],), k, ny))
+        rows, ny = cur.rows, cur.ny
+    if step(cur) != cur:
+        raise SeriesError("fixed point failed to stabilize")
+    return cur
+
+
 def dual_family(fam: SegreFamily) -> SegreFamily:
     """Swap variables and parameters in the defining equation and solve back.
 
     The defining equation of the dual is eta = w * exp(s*i*w^{m-1}*psi(x, w));
-    the fixed-point form w <- eta * exp(-s*i*w^{m-1}*psi(x, w)) gains one
-    x-order per sweep, so it stabilizes on the stored rectangle.
+    the fixed-point form w <- eta * exp(-s*i*w^{m-1}*psi(x, w)) settles one
+    x-row per sweep, so :func:`_grow_x` runs sweep k on the rectangle (k, ny)
+    only, then confirms the fixed point with one sweep on the full rectangle
+    and raises :class:`SeriesError` if it does not settle.
     """
-    nx, ny = fam.psi.rect
     neg_si = QI(0, -fam.sign)
-    w_cur = TruncSeries2.var_y(nx, ny)
-    stabilized = False
-    for _ in range(nx + 2):
-        psi_at = fam.psi.substitute_y(w_cur)
-        exponent = (psi_at * w_cur.pow_int(fam.m - 1)).scale(neg_si)
-        w_new = exponent.exp().shift_y(1)
-        if w_new == w_cur:
-            stabilized = True
-            break
-        w_cur = w_new
-    if not stabilized:
-        raise SeriesError("dual fixed point failed to stabilize")
-    log_part = w_cur.shift_y(-1).log()
+
+    def step(w):
+        exponent = (fam.psi.substitute_y(w) * w.pow_int(fam.m - 1)).scale(neg_si)
+        return exponent.exp().shift_y(1)
+
+    w = _grow_x(step, TruncSeries2.var_y(*fam.psi.rect))
+    log_part = w.shift_y(-1).log()
     psi_star = log_part.shift_y(-(fam.m - 1)).scale(QI(0, fam.sign))
     return SegreFamily(fam.m, -fam.sign, psi_star)
 
@@ -287,21 +302,23 @@ def realty_identity_check(h) -> TruncSeries2:
 def real_normal_form(h) -> NormalForm:
     """Extract the real normal form v = u^m*(sign*x + sum h_k(u) x^k).
 
-    Solves u + i*v = rho(x, u - i*v) for v(x, u) by a fixed point that gains
-    one x-order per sweep, then divides the x-rows by u^m.  Any nonzero
-    imaginary part in the result means the defining series was not real.
+    Solves u + i*v = rho(x, u - i*v) for v(x, u) by the fixed point
+    v <- (rho(x, u - i*v) - (u - i*v))/(2i), which settles one x-row per
+    sweep: :func:`_grow_x` runs sweep k on the rectangle (k, ny) only, then
+    one confirming sweep on the full rectangle, and raises
+    :class:`SeriesError` if that does not return its input.  The x-rows of
+    v are divided by u^m, and rho rebuilt from v by the same helper must
+    match.  Any nonzero imaginary part in v means the defining series was
+    not real.
     """
     rho = h.rho if isinstance(h, Hypersurface) else h
     nx, ny = rho.rect
-    u_var = TruncSeries2.var_y(nx, ny)
-    v = TruncSeries2.zero(nx, ny)
-    for _ in range(nx + 2):
-        w_bar = u_var - v.scale(QI(0, 1))
-        rho_at = rho.substitute_y(w_bar)
-        v_new = (rho_at - w_bar).scale(NEG_HALF_I)
-        if v_new == v:
-            break
-        v = v_new
+
+    def step(v):
+        w_bar = TruncSeries2.var_y(*v.rect) - v.scale(QI(0, 1))
+        return (rho.substitute_y(w_bar) - w_bar).scale(NEG_HALF_I)
+
+    v = _grow_x(step, TruncSeries2.zero(nx, ny))
     theta = v.scale(2)
     for j in range(1, nx + 1):
         bad = theta.row(j).first_nonreal()
@@ -339,22 +356,16 @@ def real_normal_form(h) -> NormalForm:
             )
         hks[k] = hk
 
-    _check_reconstruction(rho, v, sign, m)
+    if _reconstruct(v) != rho:
+        raise SeriesError("normal-form reconstruction does not match rho")
     return NormalForm(sign, hks, v)
 
 
-def _check_reconstruction(rho: TruncSeries2, v: TruncSeries2, sign: int,
-                          m: int) -> None:
-    """Rebuild the complex defining series from the real form and compare."""
-    nx, ny = rho.rect
-    y = TruncSeries2.var_y(nx, ny)
-    w_cur = y
-    for _ in range(nx + 2):
-        mid = (w_cur + y).scale(HALF)
-        theta = v.substitute_y(mid)
-        w_new = y + theta.scale(QI(0, 2))
-        if w_new == w_cur:
-            break
-        w_cur = w_new
-    if not (w_cur == rho):
-        raise SeriesError("normal-form reconstruction does not match rho")
+def _reconstruct(v: TruncSeries2) -> TruncSeries2:
+    """The complex defining series w = y + 2i*v(x, (w + y)/2) rebuilt from
+    the real form v; the fixed point settles one x-row per sweep."""
+    def step(w):
+        y = TruncSeries2.var_y(*w.rect)
+        return y + v.substitute_y((w + y).scale(HALF)).scale(QI(0, 2))
+
+    return _grow_x(step, TruncSeries2.var_y(*v.rect))

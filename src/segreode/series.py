@@ -956,25 +956,6 @@ class TruncSeries2:
 
     # -- substitution ---------------------------------------------------------------
 
-    def eval_first(self, u: TruncSeries1) -> TruncSeries1:
-        """Substitute the x-variable by a series u(y); returns a series in y.
-
-        The unknown terms beyond x^nx enter at y^((nx+1)*ord u), which caps
-        the guaranteed truncation of the result.
-        """
-        if u.pole != 0:
-            raise SeriesError("substituted series must be pole-free")
-        if not u.coefficient(0).is_zero:
-            raise SeriesError("substituted series must have zero constant term")
-        v = u.order()
-        if v is None:
-            v = u.trunc + 1
-        ny = min(self.ny, u.trunc, (self.nx + 1) * v - 1)
-        acc = self.row(0).truncate(ny)
-        for j, power in enumerate(_powers(u.truncate(ny), self.nx), 1):
-            acc = acc + self.row(j).truncate(ny) * power
-        return acc
-
     def substitute_y(self, g: "TruncSeries2") -> "TruncSeries2":
         """Substitute the y-variable by a bivariate series g(x, y) with
         g(0, y) = y; any other g raises :class:`SeriesError`.
@@ -1049,7 +1030,7 @@ class TruncSeries2:
 
 
 # ---------------------------------------------------------------------------
-# division, composition, inversion
+# division and composition
 # ---------------------------------------------------------------------------
 
 
@@ -1165,46 +1146,3 @@ def compose2(outer: TruncSeries2, first: TruncSeries2,
 
     return _horner_x(top, row_sums, first, vx, nx, ny)
 
-
-def solve_implicit(phi: TruncSeries2) -> TruncSeries1:
-    """Unique u(y) with u(0) = 0 and phi(u(y), y) = 0 up to truncation.
-
-    The x-slot of ``phi`` is the unknown; requires phi(0, 0) = 0 and a
-    nonzero linear coefficient d(phi)/dx at the origin.
-    """
-    if not phi.rows[0][0].is_zero:
-        raise SeriesError("implicit solve requires phi(0, 0) = 0")
-    if phi.nx < 1:
-        raise SeriesError("phi carries no x-slot to solve for")
-    lin = phi.rows[1][0]
-    if lin.is_zero:
-        raise SeriesError("degenerate linear part in implicit solve")
-    inv_lin = ONE / lin
-    ny = phi.ny
-    u = TruncSeries1.zero(ny)
-    for _ in range(ny + 1):
-        r = phi.eval_first(u)
-        # subtracting even a zero residual carries its truncation into u
-        u = u - r.scale(inv_lin)
-        if r.is_zero:
-            break
-    return u
-
-
-def compositional_inverse(g: TruncSeries1) -> TruncSeries1:
-    """The series h with g(h(w)) = w up to truncation; needs g(0)=0, g'(0)!=0."""
-    if g.pole != 0 or not g.coefficient(0).is_zero:
-        raise SeriesError("compositional inverse requires g(0) = 0")
-    c1 = g.coefficient(1)
-    if c1.is_zero:
-        raise SeriesError("compositional inverse requires g'(0) != 0")
-    n = g.trunc
-    w = TruncSeries1.var(n)
-    inv1 = ONE / c1
-    h = w.scale(inv1)
-    for _ in range(n):
-        r = compose(g, h) - w
-        if r.is_zero:
-            break
-        h = h - r.scale(inv1)
-    return h

@@ -506,11 +506,17 @@ def test_cli_autovec_field_library_error_is_usage_error(monkeypatch, capsys):
     (["run"], {"families": [[0, "1"]]}),
     (["run"], {"families": [[2]]}),
     (["run"], {"families": [[2.5, "1"]]}),
+    (["run"], {"families": [[2, "1"]], "rect": 5}),
+    (["run"], {"families": [[2, "1"]], "checks": 5}),
+    (["run"], {"families": 5}),
+    (["run", "--checks", "monodromy"], {"families": [[2, "1"]], "tol": "x"}),
+    (["run"], {"families": [[2, "1"]], "out": 5}),
 ])
 def test_cli_bad_order_rejected_before_work(monkeypatch, capsys, tmp_path,
                                             argv, config):
-    """An order m below 1, or a malformed family entry, is a usage error:
-    exit 2 with one error line, before any work."""
+    """An order m below 1, a malformed family entry or a config value of the
+    wrong type is a usage error: exit 2 with one error line, before any
+    work."""
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))

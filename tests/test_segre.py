@@ -2,11 +2,15 @@ from fractions import Fraction
 
 import pytest
 from conftest import family_hyper, family_profile
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segreode import (
     QI,
+    RealData,
     RealityError,
     SegreFamily,
+    SeriesError,
     TruncationStarvation,
     TruncSeries1,
     TruncSeries2,
@@ -16,6 +20,7 @@ from segreode import (
     conjugate_ode,
     conjugated_family,
     dual_family,
+    explicit_model,
     extract_pq,
     inverse_ode_residual,
     profile_residual,
@@ -24,6 +29,7 @@ from segreode import (
     realty_identity_check,
     solve_psi,
 )
+from segreode.segre import _grow_x, _reconstruct
 
 RECT = (6, 12)
 GRID = [(2, "0"), (2, "1"), (2, "2"), (3, "0"), (3, "1")]
@@ -247,9 +253,6 @@ def test_reality_three_paths_agree(m, beta_str):
     assert check_real_structure(AdmissibleOde(m, p, q)).ok
 
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 small_real = st.builds(QI, st.integers(-3, 3), st.just(0), st.integers(1, 3))
 
 
@@ -258,7 +261,7 @@ small_real = st.builds(QI, st.integers(-3, 3), st.just(0), st.integers(1, 3))
        st.lists(small_real, min_size=3, max_size=3),
        st.lists(small_real, min_size=3, max_size=3))
 def test_random_real_data_roundtrip_and_reality(m, a_coeffs, b_coeffs):
-    from segreode import RealData, ode_from_real_data
+    from segreode import ode_from_real_data
     work = 4 + 6 + 2 * m + 2
     a = TruncSeries1(a_coeffs + [QI(0)] * (work - 2), 0, work)
     b = TruncSeries1(b_coeffs + [QI(0)] * (work - 2), 0, work)
@@ -335,3 +338,138 @@ def test_normal_form_rejects_nonreal():
     assert not realty_identity_check(broken).is_zero
     with pytest.raises(RealityError):
         real_normal_form(broken)
+
+
+# -- the x-growing fixed points against the full-rectangle sweeps ----------------
+
+GRID6 = [(2, "0"), (2, "1"), (2, "2"), (3, "0"), (3, "1"), (3, "2")]
+RECT8 = (8, 24)
+
+
+def _dual_oracle(fam):
+    """Dual profile by full-rectangle sweeps until two iterates agree."""
+    nx, ny = fam.psi.rect
+    neg_si = QI(0, -fam.sign)
+    w_cur = TruncSeries2.var_y(nx, ny)
+    for _ in range(nx + 2):
+        psi_at = fam.psi.substitute_y(w_cur)
+        exponent = (psi_at * w_cur.pow_int(fam.m - 1)).scale(neg_si)
+        w_new = exponent.exp().shift_y(1)
+        if w_new == w_cur:
+            break
+        w_cur = w_new
+    else:
+        raise SeriesError("dual fixed point failed to stabilize")
+    log_part = w_cur.shift_y(-1).log()
+    return log_part.shift_y(-(fam.m - 1)).scale(QI(0, fam.sign))
+
+
+def _normal_form_v_oracle(rho):
+    """v with u + i*v = rho(x, u - i*v) by full-rectangle sweeps."""
+    nx, ny = rho.rect
+    u_var = TruncSeries2.var_y(nx, ny)
+    v = TruncSeries2.zero(nx, ny)
+    for _ in range(nx + 2):
+        w_bar = u_var - v.scale(QI(0, 1))
+        v_new = (rho.substitute_y(w_bar) - w_bar).scale(QI(0, -1, 2))
+        if v_new == v:
+            break
+        v = v_new
+    return v
+
+
+def _reconstruction_oracle(rho, v):
+    """w = y + 2i*v(x, (w + y)/2) by full-rectangle sweeps."""
+    nx, ny = rho.rect
+    y = TruncSeries2.var_y(nx, ny)
+    w_cur = y
+    for _ in range(nx + 2):
+        mid = (w_cur + y).scale(Fraction(1, 2))
+        w_new = y + v.substitute_y(mid).scale(QI(0, 2))
+        if w_new == w_cur:
+            break
+        w_cur = w_new
+    return w_cur
+
+
+def _same_rect_cells(got, expect):
+    assert got.rect == expect.rect
+    assert got.rows == expect.rows
+
+
+def _check_normal_form_against_oracles(rho):
+    nf = real_normal_form(rho)
+    _same_rect_cells(nf.v, _normal_form_v_oracle(rho))
+    rebuilt = _reconstruct(nf.v)
+    _same_rect_cells(rebuilt, _reconstruction_oracle(rho, nf.v))
+    assert rebuilt == rho
+
+
+@pytest.mark.parametrize("m,beta_str,sign",
+                         [(m, b, +1) for m, b in GRID6] + [(2, "1", -1)])
+def test_grown_fixed_points_match_full_rectangle_sweeps(m, beta_str, sign):
+    if sign > 0:
+        fam = family_profile(m, beta_str, *RECT8)
+    else:
+        work = RECT8[0] + RECT8[1] + 2 * m + 2
+        fam = solve_psi(beta_family(m, Fraction(beta_str), work), sign, RECT8)
+    _same_rect_cells(dual_family(fam).psi, _dual_oracle(fam))
+    _check_normal_form_against_oracles(build_rho(fam).rho)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_grown_normal_form_matches_sweeps_on_explicit_model(m):
+    _check_normal_form_against_oracles(explicit_model(m, RECT8).rho)
+
+
+def test_grow_x_reaches_a_known_fixed_point():
+    # w = y + x*w has the fixed point y/(1 - x) = y*(1 + x + x^2 + ...)
+    def step(w):
+        return TruncSeries2.var_y(*w.rect) + w.shift_x(1)
+
+    w = _grow_x(step, TruncSeries2.var_y(5, 3))
+    assert w.rect == (5, 3)
+    assert all(w.row(j) == TruncSeries1.var(3) for j in range(6))
+
+
+def test_grow_x_raises_when_the_step_does_not_settle():
+    # row 1 of the image is 1 + 2*(row 1 of the input): it never settles
+    def step(w):
+        y = TruncSeries2.var_y(*w.rect)
+        return y + TruncSeries2.one(*w.rect).shift_x(1) + (w - y).scale(2)
+
+    with pytest.raises(SeriesError, match="fixed point failed to stabilize"):
+        _grow_x(step, TruncSeries2.var_y(3, 4))
+
+
+# -- pipeline soundness: N versus N+k ODE data ---------------------------------
+
+
+def _assert_restricts(small, big):
+    assert small.nx <= big.nx and small.ny <= big.ny
+    assert small.rows == big.restrict(*small.rect).rows
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 3), st.sampled_from([+1, -1]),
+       st.integers(3, 4), st.integers(0, 2), st.integers(1, 2),
+       st.lists(small_real, min_size=14, max_size=14),
+       st.lists(small_real, min_size=14, max_size=14))
+def test_dual_and_normal_form_claims_are_sound(m, sign, nx, dy, k, a, b):
+    """Unknown ODE terms beyond the working order, replaced by random ones on
+    a rectangle k larger each way, change no cell the smaller run claims.
+    The dual profile loses m - 1 y-orders, so ny = m + dy."""
+    from segreode import ode_from_real_data
+    runs = []
+    for rect in ((nx, m + dy), (nx + k, m + dy + k)):
+        n = sum(rect)
+        data = RealData(m, TruncSeries1(a[: n + 1], 0, n),
+                        TruncSeries1(b[: n + 1], 0, n))
+        fam = solve_psi(ode_from_real_data(data), sign, rect)
+        runs.append((dual_family(fam), real_normal_form(build_rho(fam))))
+    (dual, nf), (dual_big, nf_big) = runs
+    _assert_restricts(dual.psi, dual_big.psi)
+    _assert_restricts(nf.v, nf_big.v)
+    assert nf.sign == nf_big.sign == sign
+    for j, hk in nf.hks.items():
+        assert hk.trunc <= nf_big.hks[j].trunc and hk == nf_big.hks[j]

@@ -15,10 +15,8 @@ from segreode import (
     coeff_str,
     compose,
     compose2,
-    compositional_inverse,
     divide,
     parse_coeff,
-    solve_implicit,
 )
 from segreode.coefficients import ONE, ZERO
 
@@ -305,10 +303,10 @@ ALPHAS = st.one_of(
 
 
 @st.composite
-def laurent1(draw, max_pole=3, max_trunc=8, head=sparse_qi):
-    """Gaussian-rational Laurent series with pole 0..max_pole, trunc
+def laurent1(draw, max_pole=3, max_trunc=8, head=sparse_qi, min_pole=0):
+    """Gaussian-rational Laurent series with pole min_pole..max_pole, trunc
     0..max_trunc and first stored cell drawn from ``head``."""
-    pole = draw(st.integers(0, max_pole))
+    pole = draw(st.integers(min_pole, max_pole))
     trunc = draw(st.integers(0, max_trunc))
     cells = [draw(head)] + [draw(sparse_qi) for _ in range(trunc + pole)]
     return TruncSeries1(cells, pole, trunc)
@@ -548,14 +546,20 @@ def test_bivariate_recurrences_make_no_series_products(monkeypatch):
         _same_rect_cells(got, want)
 
 
+def _padded2(draw, s, nx, ny):
+    """s on the rectangle (nx, ny), which holds its own, with random cells
+    outside the original rectangle."""
+    rows = _rows(draw, nx, ny, True)
+    for j, row in enumerate(s.rows):
+        rows[j][: s.ny + 1] = row
+    return TruncSeries2(rows, nx, ny)
+
+
 def _extended2(draw, s):
     """s on a rectangle grown by 0 to 2 in each direction and by at least 1
     in one, with random cells outside the original rectangle."""
     a, b = draw(st.sampled_from([(0, 1), (1, 0), (1, 1), (2, 0), (0, 2)]))
-    rows = _rows(draw, s.nx + a, s.ny + b, True)
-    for j, row in enumerate(s.rows):
-        rows[j][: s.ny + 1] = row
-    return TruncSeries2(rows, s.nx + a, s.ny + b)
+    return _padded2(draw, s, s.nx + a, s.ny + b)
 
 
 def _assert_sound2(small, big):
@@ -607,26 +611,82 @@ def test_exp_log_compose_roundtrip():
     assert compose(log1p, expm1) == t
 
 
-@given(nilpotent1())
+def _inverse_oracle(g):
+    """h with g(h(w)) = w, by the fixed point h <- h - (g(h) - w)/g'(0),
+    which fixes one more coefficient per sweep."""
+    w = TruncSeries1.var(g.trunc)
+    inv1 = ONE / g.coefficient(1)
+    h = w.scale(inv1)
+    for _ in range(g.trunc):
+        h = h - (compose(g, h) - w).scale(inv1)
+    return h
+
+
+@given(nilpotent1().filter(lambda g: not g.coefficient(1).is_zero))
 def test_compose_with_inverse(g):
-    if g.coefficient(1).is_zero:
-        with pytest.raises(SeriesError):
-            compositional_inverse(g)
-        return
-    h = compositional_inverse(g)
+    h = _inverse_oracle(g)
     assert compose(g, h) == TruncSeries1.var(min(g.trunc, h.trunc))
     assert compose(h, g) == TruncSeries1.var(min(g.trunc, h.trunc))
 
 
 def test_compositional_inverse_examples():
+    """Closed-form inverse pairs compose to the identity both ways."""
     w = TruncSeries1.var(N)
-    assert compositional_inverse(w) == w
     moebius = divide(w, TruncSeries1.one(N) - w)
-    assert compositional_inverse(moebius) == divide(w, TruncSeries1.one(N) + w)
+    back = divide(w, TruncSeries1.one(N) + w)
+    assert compose(moebius, back) == w and compose(back, moebius) == w
+    # the inverse of w + w^3 has the Fuss-Catalan coefficients
+    # (-1)^k * C(3k, k)/(2k + 1) at w^(2k+1): w - w^3 + 3w^5 - 12w^7 + 55w^9
     g = w + w.pow_int(3)
-    h = compositional_inverse(g)
-    assert h.coefficient(3) == QI(-1)
-    assert h.coefficient(5) == QI(3)
+    h = TruncSeries1.from_terms(
+        {2 * k + 1: (-1) ** k * math.comb(3 * k, k) // (2 * k + 1)
+         for k in range(5)}, N)
+    assert compose(g, h) == w and compose(h, g) == w
+
+
+@given(st.data(), laurent1(max_pole=0), with_head(ZERO))
+def test_compose_claim_is_sound(data, outer, inner):
+    _assert_sound(compose(outer, inner),
+                  compose(_extended(data.draw, outer),
+                          _extended(data.draw, inner)))
+
+
+# inner series of order exactly 1, as a pole part needs
+order_one = laurent1(max_pole=0, max_trunc=7,
+                     head=qi_values.filter(bool)).map(lambda s: s.shift(1))
+
+
+@given(st.data(), laurent1(min_pole=1), order_one)
+def test_compose_with_pole_part_claim_is_sound(data, outer, inner):
+    outer_big = _extended(data.draw, outer)
+    inner_big = _extended(data.draw, inner)
+    try:
+        small = compose(outer, inner)
+    except SeriesError:
+        # 1/inner known to below w^0: nothing left to claim
+        return
+    _assert_sound(small, compose(outer_big, inner_big))
+
+
+def _zero_row0(s):
+    return TruncSeries2([[ZERO] * (s.ny + 1)] + [list(r) for r in s.rows[1:]],
+                        s.nx, s.ny)
+
+
+@given(st.data(), sparse_qi, series2(ZERO), with_head(ZERO))
+def test_compose2_claim_is_sound(data, head, first, second):
+    """outer(first, second) with first of x-order >= 1 and second(0) = 0.
+
+    The x-order of first is read off the stored columns, so a larger first
+    can claim fewer x-rows unless the larger outer is known at least as far
+    as first and second are: it is padded to that rectangle here."""
+    outer = data.draw(series2(head))
+    first = _zero_row0(first)
+    outer_big = _padded2(data.draw, outer, max(outer.nx, first.nx) + 1,
+                         max(outer.ny, first.ny, second.trunc) + 1)
+    big = compose2(outer_big, _zero_row0(_extended2(data.draw, first)),
+                   _extended(data.draw, second))
+    _assert_sound2(compose2(outer, first, second), big)
 
 
 def _full_power_compose(outer, inner):
@@ -811,57 +871,6 @@ def test_substitute_y_claim_is_sound(case):
     big = f_big.substitute_y(g_big)
     assert small.nx <= big.nx and small.ny <= big.ny
     assert small == big
-
-
-# -- implicit solving ---------------------------------------------------------
-
-
-def test_implicit_identity():
-    phi = TruncSeries2.var_x(2, 6) - TruncSeries2.var_y(2, 6)
-    u = solve_implicit(phi)
-    assert u == TruncSeries1.var(u.trunc)
-
-
-def test_implicit_catalan():
-    x = TruncSeries2.var_x(5, 8)
-    y = TruncSeries2.var_y(5, 8)
-    phi = x - y - x * x
-    u = solve_implicit(phi)
-    for k, c in enumerate([0, 1, 1, 2, 5, 14]):
-        assert u.coefficient(k) == QI(c)
-    assert phi.eval_first(u).is_zero
-
-
-def test_implicit_geometric():
-    x = TruncSeries2.var_x(7, 8)
-    y = TruncSeries2.var_y(7, 8)
-    phi = x * (TruncSeries2.one(7, 8) + y) - y
-    u = solve_implicit(phi)
-    for k in range(1, 8):
-        assert u.coefficient(k) == QI((-1) ** (k + 1))
-
-
-def test_implicit_claims_only_what_the_x_rectangle_carries():
-    """At nx = 1 the unknown x^2 term of phi enters at y^2, so the solve can
-    only guarantee u = y + O(y^2); the truth is y + y^2 + 2y^3 + 5y^4."""
-    x = TruncSeries2.var_x(2, 4)
-    y = TruncSeries2.var_y(2, 4)
-    phi = (x - y - x * x).restrict(1, 4)
-    u = solve_implicit(phi)
-    assert u.trunc <= 1
-    assert u == TruncSeries1.from_terms({1: 1, 2: 1, 3: 2, 4: 5}, 4)
-
-
-def test_eval_first_caps_truncation_by_order_of_u():
-    phi = TruncSeries2.var_x(2, 9) + TruncSeries2.var_y(2, 9)
-    u = TruncSeries1.monomial(1, 2, 9)
-    assert phi.eval_first(u).trunc == 3 * 2 - 1
-
-
-def test_implicit_degenerate():
-    x = TruncSeries2.var_x(2, 4)
-    with pytest.raises(SeriesError):
-        solve_implicit(x * x - TruncSeries2.var_y(2, 4))
 
 
 # -- truncation discipline -----------------------------------------------------
