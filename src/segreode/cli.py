@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import numbers
 import os
 import re
 import sys
@@ -22,7 +20,7 @@ from multiprocessing import Pool
 
 from .coefficients import QI
 from .growth import expected_termination, gevrey_estimate, termination_detect
-from .monodromy import DEVIATION_TOL, check_radius, monodromy_report
+from .monodromy import DEVIATION_TOL, check_radius, check_tol, monodromy_report
 from .ode import (
     AdmissibleOde,
     RealData,
@@ -53,13 +51,12 @@ from .series import SeriesError, TruncSeries1
 
 REPORT_VERSION = 1
 
-ALL_CHECKS = (
-    "roundtrip", "reality", "realty", "map", "coupled", "selfmap",
-    "monodromy", "tangency", "model0", "growth",
-)
-
 # checks built on the gauge map (chi, tau), which has no terms at degree 0
 GAUGE_CHECKS = ("map", "coupled", "tangency")
+
+# checks that apply only to a beta-family member of order m >= 2
+BETA_M2_CHECKS = frozenset(
+    ("map", "coupled", "monodromy", "tangency", "model0", "growth"))
 
 _POLY_TERM = re.compile(r"([+-]?)\s*(\d+(?:/\d+)?)\s*\*\s*w\^(\d+)\s*")
 
@@ -145,6 +142,30 @@ def validate_shape(rect, degree, needs_gauge=()) -> None:
             f"{', '.join(needs_gauge)} build on it")
 
 
+def _known_names(names, known, what: str) -> list:
+    """``names`` as a list, once each is found among ``known``."""
+    if (not isinstance(names, (list, tuple))
+            or not all(isinstance(name, str) for name in names)):
+        raise ConfigError(f"expected a list of {what} names, got {names!r}")
+    for name in names:
+        if name not in known:
+            raise ConfigError(
+                f"unknown {what} {name!r}; known: {', '.join(known)}")
+    return list(names)
+
+
+def _validate_out(out) -> None:
+    """Reject a report file that cannot be written, before any work; no
+    file (None or "") means stdout."""
+    if out is None or out == "":
+        return
+    if not isinstance(out, str):
+        raise ConfigError(f"out needs a file name, got {out!r}")
+    target = out if os.path.exists(out) else os.path.dirname(os.path.abspath(out))
+    if os.path.isdir(out) or not os.access(target, os.W_OK):
+        raise ConfigError(f"out {out!r} is not a writable file")
+
+
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -154,7 +175,7 @@ def validate_shape(rect, degree, needs_gauge=()) -> None:
 class RunConfig:
     families: list = field(default_factory=list)   # (m, Fraction) pairs
     explicit: dict | None = None                   # {"m":…, "a":…, "b":…}
-    checks: list = field(default_factory=lambda: list(ALL_CHECKS))
+    checks: list = field(default_factory=lambda: list(CHECKS))
     degree: int = 40
     rect: tuple = (8, 24)
     radius: float = 1.0
@@ -165,17 +186,13 @@ class RunConfig:
     def validate(self):
         """Check every value, whether it came from a flag or a config file,
         before any work; family entries become (m, Fraction) pairs."""
-        if not isinstance(self.families, (list, tuple)):
+        if (not isinstance(self.families, (list, tuple))
+                or not all(isinstance(f, (list, tuple)) and len(f) == 2
+                           for f in self.families)):
             raise ConfigError(
                 f"families needs a list of [m, beta] pairs, got {self.families!r}")
-        self.families = [_family_entry(f) for f in self.families]
-        if (not isinstance(self.checks, (list, tuple))
-                or not all(isinstance(c, str) for c in self.checks)):
-            raise ConfigError(
-                f"checks needs a list of check names, got {self.checks!r}")
-        for name in self.checks:
-            if name not in ALL_CHECKS:
-                raise ConfigError(f"unknown check {name!r}; known: {ALL_CHECKS}")
+        self.families = [parse_family(f"{m},{beta}") for m, beta in self.families]
+        self.checks = _known_names(self.checks, CHECKS, "check")
         if not self.families and self.explicit is None:
             raise ConfigError("no family members selected")
         validate_shape(self.rect, self.degree,
@@ -183,17 +200,13 @@ class RunConfig:
         self.rect = tuple(self.rect)
         if not _is_int(self.jobs) or self.jobs < 1:
             raise ConfigError(f"jobs needs to be an integer >= 1, got {self.jobs!r}")
-        if self.out is not None and not isinstance(self.out, str):
-            raise ConfigError(f"out needs a file name, got {self.out!r}")
+        _validate_out(self.out)
         if "monodromy" in self.checks:
             try:
                 check_radius(self.radius)
+                check_tol(self.tol)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-            if (isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real)
-                    or not math.isfinite(self.tol) or self.tol <= 0):
-                raise ConfigError(
-                    f"tol needs to be a finite number > 0, got {self.tol!r}")
 
 
 def config_from_file(path: str) -> dict:
@@ -210,6 +223,11 @@ def config_from_file(path: str) -> dict:
 # ---------------------------------------------------------------------------
 # per-family lazily computed artifacts
 # ---------------------------------------------------------------------------
+
+
+def _working_order(m: int, rect: tuple, degree: int) -> int:
+    """The truncation of the ODE data a member's stages are built from."""
+    return max(rect[0] + rect[1] + 2 * m + 2, degree + 2 * m + 10)
 
 
 class FamilyContext:
@@ -229,8 +247,7 @@ class FamilyContext:
         self.rect = rect
         self.radius = radius
         self.tol = tol
-        self.work = max(rect[0] + rect[1] + 2 * m + 2,
-                        degree + 2 * m + 10)
+        self.work = _working_order(m, rect, degree)
         self._cache: dict = {}
 
     def label(self):
@@ -373,8 +390,6 @@ def check_realty(ctx: FamilyContext) -> dict:
 
 
 def check_map(ctx: FamilyContext) -> dict:
-    if ctx.beta is None or ctx.m < 2:
-        return {"pass": None, "detail": "needs a family member with m >= 2"}
     gauge = ctx.chi_tau()
     pulled = pullback_under_gauge(ctx.zero_ode(), gauge, ctx.m)
     e = ctx.ode()
@@ -391,8 +406,6 @@ def check_map(ctx: FamilyContext) -> dict:
 
 
 def check_coupled(ctx: FamilyContext) -> dict:
-    if ctx.beta is None or ctx.m < 2:
-        return {"pass": None, "detail": "needs a family member with m >= 2"}
     gauge = ctx.chi_tau()
     paired = coupled_map_g(gauge, ctx.m)
     ok_l, wit_l = _series_eq(paired.f, gauge.f.conj())
@@ -430,8 +443,6 @@ def self_map_probe_cached(ctx: FamilyContext, degree: int):
 
 
 def check_monodromy(ctx: FamilyContext) -> dict:
-    if ctx.beta is None or ctx.m < 2:
-        return {"pass": None, "detail": "needs a family member with m >= 2"}
     report = monodromy_report(ctx.m, ctx.beta, numeric=True,
                               radius=ctx.radius, tol=ctx.tol)
     num = report.numeric
@@ -449,8 +460,6 @@ def check_monodromy(ctx: FamilyContext) -> dict:
 
 
 def check_tangency(ctx: FamilyContext) -> dict:
-    if ctx.beta is None or ctx.m < 2:
-        return {"pass": None, "detail": "needs a family member with m >= 2"}
     fieldrep = build_vector_field(ctx.chi_tau(), ctx.m)
     res = tangency_check(fieldrep, ctx.hyper())
     ok = res.is_zero
@@ -462,8 +471,6 @@ def check_tangency(ctx: FamilyContext) -> dict:
 
 
 def check_model0(ctx: FamilyContext) -> dict:
-    if ctx.beta is None or ctx.m < 2:
-        return {"pass": None, "detail": "needs a family member with m >= 2"}
     if ctx.beta != 0:
         return {"pass": None, "detail": "closed-form model applies to beta = 0"}
     model = explicit_model(ctx.m, ctx.rect)
@@ -472,8 +479,6 @@ def check_model0(ctx: FamilyContext) -> dict:
 
 
 def check_growth(ctx: FamilyContext) -> dict:
-    if ctx.beta is None or ctx.m < 2:
-        return {"pass": None, "detail": "needs a family member with m >= 2"}
     n = max(200, ctx.degree)
     pair = formal_solutions(ctx.m, ctx.beta, n)
     term = termination_detect(pair.f)
@@ -508,6 +513,8 @@ CHECKS = {
     "growth": check_growth,
 }
 
+ALL_CHECKS = tuple(CHECKS)
+
 
 # ---------------------------------------------------------------------------
 # pipeline
@@ -536,6 +543,8 @@ LIBRARY_ERRORS = (SeriesError, RealityError, ValueError, ZeroDivisionError,
 
 def run_check(name: str, ctx: FamilyContext) -> dict:
     """One check's entry; a library error inside it is a failed check."""
+    if name in BETA_M2_CHECKS and (ctx.beta is None or ctx.m < 2):
+        return {"pass": None, "detail": "needs a family member with m >= 2"}
     try:
         return CHECKS[name](ctx)
     except LIBRARY_ERRORS as exc:
@@ -604,39 +613,24 @@ def emit(obj, out: str | None):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--degree", type=int, default=40,
-                   help="univariate truncation order (default 40)")
-    p.add_argument("--rect", "--trunc", type=str, default="8,24",
-                   help="bivariate rectangle Nx,Ny (default 8,24)")
-    p.add_argument("--out", type=str, default=None,
-                   help="write JSON here instead of stdout")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers for family grids")
+def _member(args):
+    """(m, beta) of the one --family a one-member command takes, or None."""
+    if len(args.family) > 1:
+        raise ConfigError(f"{args.command} takes one --family member")
+    return parse_family(args.family[0]) if args.family else None
 
 
-def _family_args(p: argparse.ArgumentParser):
-    p.add_argument("--family", action="append", default=[],
-                   metavar="m,beta", help="family member (repeatable)")
-    p.add_argument("--m", type=int, default=None, help="order for explicit data")
-    p.add_argument("--a", type=str, default=None,
-                   help="polynomial for a, e.g. '1*w^0+1/2*w^2'")
-    p.add_argument("--b", type=str, default=None,
-                   help="polynomial for b, e.g. '1*w^2'")
-
-
-def _context_from_args(args, need_beta: bool = False,
-                       needs_gauge=()) -> FamilyContext:
+def _context_from_args(args, needs_gauge=()) -> FamilyContext:
     rect = parse_rect(args.rect)
     validate_shape(rect, args.degree, needs_gauge)
-    if args.family:
-        m, beta = parse_family(args.family[0])
-        return FamilyContext(m, beta=beta, degree=args.degree, rect=rect)
+    member = _member(args)
+    if member is not None:
+        return FamilyContext(*member, degree=args.degree, rect=rect)
+    if not hasattr(args, "m"):
+        raise ConfigError(f"{args.command} needs --family m,beta")
     if args.m is None or args.a is None or args.b is None:
         raise ConfigError("need --family or all of --m/--a/--b")
-    if need_beta:
-        raise ConfigError("this command needs a --family member")
-    work = max(rect[0] + rect[1] + 2 * args.m + 2, args.degree + 2 * args.m + 10)
+    work = _working_order(args.m, rect, args.degree)
     with no_verdict("real data"):
         data = RealData(args.m, parse_polynomial(args.a, work),
                         parse_polynomial(args.b, work))
@@ -650,11 +644,9 @@ def cmd_build_ode(args) -> int:
 
 
 def cmd_segre(args) -> int:
+    pieces = _known_names(args.emit.split(","), ("psi", "rho", "hk"),
+                          "--emit piece")
     ctx = _context_from_args(args)
-    pieces = args.emit.split(",")
-    for piece in pieces:
-        if piece not in ("psi", "rho", "hk"):
-            raise ConfigError(f"unknown --emit piece {piece!r}")
     out = {"family": ctx.label(), "rect": list(ctx.rect), "sign": args.sign}
     with no_verdict(f"segre at rect {list(ctx.rect)}"):
         if args.sign == +1:
@@ -679,9 +671,7 @@ def cmd_segre(args) -> int:
 def cmd_check(args) -> int:
     names = args.checks.split(",") if args.checks else ["roundtrip", "reality",
                                                         "realty"]
-    for name in names:
-        if name not in CHECKS:
-            raise ConfigError(f"unknown check {name!r}")
+    names = _known_names(names, CHECKS, "check")
     ctx = _context_from_args(
         args, needs_gauge=[n for n in names if n in GAUGE_CHECKS])
     results = {name: run_check(name, ctx) for name in names}
@@ -693,16 +683,12 @@ def cmd_check(args) -> int:
 
 def cmd_equiv(args) -> int:
     mapping = {"ode": "map", "hypersurface": "map", "coupled": "coupled"}
-    targets = args.verify.split(",") if args.verify else []
-    for name in targets:
-        if name not in mapping:
-            raise ConfigError(f"unknown --verify target {name!r}")
-    ctx = _context_from_args(args, need_beta=True,
+    targets = _known_names(args.verify.split(",") if args.verify else [],
+                           mapping, "--verify target")
+    pieces = _known_names(args.emit.split(",") if args.emit else [],
+                          ("chi", "tau", "G"), "--emit piece")
+    ctx = _context_from_args(args,
                              needs_gauge=[f"--verify {n}" for n in targets])
-    pieces = args.emit.split(",") if args.emit else []
-    for piece in pieces:
-        if piece not in ("chi", "tau", "G"):
-            raise ConfigError(f"unknown --emit piece {piece!r}")
     out = {"family": ctx.label(), "degree": ctx.degree}
     with no_verdict(f"equiv --emit at degree {ctx.degree}"):
         for piece in pieces:
@@ -722,7 +708,7 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_monodromy(args) -> int:
-    m, beta = parse_family(args.family[0]) if args.family else (None, None)
+    m, beta = _member(args) or (None, None)
     if m is None:
         raise ConfigError("monodromy needs --family m,beta")
     with no_verdict():
@@ -756,12 +742,10 @@ def cmd_monodromy(args) -> int:
 
 
 def cmd_autovec(args) -> int:
-    names = args.check.split(",")
-    for name in names:
-        if name not in ("tangency", "lambda"):
-            raise ConfigError(f"unknown --check target {name!r}")
+    names = _known_names(args.check.split(","), ("tangency", "lambda"),
+                         "--check target")
     # the vector field is built from the gauge map whatever --check selects
-    ctx = _context_from_args(args, need_beta=True, needs_gauge=["autovec"])
+    ctx = _context_from_args(args, needs_gauge=["autovec"])
     out = {"family": ctx.label()}
     failed = False
     for name in names:
@@ -784,6 +768,7 @@ def cmd_growth(args) -> int:
     window = parse_rect(args.window) if args.window else None
     if window is not None and not 0 <= window[0] <= window[1]:
         raise ConfigError(f"window needs 0 <= KMIN <= KMAX, got {args.window!r}")
+    member = _member(args)
     if args.series:
         try:
             with open(args.series, "r", encoding="utf-8") as fh:
@@ -791,8 +776,8 @@ def cmd_growth(args) -> int:
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"cannot read series {args.series!r}: {exc}") from exc
         label = args.series
-    elif args.family:
-        m, beta = parse_family(args.family[0])
+    elif member is not None:
+        m, beta = member
         series = formal_solutions(m, beta, max(200, args.degree)).f
         label = [m, str(beta)]
     else:
@@ -815,12 +800,6 @@ def cmd_growth(args) -> int:
     return 0
 
 
-def _family_entry(entry) -> tuple:
-    if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-        raise ConfigError(f"config families need [m, beta] pairs, got {entry!r}")
-    return parse_family(f"{entry[0]},{entry[1]}")
-
-
 def cmd_run(args) -> int:
     file_cfg = config_from_file(args.config) if args.config else {}
     flags = {
@@ -833,13 +812,33 @@ def cmd_run(args) -> int:
         "out": args.out or None,
         "jobs": args.jobs,
     }
-    # flags override file values; RunConfig.validate checks both alike
-    values = {key: file_cfg[key] for key in flags if key in file_cfg}
+    # a config file takes the keys the flags set, and flags override it;
+    # RunConfig.validate checks both alike
+    _known_names(list(file_cfg), flags, "config key")
+    values = dict(file_cfg)
     values.update((key, v) for key, v in flags.items() if v is not None)
     cfg = RunConfig(**values)
     report, code = run_pipeline(cfg)
     emit(report, cfg.out)
     return code
+
+
+# flags of the one-member commands: the member, by --family or explicit data,
+# and the orders it is built to; each command takes only those it reads
+SHARED_FLAGS = {
+    "family": (("--family",), dict(action="append", default=[],
+                                   metavar="m,beta", help="family member")),
+    "m": (("--m",), dict(type=int, default=None,
+                         help="order for explicit data")),
+    "a": (("--a",), dict(type=str, default=None,
+                         help="polynomial for a, e.g. '1*w^0+1/2*w^2'")),
+    "b": (("--b",), dict(type=str, default=None,
+                         help="polynomial for b, e.g. '1*w^2'")),
+    "degree": (("--degree",), dict(
+        type=int, default=40, help="univariate truncation order (default 40)")),
+    "rect": (("--rect", "--trunc"), dict(
+        type=str, default="8,24", help="bivariate rectangle Nx,Ny (default 8,24)")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -850,57 +849,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build-ode", help="construct an admissible ODE")
-    _family_args(p)
-    _add_common(p)
-    p.set_defaults(fn=cmd_build_ode)
+    def command(name, fn, text, shared=""):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--out", type=str, default=None,
+                       help="write JSON here instead of stdout")
+        for flag in shared.split():
+            names, kwargs = SHARED_FLAGS[flag]
+            p.add_argument(*names, **kwargs)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("segre", help="solve the family profile and emit series")
-    _family_args(p)
-    _add_common(p)
+    member = "family m a b degree rect"
+    command("build-ode", cmd_build_ode, "construct an admissible ODE", member)
+
+    p = command("segre", cmd_segre, "solve the family profile and emit series",
+                member)
     p.add_argument("--sign", type=int, choices=(1, -1), default=1)
     p.add_argument("--emit", type=str, default="psi",
                    help="comma list from psi,rho,hk")
-    p.set_defaults(fn=cmd_segre)
 
-    p = sub.add_parser("check", help="run reality checks on one member")
-    _family_args(p)
-    _add_common(p)
+    p = command("check", cmd_check, "run reality checks on one member", member)
     p.add_argument("--checks", type=str, default=None)
-    p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("equiv", help="gauge equivalence onto the beta=0 member")
-    _family_args(p)
-    _add_common(p)
+    p = command("equiv", cmd_equiv, "gauge equivalence onto the beta=0 member",
+                "family degree rect")
     p.add_argument("--emit", type=str, default="chi,tau")
     p.add_argument("--verify", type=str, default=None,
                    help="comma list from ode,hypersurface,coupled")
-    p.set_defaults(fn=cmd_equiv)
 
-    p = sub.add_parser("monodromy", help="monodromy classification")
-    _family_args(p)
-    _add_common(p)
+    p = command("monodromy", cmd_monodromy, "monodromy classification",
+                "family")
     p.add_argument("--numeric", action="store_true")
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(fn=cmd_monodromy)
 
-    p = sub.add_parser("autovec", help="infinitesimal automorphism checks")
-    _family_args(p)
-    _add_common(p)
+    p = command("autovec", cmd_autovec, "infinitesimal automorphism checks",
+                "family degree rect")
     p.add_argument("--check", type=str, default="tangency,lambda")
-    p.set_defaults(fn=cmd_autovec)
 
-    p = sub.add_parser("growth", help="divergence diagnostics")
-    _family_args(p)
-    _add_common(p)
+    p = command("growth", cmd_growth, "divergence diagnostics",
+                "family degree")
     p.add_argument("--series", type=str, default=None,
                    help="JSON file holding a univariate series")
     p.add_argument("--window", type=str, default=None, metavar="KMIN,KMAX")
-    p.set_defaults(fn=cmd_growth)
 
-    p = sub.add_parser("run", help="full verification pipeline over a grid")
-    p.add_argument("--family", action="append", default=[], metavar="m,beta")
+    p = command("run", cmd_run, "full verification pipeline over a grid")
+    p.add_argument("--family", action="append", default=[], metavar="m,beta",
+                   help="family member (repeatable)")
     p.add_argument("--checks", type=str, default=None)
     p.add_argument("--config", type=str, default=None,
                    help="JSON config; flags override file values")
@@ -908,9 +903,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rect", type=str, default=None)
     p.add_argument("--radius", type=float, default=None)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--out", type=str, default=None)
     p.add_argument("--jobs", type=int, default=None)
-    p.set_defaults(fn=cmd_run)
 
     return parser
 
@@ -922,6 +915,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _validate_out(args.out)
         return args.fn(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -47,6 +47,14 @@ def check_radius(radius) -> None:
         )
 
 
+def check_tol(tol) -> None:
+    """Raise ValueError for a tolerance numeric_monodromy cannot integrate
+    to; step-size control never settles on a NaN tolerance."""
+    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+            or not math.isfinite(tol) or tol <= 0):
+        raise ValueError(f"tol needs to be a finite number > 0, got {tol!r}")
+
+
 @dataclass(frozen=True)
 class NumericMonodromy:
     matrix: tuple
@@ -154,6 +162,7 @@ def numeric_monodromy(m: int, beta, radius: float = 1.0,
     if m < 2:
         raise ValueError(f"monodromy integration needs m >= 2, got {m}")
     check_radius(radius)
+    check_tol(tol)
     beta = Fraction(beta)
     p_coeffs, q_coeffs = _family_polynomials(m, beta)
 

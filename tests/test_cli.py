@@ -1,5 +1,8 @@
 import json
+import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -239,13 +242,6 @@ def test_cli_exit_code_2_on_bad_usage(capsys):
     assert cli.main(["run", "--family", "2,1", "--checks", "bogus"]) == 2
     capsys.readouterr()
     assert cli.main(["definitely-not-a-command"]) == 2
-    capsys.readouterr()
-
-
-def test_cli_float_backend_rejected_for_identity_checks(capsys):
-    code = cli.main(["segre", "--family", "2,1", "--backend", "float",
-                     "--rect", "4,8", "--degree", "16"])
-    assert code == 2
     capsys.readouterr()
 
 
@@ -497,6 +493,84 @@ def test_cli_autovec_field_library_error_is_usage_error(monkeypatch, capsys):
         and captured.err.count("\n") == 1
 
 
+_ONE_MEMBER = ("build-ode", "segre", "check", "equiv", "monodromy", "autovec",
+               "growth")
+
+
+@pytest.mark.parametrize("argv", [
+    ["segre", "--family", "2,1", "--backend", "float", "--rect", "4,8",
+     "--degree", "16"],
+    *[[cmd, "--family", "2,1", "--jobs", "2"] for cmd in _ONE_MEMBER],
+    *[[cmd, "--family", "2,1", "--family", "9,9"] for cmd in _ONE_MEMBER],
+    ["monodromy", "--family", "2,1", "--degree", "-5"],
+    ["monodromy", "--family", "2,1", "--rect", "x"],
+    ["growth", "--family", "2,1", "--rect", "0,0"],
+    *[[cmd, "--family", "2,1", flag, value]
+      for cmd in ("monodromy", "growth", "equiv", "autovec")
+      for flag, value in (("--m", "2"), ("--a", "1*w^0"), ("--b", "1*w^2"))],
+])
+def test_cli_flag_not_taken_rejected_before_work(monkeypatch, capsys, argv):
+    """A one-member command takes one --family and only the flags it reads:
+    a flag it does not read or a second member exits 2 before any work."""
+    _forbid_work(monkeypatch)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: " in captured.err
+
+
+@pytest.mark.parametrize("out", ["outdir", "absent/report.json"])
+@pytest.mark.parametrize("argv", [
+    *[[cmd, "--family", "2,1"] for cmd in _ONE_MEMBER],
+    ["run", "--family", "2,1"],
+    ["run", "--config"],
+])
+def test_cli_unwritable_out_rejected_before_work(monkeypatch, capsys,
+                                                 tmp_path, argv, out):
+    """A directory, or a file in a directory that does not exist, exits 2
+    with one error line before any work, given by flag or config file."""
+    (tmp_path / "outdir").mkdir()
+    target = str(tmp_path / out)
+    if argv[-1] == "--config":
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"families": [[2, "1"]], "out": target}))
+        argv = argv + [str(path)]
+    else:
+        argv = argv + ["--out", target]
+    _forbid_work(monkeypatch)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out ") \
+        and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_cli_monodromy_bad_tol_is_usage_error(capsys, tol):
+    """Step-size control never settles on a NaN tolerance: exit 2 before
+    integrating."""
+    code = cli.main(["monodromy", "--family", "2,1", "--numeric",
+                     "--tol", tol])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tol needs to be a finite") \
+        and captured.err.count("\n") == 1
+
+
+def test_readme_commands_parse():
+    """Every segreode line of the README's bash blocks parses; none runs."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    script = "\n".join(re.findall(r"```bash\n(.*?)```", text, re.S))
+    commands = [shlex.split(line)[1:]
+                for line in script.replace("\\\n", " ").splitlines()
+                if line.startswith("segreode ")]
+    assert len(commands) >= 7
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+
+
 @pytest.mark.parametrize("argv, config", [
     (["build-ode", "--family", "0,1"], None),
     (["run", "--family", "0,1", "--checks", "roundtrip"], None),
@@ -511,12 +585,16 @@ def test_cli_autovec_field_library_error_is_usage_error(monkeypatch, capsys):
     (["run"], {"families": 5}),
     (["run", "--checks", "monodromy"], {"families": [[2, "1"]], "tol": "x"}),
     (["run"], {"families": [[2, "1"]], "out": 5}),
+    (["run"], {"families": [[2, "1"]], "checks": ["roundtrip"],
+               "rects": [2, 4], "degree": 4}),
+    (["run"], {"families": [[2, "1"]],
+               "explicit": {"m": 2, "a": "1*w^0", "b": "1*w^2"}}),
 ])
 def test_cli_bad_order_rejected_before_work(monkeypatch, capsys, tmp_path,
                                             argv, config):
-    """An order m below 1, a malformed family entry or a config value of the
-    wrong type is a usage error: exit 2 with one error line, before any
-    work."""
+    """An order m below 1, a malformed family entry, a config value of the
+    wrong type or an unknown config key is a usage error: exit 2 with one
+    error line, before any work."""
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))

@@ -668,6 +668,26 @@ def test_compose_with_pole_part_claim_is_sound(data, outer, inner):
     _assert_sound(small, compose(outer_big, inner_big))
 
 
+@given(st.data(), laurent1(max_pole=0), series2(ZERO))
+def test_compose_bivariate_claim_is_sound(data, outer, inner):
+    """outer(inner(x, y)) with inner(0, 0) = 0.
+
+    The claim is capped by the lowest total degree among the stored cells of
+    inner, so a larger inner can claim less unless the larger outer is known
+    to the total degree of its rectangle: it is padded that far here."""
+    inner_big = _extended2(data.draw, inner)
+    extra = max(1, inner_big.nx + inner_big.ny - outer.trunc)
+    outer_big = TruncSeries1(
+        list(outer.coeffs) + [data.draw(sparse_qi) for _ in range(extra)],
+        0, outer.trunc + extra)
+    try:
+        small = compose(outer, inner)
+    except SeriesError:
+        # outer too short to cover row 0 of the rectangle: nothing claimed
+        return
+    _assert_sound2(small, compose(outer_big, inner_big))
+
+
 def _zero_row0(s):
     return TruncSeries2([[ZERO] * (s.ny + 1)] + [list(r) for r in s.rows[1:]],
                         s.nx, s.ny)
