@@ -605,7 +605,10 @@ def emit(obj, out: str | None):
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:  # the reader left (`| head`): exit code stands
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # ---------------------------------------------------------------------------
@@ -614,9 +617,13 @@ def emit(obj, out: str | None):
 
 
 def _member(args):
-    """(m, beta) of the one --family a one-member command takes, or None."""
+    """(m, beta) of the one --family, the member's only source, or None."""
     if len(args.family) > 1:
         raise ConfigError(f"{args.command} takes one --family member")
+    other = [f"--{k}" for k in ("m", "a", "b", "series")
+             if getattr(args, k, None) is not None]
+    if args.family and other:
+        raise ConfigError(f"--family and {'/'.join(other)} exclude each other")
     return parse_family(args.family[0]) if args.family else None
 
 

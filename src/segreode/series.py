@@ -173,7 +173,8 @@ def _powers(base, kmax: int):
 
 def _power_sum(acc, base, kmax: int, coeff):
     """acc + sum_{k=1..kmax} coeff(k) * base^k, skipping zero coefficients;
-    powering stops at the last nonzero coefficient."""
+    powering stops at the last nonzero coefficient.  Univariate composition
+    (:func:`_compose_1_1`) is its only caller."""
     coeffs = [coeff(k) for k in range(1, kmax + 1)]
     while coeffs and coeffs[-1].is_zero:
         coeffs.pop()
@@ -206,6 +207,19 @@ def _horner_x(top: int, coeff_rows, base, vx: int, nx: int, ny: int):
             rows[r] = [a + b for a, b in zip(rows[r], prow)]
         acc = TruncSeries2(rows, hi, ny)
     return acc
+
+
+def _capped_ny(g, nx: int, ny: int, trunc: int) -> int:
+    """ny capped by total degree, nx + ny <= (trunc + 1) * v - 1 with v the
+    total order of g: an outer series known to degree trunc meets its first
+    unknown term times g^(trunc + 1) there."""
+    fn = g.first_nonzero()
+    v = sum(fn[0]) if fn else g.nx + g.ny + 1
+    ny = min(ny, (trunc + 1) * v - 1 - nx)
+    if ny < 0:
+        raise TruncationStarvation(f"outer truncation {trunc} cannot cover "
+                                   f"the rectangle ({g.nx}, {g.ny})")
+    return ny
 
 
 def _pow_int(result, base, n: int):
@@ -617,11 +631,6 @@ class TruncSeries1:
         if self.pole > 0 or self.coefficient(0) != ONE:
             raise SeriesError("log requires constant term exactly 1")
 
-    # -- composition ----------------------------------------------------------
-
-    def compose(self, inner):
-        return compose(self, inner)
-
     # -- serialization ----------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -967,25 +976,16 @@ class TruncSeries2:
 
         With g of y-order >= 1 the full common rectangle carries over.  When
         delta has y^0 terms, terms beyond the outer truncation can reach low
-        y-orders, so the guaranteed region is capped by total degree:
-        ny = min(g.ny, self.ny - nx).
+        y-orders, so the guaranteed region is capped by total degree
+        (:func:`_capped_ny`): ny = min(g.ny, self.ny - nx), as g has total
+        order 1 unless g.ny = 0.
         """
         if any(c != (ONE if l == 1 else ZERO) for l, c in enumerate(g.rows[0])):
             raise SeriesError("substitute_y needs g(0, y) = y")
-        fn = g.first_nonzero()
-        v_tot = (fn[0][0] + fn[0][1]) if fn else (g.nx + g.ny + 1)
-        vy = g.y_order()
         nx = min(self.nx, g.nx)
         ny = min(self.ny, g.ny)
-        if vy == 0:
-            tot_cap = self.ny * max(v_tot, 1)
-            if nx + ny > tot_cap:
-                ny = tot_cap - nx
-                if ny < 0:
-                    raise TruncationStarvation(
-                        "outer truncation cannot cover the rectangle for a "
-                        "y-order-0 substitution"
-                    )
+        if g.y_order() == 0:
+            ny = _capped_ny(g, nx, ny, self.ny)
         # delta = g - y lives on rows >= 1 of g; its first nonzero row is vx
         delta_rows = g.rows[1: nx + 1]
         vx = 1 + next((j for j, row in enumerate(delta_rows)
@@ -1058,6 +1058,10 @@ def compose(outer: TruncSeries1, inner):
 
     If the outer series has a pole part, the inner series must have order
     exactly 1 (otherwise negative powers do not exist as Laurent series).
+
+    A bivariate inner g needs g(0, y) = y, else :class:`SeriesError`; outer(g)
+    is then the Taylor shift embed_y(outer).substitute_y(g), at most nx
+    bivariate products, claimed on nx + ny <= outer.trunc.
     """
     if isinstance(inner, TruncSeries2):
         return _compose_1_2(outer, inner)
@@ -1091,20 +1095,9 @@ def _compose_1_2(outer: TruncSeries1, inner: TruncSeries2) -> TruncSeries2:
         raise SeriesError("pole-part composition with a bivariate inner series")
     if not inner.rows[0][0].is_zero:
         raise SeriesError("inner series must have zero constant term")
-    fn = inner.first_nonzero()
-    v_tot = (fn[0][0] + fn[0][1]) if fn else (inner.nx + inner.ny + 1)
-    cap = (outer.trunc + 1) * v_tot - 1
-    nx, ny = inner.nx, inner.ny
-    if nx + ny > cap:
-        ny = cap - nx
-        if ny < 0:
-            raise TruncationStarvation(
-                f"outer truncation {outer.trunc} cannot cover the rectangle "
-                f"({inner.nx}, {inner.ny})"
-            )
-    return _power_sum(TruncSeries2.constant(outer.coefficient(0), nx, ny),
-                      inner.restrict(nx, ny), min(outer.trunc, nx + ny),
-                      outer.coefficient)
+    nx = inner.nx
+    ny = _capped_ny(inner, nx, inner.ny, outer.trunc)
+    return TruncSeries2.embed_y(outer, nx).substitute_y(inner).restrict(nx, ny)
 
 
 def compose2(outer: TruncSeries2, first: TruncSeries2,

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +19,7 @@ from segreode.cli import (
     run_pipeline,
 )
 from segreode.monodromy import MIN_RADIUS
-from segreode.series import TruncationStarvation
+from segreode.series import TruncSeries1, TruncationStarvation
 
 
 def test_parse_family():
@@ -508,14 +511,39 @@ _ONE_MEMBER = ("build-ode", "segre", "check", "equiv", "monodromy", "autovec",
     *[[cmd, "--family", "2,1", flag, value]
       for cmd in ("monodromy", "growth", "equiv", "autovec")
       for flag, value in (("--m", "2"), ("--a", "1*w^0"), ("--b", "1*w^2"))],
+    *[[cmd, "--family", "2,1", "--m", "3", "--a", "1*w^0", "--b", "1*w^2"]
+      for cmd in ("build-ode", "segre", "check")],
+    ["growth", "--series", "series.json", "--family", "2,1"],
 ])
-def test_cli_flag_not_taken_rejected_before_work(monkeypatch, capsys, argv):
+def test_cli_flag_not_taken_rejected_before_work(monkeypatch, capsys,
+                                                 tmp_path, argv):
     """A one-member command takes one --family and only the flags it reads:
-    a flag it does not read or a second member exits 2 before any work."""
+    a flag it does not read, a second member, or a second source of the
+    member (--family with --m/--a/--b or --series) exits 2 before any work."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "series.json").write_text(
+        json.dumps(TruncSeries1.one(4).to_json()), encoding="utf-8")
     _forbid_work(monkeypatch)
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "error: " in captured.err
+
+
+def test_cli_closed_pipe_keeps_exit_code():
+    """A reader that closes stdout early (`| head -1`) gets no traceback on
+    stderr, and the command's exit code stands."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "segreode", "build-ode", "--family", "2,1",
+         "--degree", "16"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
 
 
 @pytest.mark.parametrize("out", ["outdir", "absent/report.json"])

@@ -12,10 +12,13 @@ from segreode import (
     SeriesError,
     TruncSeries1,
     TruncSeries2,
+    TruncationStarvation,
+    build_chi_tau,
     coeff_str,
     compose,
     compose2,
     divide,
+    formal_solutions,
     parse_coeff,
 )
 from segreode.coefficients import ONE, ZERO
@@ -436,6 +439,55 @@ def test_pow_frac_claim_is_sound(data, u, alpha):
     _assert_sound(u.pow_frac(alpha), _extended(data.draw, u).pow_frac(alpha))
 
 
+@given(st.data(), laurent1(), laurent1())
+def test_mul_claim_is_sound(data, a, b):
+    try:
+        small = a * b
+    except SeriesError:
+        return
+    _assert_sound(small, _extended(data.draw, a) * _extended(data.draw, b))
+
+
+@given(st.data(), st.integers(-3, 4))
+def test_pow_int_claim_is_sound(data, n):
+    """Negative powers invert first, so their base has a nonzero first cell,
+    as a divisor does."""
+    head = sparse_qi if n >= 0 else qi_values.filter(bool)
+    a = data.draw(laurent1(max_pole=2, max_trunc=6, head=head))
+    try:
+        small = a.pow_int(n)
+    except SeriesError:
+        return
+    _assert_sound(small, _extended(data.draw, a).pow_int(n))
+
+
+@given(st.data(), laurent1())
+def test_derivative_claim_is_sound(data, a):
+    try:
+        small = a.derivative()
+    except SeriesError:
+        return
+    _assert_sound(small, _extended(data.draw, a).derivative())
+
+
+@given(st.data(), laurent1(), st.integers(-4, 4))
+def test_shift_claim_is_sound(data, a, k):
+    try:
+        small = a.shift(k)
+    except SeriesError:
+        return
+    _assert_sound(small, _extended(data.draw, a).shift(k))
+
+
+@given(st.data(), laurent1(max_pole=2, head=qi_values.filter(bool)))
+def test_inverse_claim_is_sound(data, a):
+    try:
+        small = a.inverse()
+    except SeriesError:
+        return
+    _assert_sound(small, _extended(data.draw, a).inverse())
+
+
 # -- bivariate row recurrences against the power-sum oracles ------------------
 
 
@@ -536,7 +588,7 @@ def test_bivariate_recurrences_make_no_series_products(monkeypatch):
     y = TruncSeries2.var_y(3, 6)
     f = x.scale(QI(1, 1, 2)) + (x * y).scale(QI(0, -2)) + y.pow_int(3)
     u = TruncSeries2.one(3, 6) + f
-    calls = _counting_mul2(monkeypatch)
+    calls = _counting_mul(monkeypatch, TruncSeries2)
     results = (f.exp(), u.log(), u.pow_frac(Fraction(-1, 2)))
     assert not calls
     monkeypatch.undo()
@@ -581,6 +633,38 @@ def test_log2_claim_is_sound(data, u):
 def test_pow_frac2_claim_is_sound(data, u, alpha):
     _assert_sound2(u.pow_frac(alpha),
                    _extended2(data.draw, u).pow_frac(alpha))
+
+
+# bivariate series with any constant term
+any_series2 = sparse_qi.flatmap(series2)
+
+
+@given(st.data(), any_series2, any_series2)
+def test_mul2_claim_is_sound(data, a, b):
+    _assert_sound2(a * b, _extended2(data.draw, a) * _extended2(data.draw, b))
+
+
+@given(st.data(), any_series2, st.integers(0, 4))
+def test_pow_int2_claim_is_sound(data, a, n):
+    _assert_sound2(a.pow_int(n), _extended2(data.draw, a).pow_int(n))
+
+
+@given(st.data(), any_series2)
+def test_derivative_x_claim_is_sound(data, a):
+    try:
+        small = a.derivative_x()
+    except SeriesError:
+        return
+    _assert_sound2(small, _extended2(data.draw, a).derivative_x())
+
+
+@given(st.data(), any_series2)
+def test_derivative_y_claim_is_sound(data, a):
+    try:
+        small = a.derivative_y()
+    except SeriesError:
+        return
+    _assert_sound2(small, _extended2(data.draw, a).derivative_y())
 
 
 # -- composition -------------------------------------------------------------
@@ -668,14 +752,100 @@ def test_compose_with_pole_part_claim_is_sound(data, outer, inner):
     _assert_sound(small, compose(outer_big, inner_big))
 
 
-@given(st.data(), laurent1(max_pole=0), series2(ZERO))
-def test_compose_bivariate_claim_is_sound(data, outer, inner):
-    """outer(inner(x, y)) with inner(0, 0) = 0.
+def _y_row0(s):
+    """s with row 0 replaced by y: g = y + delta, delta of x-order >= 1."""
+    row0 = [ONE if l == 1 else ZERO for l in range(s.ny + 1)]
+    return TruncSeries2([row0] + [list(r) for r in s.rows[1:]], s.nx, s.ny)
 
-    The claim is capped by the lowest total degree among the stored cells of
-    inner, so a larger inner can claim less unless the larger outer is known
-    to the total degree of its rectangle: it is padded that far here."""
-    inner_big = _extended2(data.draw, inner)
+
+# inner series g with g(0, y) = y, as bivariate compose needs: delta = g - y
+# has x-order 1 or >= 2, y^0 terms or none, or is zero
+y_inners = series2(ZERO).map(_y_row0)
+
+
+def _compose_1_2_oracle(outer, inner):
+    """The power-sum composition: the rectangle capped by total degree,
+    nx + ny <= (outer.trunc + 1) * v - 1 with v the total order of inner,
+    then sum_k outer_k * inner^k over every power up to min(trunc, nx + ny)."""
+    if outer.pole > 0:
+        raise SeriesError("pole-part composition with a bivariate inner series")
+    if not inner.rows[0][0].is_zero:
+        raise SeriesError("inner series must have zero constant term")
+    fn = inner.first_nonzero()
+    v_tot = (fn[0][0] + fn[0][1]) if fn else (inner.nx + inner.ny + 1)
+    cap = (outer.trunc + 1) * v_tot - 1
+    nx, ny = inner.nx, inner.ny
+    if nx + ny > cap:
+        ny = cap - nx
+        if ny < 0:
+            raise TruncationStarvation(
+                f"outer truncation {outer.trunc} cannot cover the rectangle "
+                f"({inner.nx}, {inner.ny})"
+            )
+    base = inner.restrict(nx, ny)
+    acc = TruncSeries2.constant(outer.coefficient(0), nx, ny)
+    power = TruncSeries2.one(nx, ny)
+    for k in range(1, min(outer.trunc, nx + ny) + 1):
+        power = power * base
+        acc = acc + power.scale(outer.coefficient(k))
+    return acc
+
+
+_X2 = TruncSeries2.var_x(3, 4)
+_Y2 = TruncSeries2.var_y(3, 4)
+
+
+@given(laurent1(max_pole=0), y_inners)
+@example(TruncSeries1.from_terms({0: 2, 1: QI(0, 1), 3: -1}, 5), _Y2)
+@example(TruncSeries1.from_terms({1: 1, 2: QI(1, 1, 2)}, 4), _Y2 + _X2)
+@example(TruncSeries1.from_terms({1: 1, 2: 3}, 5), _Y2 + _X2 * _X2)
+@example(TruncSeries1.from_terms({1: 1, 2: 3}, 2), _Y2 + _X2 * _X2)
+@example(TruncSeries1.var(1),
+         TruncSeries2([[ZERO], [ZERO], [QI(0, 1)], [ONE]], 3, 0))
+def test_compose_bivariate_matches_power_sum_oracle(outer, inner):
+    """Same cells and rectangle as the power sum, or the same error, for
+    every g with g(0, y) = y: delta of x-order 1 or 2, with and without y^0
+    terms, delta = 0, and outer truncations below nx + ny."""
+    try:
+        expect = _compose_1_2_oracle(outer, inner)
+    except SeriesError as exc:
+        with pytest.raises(type(exc)) as err:
+            compose(outer, inner)
+        assert str(err.value) == str(exc)
+        return
+    _same_rect_cells(compose(outer, inner), expect)
+
+
+@pytest.mark.parametrize("m, beta", [(2, "0"), (2, "1"), (2, "2"),
+                                     (3, "0"), (3, "1"), (3, "2")])
+def test_compose_bivariate_matches_oracle_on_family_rho(m, beta):
+    """chi(rho) and tau(rho) as check_map forms them, at degree 40 on the
+    (8, 24) rectangle of each grid family."""
+    rho = family_hyper(m, beta, 8, 24).rho
+    gauge = build_chi_tau(formal_solutions(m, beta, 40))
+    for outer in (gauge.f, gauge.g):
+        _same_rect_cells(compose(outer, rho), _compose_1_2_oracle(outer, rho))
+
+
+@pytest.mark.parametrize("g", [
+    _Y2.scale(2),
+    _Y2 + _Y2 * _Y2,
+    _X2,
+    _X2 + _Y2 * _Y2,
+])
+def test_compose_bivariate_needs_identity_at_x0(g):
+    with pytest.raises(SeriesError, match="g\\(0, y\\) = y"):
+        compose(TruncSeries1.from_terms({1: 1, 2: QI(0, 1)}, 12), g)
+
+
+@given(st.data(), laurent1(max_pole=0), y_inners)
+def test_compose_bivariate_claim_is_sound(data, outer, inner):
+    """outer(inner(x, y)) with inner(0, y) = y.
+
+    The claim is capped by total degree, nx + ny <= outer.trunc, so a larger
+    inner can claim less unless the larger outer is known to the total
+    degree of its rectangle: it is padded that far here."""
+    inner_big = _y_row0(_extended2(data.draw, inner))
     extra = max(1, inner_big.nx + inner_big.ny - outer.trunc)
     outer_big = TruncSeries1(
         list(outer.coeffs) + [data.draw(sparse_qi) for _ in range(extra)],
@@ -709,44 +879,60 @@ def test_compose2_claim_is_sound(data, head, first, second):
     _assert_sound2(compose2(outer, first, second), big)
 
 
-def _full_power_compose(outer, inner):
-    """sum_k outer_k * inner^k with every power up to min(trunc, nx + ny)."""
-    nx, ny = inner.rect
-    acc = TruncSeries2.constant(outer.coefficient(0), nx, ny)
-    power = TruncSeries2.one(nx, ny)
-    for k in range(1, min(outer.trunc, nx + ny) + 1):
-        power = power * inner
-        acc = acc + power.scale(outer.coefficient(k))
-    return acc
-
-
-def _counting_mul2(monkeypatch):
+def _counting_mul(monkeypatch, cls):
     calls = []
-    mul = TruncSeries2.__mul__
+    mul = cls.__mul__
 
     def counted(self, other):
         calls.append(1)
         return mul(self, other)
 
-    monkeypatch.setattr(TruncSeries2, "__mul__", counted)
+    monkeypatch.setattr(cls, "__mul__", counted)
     return calls
+
+
+def _polynomial_outer(degree, trunc):
+    return TruncSeries1.from_terms(
+        {k: QI(k, 1 - k, k + 1) for k in range(degree + 1)}, trunc)
+
+
+def _inner2(nx, ny):
+    """y + x*y/2 - i*x/3: delta of x-order 1 with y^0 terms, so no power
+    below the total degree nx + ny vanishes on the rectangle."""
+    x = TruncSeries2.var_x(nx, ny)
+    y = TruncSeries2.var_y(nx, ny)
+    return y + (x * y).scale(QI(1, 2)) + x.scale(QI(0, -1, 3))
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 5])
 def test_compose_polynomial_outer_stops_powering(monkeypatch, degree):
-    """A degree-d outer polynomial costs at most d bivariate products (d - 1:
-    the first power is the inner series itself), however long its
+    """A degree-d outer polynomial costs univariate compose at most d - 1
+    products (the first power is the inner series itself), however long its
     truncation, and equals the sum over all powers."""
-    outer = TruncSeries1.from_terms(
-        {k: QI(k, 1 - k, k + 1) for k in range(degree + 1)}, 12)
-    x = TruncSeries2.var_x(4, 6)
-    y = TruncSeries2.var_y(4, 6)
-    inner = y + (x * y).scale(QI(1, 2)) + (x * x).scale(QI(0, -1, 3))
-    expect = _full_power_compose(outer, inner)
-    calls = _counting_mul2(monkeypatch)
+    outer = _polynomial_outer(degree, 12)
+    inner = TruncSeries1.from_terms({1: 1, 2: QI(1, 2), 4: QI(0, -1, 3)}, 12)
+    expect = _power_sum_oracle(TruncSeries1.constant(outer.coefficient(0), 12),
+                               inner, outer.coefficient)
+    calls = _counting_mul(monkeypatch, TruncSeries1)
     got = compose(outer, inner)
     assert len(calls) <= degree - 1
-    assert got.rect == expect.rect and got == expect
+    monkeypatch.undo()
+    _same_cells(got, expect)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 5, 39])
+def test_compose_bivariate_polynomial_outer_products(monkeypatch, degree):
+    """Bivariate compose is a Taylor shift in delta = g - y of x-order vx:
+    a degree-d outer costs at most min(d, nx // vx) products.  At d = 39 all
+    40 outer coefficients are nonzero: nx = 4 products on the (4, 6) inner,
+    where summing powers up to nx + ny takes 9."""
+    outer = _polynomial_outer(degree, max(12, degree))
+    inner = _inner2(4, 6)
+    calls = _counting_mul(monkeypatch, TruncSeries2)
+    got = compose(outer, inner)
+    assert len(calls) <= min(degree, 4)  # vx = 1
+    monkeypatch.undo()
+    _same_rect_cells(got, _compose_1_2_oracle(outer, inner))
 
 
 def test_compose2_stops_at_last_nonzero_outer_row(monkeypatch):
@@ -756,7 +942,7 @@ def test_compose2_stops_at_last_nonzero_outer_row(monkeypatch):
     x = TruncSeries2.var_x(5, 7)
     first = x + (x * TruncSeries2.var_y(5, 7)).scale(3)
     second = TruncSeries1.from_terms({1: 1, 2: QI(0, 1)}, 7)
-    calls = _counting_mul2(monkeypatch)
+    calls = _counting_mul(monkeypatch, TruncSeries2)
     got = compose2(outer, first, second)
     assert len(calls) == 1
     monkeypatch.undo()
@@ -776,7 +962,7 @@ def _substitute_y_oracle(f, g):
     nx = min(f.nx, g.nx)
     ny = min(f.ny, g.ny)
     if g.y_order() == 0:
-        tot_cap = f.ny * max(v_tot, 1)
+        tot_cap = (f.ny + 1) * v_tot - 1
         if nx + ny > tot_cap:
             ny = tot_cap - nx
     gt = g.restrict(nx, ny)
