@@ -24,6 +24,7 @@ from .monodromy import DEVIATION_TOL, check_radius, check_tol, monodromy_report
 from .ode import (
     AdmissibleOde,
     RealData,
+    beta_data,
     beta_family,
     check_real_structure,
     ode_from_real_data,
@@ -143,7 +144,8 @@ def validate_shape(rect, degree, needs_gauge=()) -> None:
 
 
 def _known_names(names, known, what: str) -> list:
-    """``names`` as a list, once each is found among ``known``."""
+    """``names`` as a list without repeats, in their order, once each is
+    found among ``known``."""
     if (not isinstance(names, (list, tuple))
             or not all(isinstance(name, str) for name in names)):
         raise ConfigError(f"expected a list of {what} names, got {names!r}")
@@ -151,7 +153,7 @@ def _known_names(names, known, what: str) -> list:
         if name not in known:
             raise ConfigError(
                 f"unknown {what} {name!r}; known: {', '.join(known)}")
-    return list(names)
+    return list(dict.fromkeys(names))
 
 
 def _validate_out(out) -> None:
@@ -242,12 +244,13 @@ class FamilyContext:
             raise ConfigError("exactly one of beta or explicit data is needed")
         self.m = m
         self.beta = beta
-        self.data = data
         self.degree = degree
         self.rect = rect
         self.radius = radius
         self.tol = tol
         self.work = _working_order(m, rect, degree)
+        # the member's real data (a, b); a beta-family member's is built here
+        self.data = data if data is not None else beta_data(m, beta, self.work)
         self._cache: dict = {}
 
     def label(self):
@@ -261,11 +264,7 @@ class FamilyContext:
         return self._cache[key]
 
     def ode(self) -> AdmissibleOde:
-        def build():
-            if self.beta is not None:
-                return beta_family(self.m, self.beta, self.work)
-            return ode_from_real_data(self.data)
-        return self._memo("ode", build)
+        return self._memo("ode", lambda: ode_from_real_data(self.data))
 
     def family(self):
         return self._memo("family", lambda: solve_psi(self.ode(), +1, self.rect))
@@ -346,14 +345,8 @@ def check_reality(ctx: FamilyContext) -> dict:
     recovered_ok = False
     witness = structural.witness or coeff.witness
     if coeff.ok:
-        if ctx.beta is not None:
-            a_ref = TruncSeries1.one(coeff.a.trunc)
-            b_ref = TruncSeries1.monomial(QI.of(ctx.beta), 2 * ctx.m - 2,
-                                          coeff.b.trunc)
-        else:
-            a_ref, b_ref = ctx.data.a, ctx.data.b
-        ok_a, wit_a = _series_eq(coeff.a, a_ref)
-        ok_b, wit_b = _series_eq(coeff.b, b_ref)
+        ok_a, wit_a = _series_eq(coeff.a, ctx.data.a)
+        ok_b, wit_b = _series_eq(coeff.b, ctx.data.b)
         recovered_ok = ok_a and ok_b
         witness = witness or wit_a or wit_b
     return {
@@ -423,7 +416,7 @@ def check_selfmap(ctx: FamilyContext) -> dict:
     if degree < 1:
         return {"pass": None, "degree": degree,
                 "detail": "the probe runs no stage below degree 1"}
-    report = self_map_probe_cached(ctx, degree)
+    report = self_map_probe(ctx.ode(), degree)
     dims = [st.dimension for st in report.stages]
     return {
         "pass": report.rigid and report.identity,
@@ -434,12 +427,6 @@ def check_selfmap(ctx: FamilyContext) -> dict:
             st.degree for st in report.stages if st.dimension > 0
         ]},
     }
-
-
-def self_map_probe_cached(ctx: FamilyContext, degree: int):
-    def build():
-        return self_map_probe(ctx.ode(), degree)
-    return ctx._memo(("probe", degree), build)
 
 
 def check_monodromy(ctx: FamilyContext) -> dict:
@@ -705,13 +692,13 @@ def cmd_equiv(args) -> int:
                 out["tau"] = ctx.chi_tau().g.to_json()
             else:
                 out["G"] = coupled_map_g(ctx.chi_tau(), ctx.m).to_json()
-    failed = False
-    for name in targets:
-        entry = run_check(mapping[name], ctx)
-        out.setdefault("verify", {})[name] = entry
-        failed = failed or entry.get("pass") is False
+    # ode and hypersurface are both the map check: it runs once
+    entries = {check: run_check(check, ctx)
+               for check in dict.fromkeys(mapping[name] for name in targets)}
+    if targets:
+        out["verify"] = {name: entries[mapping[name]] for name in targets}
     emit(out, args.out)
-    return 1 if failed else 0
+    return 1 if any(e.get("pass") is False for e in entries.values()) else 0
 
 
 def cmd_monodromy(args) -> int:
@@ -843,7 +830,7 @@ SHARED_FLAGS = {
                          help="polynomial for b, e.g. '1*w^2'")),
     "degree": (("--degree",), dict(
         type=int, default=40, help="univariate truncation order (default 40)")),
-    "rect": (("--rect", "--trunc"), dict(
+    "rect": (("--rect",), dict(
         type=str, default="8,24", help="bivariate rectangle Nx,Ny (default 8,24)")),
 }
 

@@ -180,8 +180,6 @@ def _coerce(value):
 
 ZERO = QI(0)
 ONE = QI(1)
-I = QI(0, 1)
-TWO_I = QI(0, 2)
 
 
 def _rat_str(num: int, den: int) -> str:

@@ -22,7 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coefficients import QI
-from .ode import AdmissibleOde, GaugeMap, beta_family, conjugate_ode, pullback_under_gauge
+from .ode import (
+    AdmissibleOde,
+    GaugeMap,
+    beta_data,
+    beta_family,
+    conjugate_ode,
+    pullback_under_gauge,
+)
 from .segre import Hypersurface
 from .series import (
     SeriesError,
@@ -52,11 +59,7 @@ def formal_solutions(m: int, beta, trunc: int) -> FormalSolutionPair:
     """Run the coefficient recursion for f and u up to the given order."""
     if m < 2:
         raise ValueError(f"the family needs m >= 2, got {m}")
-    beta_q = beta if isinstance(beta, QI) else QI.of(
-        beta if isinstance(beta, (int, Fraction)) else Fraction(beta)
-    )
-    if not beta_q.is_real:
-        raise ValueError(f"beta must be real, got {beta_q}")
+    beta_q = beta_data(m, beta, 2 * m - 2).b.coefficient(2 * m - 2)
 
     def run(two_i: QI):
         coeffs = [QI(1)] + [QI(0)] * trunc

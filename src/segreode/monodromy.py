@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -217,15 +217,4 @@ def monodromy_report(m: int, beta, numeric: bool = False, radius: float = 1.0,
     if not numeric:
         return report
     num = numeric_monodromy(m, beta, radius=radius, tol=tol)
-    return MonodromyReport(
-        m=report.m,
-        beta=report.beta,
-        eigenvalue_sum=report.eigenvalue_sum,
-        eigenvalue_product=report.eigenvalue_product,
-        discriminant=report.discriminant,
-        residue_eigenvalues=report.residue_eigenvalues,
-        predicted_eigenvalues=report.predicted_eigenvalues,
-        trivial=report.trivial,
-        integer_eigenvalues=report.integer_eigenvalues,
-        numeric=num,
-    )
+    return replace(report, numeric=num)

@@ -17,7 +17,6 @@ from .series import (
     divide,
 )
 
-HALF_I = QI(0, 1, 2)         # i/2
 NEG_HALF_I = QI(0, -1, 2)    # 1/(2i)
 TWO_I = QI(0, 2)
 
@@ -220,11 +219,9 @@ def pullback_under_gauge(target: AdmissibleOde, gauge: GaugeMap,
     return AdmissibleOde(m_pulled, p_hat, q_hat)
 
 
-def beta_family(m: int, beta, trunc: int) -> AdmissibleOde:
-    """The one-parameter family built from a == 1, b = beta*w^{2m-2}:
-
-    z'' = (2i/w^m - m/w) z' + (beta/w^2) z.
-    """
+def beta_data(m: int, beta, trunc: int) -> RealData:
+    """The real data a == 1, b = beta*w^{2m-2} of the one-parameter family;
+    beta must be real."""
     if m < 1:
         raise ValueError(f"order m must be >= 1, got {m}")
     beta_q = beta if isinstance(beta, QI) else QI.of(
@@ -234,6 +231,13 @@ def beta_family(m: int, beta, trunc: int) -> AdmissibleOde:
         raise ValueError(f"beta must be real, got {beta_q}")
     if 2 * m - 2 > trunc:
         raise SeriesError(f"truncation {trunc} too small for degree {2 * m - 2}")
-    a = TruncSeries1.one(trunc)
-    b = TruncSeries1.monomial(beta_q, 2 * m - 2, trunc)
-    return ode_from_real_data(RealData(m, a, b))
+    return RealData(m, TruncSeries1.one(trunc),
+                    TruncSeries1.monomial(beta_q, 2 * m - 2, trunc))
+
+
+def beta_family(m: int, beta, trunc: int) -> AdmissibleOde:
+    """The one-parameter family built from :func:`beta_data`:
+
+    z'' = (2i/w^m - m/w) z' + (beta/w^2) z.
+    """
+    return ode_from_real_data(beta_data(m, beta, trunc))

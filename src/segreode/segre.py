@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coefficients import QI
-from .ode import AdmissibleOde
+from .ode import NEG_HALF_I, AdmissibleOde
 from .series import (
     SeriesError,
     TruncationStarvation,
@@ -30,7 +30,6 @@ from .series import (
 )
 
 HALF = Fraction(1, 2)
-NEG_HALF_I = QI(0, -1, 2)  # 1/(2i)
 
 
 class RealityError(SeriesError):
@@ -66,13 +65,11 @@ class SegreFamily:
 
 @dataclass(frozen=True)
 class Hypersurface:
-    """Complex defining series rho(x, eta) of w = rho(z*conj(z), conj(w)),
-    plus (optionally) the real normal-form coefficient series h_k."""
+    """Complex defining series rho(x, eta) of w = rho(z*conj(z), conj(w))."""
 
     m: int
     sign: int
     rho: TruncSeries2
-    real_form: tuple | None = None
 
     def __post_init__(self):
         eta = TruncSeries1.var(self.rho.ny)

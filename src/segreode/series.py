@@ -13,9 +13,11 @@ Conventions
 * Values are immutable; all operations are pure functions and safe to share
   across threads.
 
-Multiplication extracts a common denominator per operand and convolves raw
-integers, which keeps exact arithmetic fast enough for the rectangle sizes
-used elsewhere in the package.
+Every series product runs through one kernel, :func:`_conv`: it puts each
+operand's cells inside the output rectangle over one common denominator and
+convolves the nonzero Gaussian-integer numerators row pair by row pair.  A
+univariate product is its one-row case, which keeps exact arithmetic fast
+enough for the rectangle sizes used elsewhere in the package.
 
 Univariate division, exp, log and fractional powers run the classical O(n^2)
 coefficient recurrences (Knuth, TAOCP vol. 2, section 4.7) through one online
@@ -29,13 +31,14 @@ in x through :func:`_row_recurrence`, whose cells are the x-rows, each a
 y-polynomial mod y^(ny+1): row 0 is the univariate exp, log or power of
 f(0, y), then k*E_k = sum j*f_j*E_{k-j}, L_k = (u_k - sum (1 - j/k)*u_j*L_{k-j})
 / u_0 and Miller's rule with the products taken between rows.  No bivariate
-product is formed.
+product is formed; the factor 1/u_0 is a one-row :func:`_conv` per row.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence, Union
 
 from .coefficients import ONE, QI, ZERO, coeff_from_json, coeff_str
@@ -91,65 +94,41 @@ def _scaled(cells: Sequence[QI], lcm: int):
     return out
 
 
-def _conv1(a: Sequence[QI], b: Sequence[QI], out_len: int):
-    la = _lcm_den(a)
-    lb = _lcm_den(b)
-    sa = _scaled(a, la)
-    sb = _scaled(b, lb)
-    sb_nz = [(j, br, bi) for j, (br, bi) in enumerate(sb) if br or bi]
-    rr = [0] * out_len
-    ri = [0] * out_len
-    for i, (ar, ai) in enumerate(sa):
-        if i >= out_len:
-            break
-        if not (ar or ai):
-            continue
-        jmax = out_len - i
-        for j, br, bi in sb_nz:
-            if j >= jmax:
-                break
-            k = i + j
-            rr[k] += ar * br - ai * bi
-            ri[k] += ar * bi + ai * br
-    den = la * lb
-    return [QI(rr[k], ri[k], den) for k in range(out_len)]
+def _numerators(rows, nx: int, ny: int):
+    """Rows 0..nx of ``rows``, cut at column ny, over their common
+    denominator: that denominator and, per row, the nonzero (l, re, im)."""
+    rows = [row[: ny + 1] for row in rows[: nx + 1]]
+    den = _lcm_den(chain.from_iterable(rows))
+    return den, [[(l, c.a * (m := den // c.d), c.b * m)
+                  for l, c in enumerate(row) if c.a or c.b] for row in rows]
 
 
-def _conv2(rows_a, rows_b, nx: int, ny: int):
-    la = _lcm_den(c for row in rows_a for c in row)
-    lb = _lcm_den(c for row in rows_b for c in row)
-    sa = [_scaled(row, la) for row in rows_a]
-    sb = [
-        [(l, br, bi) for l, (br, bi) in enumerate(_scaled(row, lb)) if br or bi]
-        for row in rows_b
-    ]
+def _conv(rows_a, rows_b, nx: int, ny: int):
+    """Cells of the product of two cell arrays on the rectangle (nx, ny), as
+    nx + 1 rows of ny + 1 cells; a univariate product is the one-row case.
+    Each operand's cells inside the rectangle are put over one common
+    denominator, so the convolution runs over Gaussian integers."""
+    da, sa = _numerators(rows_a, nx, ny)
+    db, sb = _numerators(rows_b, nx, ny)
     acc_r = [[0] * (ny + 1) for _ in range(nx + 1)]
     acc_i = [[0] * (ny + 1) for _ in range(nx + 1)]
-    nxb = len(rows_b) - 1
     for ja, row_a in enumerate(sa):
-        if ja > nx:
-            break
-        jb_hi = min(nxb, nx - ja)
-        for la_idx, (ar, ai) in enumerate(row_a):
-            if la_idx > ny:
-                break
-            if not (ar or ai):
-                continue
-            lb_hi = ny - la_idx
-            for jb in range(jb_hi + 1):
-                tr = acc_r[ja + jb]
-                ti = acc_i[ja + jb]
-                for l, br, bi in sb[jb]:
-                    if l > lb_hi:
+        if not row_a:
+            continue
+        for jb, row_b in enumerate(sb[: nx + 1 - ja]):
+            tr = acc_r[ja + jb]
+            ti = acc_i[ja + jb]
+            for la, ar, ai in row_a:
+                top = ny - la
+                for lb, br, bi in row_b:
+                    if lb > top:
                         break
-                    k = la_idx + l
+                    k = la + lb
                     tr[k] += ar * br - ai * bi
                     ti[k] += ar * bi + ai * br
-    den = la * lb
-    return [
-        tuple(QI(acc_r[j][l], acc_i[j][l], den) for l in range(ny + 1))
-        for j in range(nx + 1)
-    ]
+    den = da * db
+    return [[QI(r, i, den) for r, i in zip(rr, ri)]
+            for rr, ri in zip(acc_r, acc_i)]
 
 
 # ---------------------------------------------------------------------------
@@ -293,19 +272,11 @@ def _row_recurrence(w, nx: int, ny: int, c0: Sequence[QI], a: int, b: int,
     None and t_k = 0 when ``t`` is None; only rows 1 .. nx of ``w`` are read.
     The sums run over Gaussian integers: w_1 .. w_nx over their common
     denominator and c_0 .. c_{k-1} over their running common denominator,
-    so each step builds one reduced QI per output cell.
+    so each step builds one reduced QI per output cell; mu then multiplies
+    the row through a one-row :func:`_conv`.
     """
-    dw = _lcm_den(c for row in w[1: nx + 1] for c in row)
-    ws = []
-    for j in range(1, nx + 1):
-        row = [(l, wr, wi) for l, (wr, wi) in enumerate(_scaled(w[j], dw))
-               if wr or wi]
-        if row:
-            ws.append((j, b * j, row))
-    if mu is not None:
-        dm = _lcm_den(mu)
-        ms = [(l, mr, mi) for l, (mr, mi) in enumerate(_scaled(mu, dm))
-              if mr or mi]
+    dw, rows = _numerators(w[1:], nx - 1, ny)
+    ws = [(j, b * j, row) for j, row in enumerate(rows, 1) if row]
     out = []
     nums = []  # nonzero (l, re, im) numerators of c_0 .. c_{k-1} over dc
     dc = 1
@@ -338,17 +309,9 @@ def _row_recurrence(w, nx: int, ny: int, c0: Sequence[QI], a: int, b: int,
                     acc_r[l] = acc_r[l] * dt + tr * den
                     acc_i[l] = acc_i[l] * dt + ti * den
                 den *= dt
-            if mu is not None:
-                prod_r = [0] * (ny + 1)
-                prod_i = [0] * (ny + 1)
-                for l1, mr, mi in ms:
-                    for l2 in range(ny + 1 - l1):
-                        r, i = acc_r[l2], acc_i[l2]
-                        prod_r[l1 + l2] += mr * r - mi * i
-                        prod_i[l1 + l2] += mr * i + mi * r
-                acc_r, acc_i = prod_r, prod_i
-                den *= dm
             cells = [QI(r, i, den) for r, i in zip(acc_r, acc_i)]
+            if mu is not None:
+                cells = _conv((cells,), (mu,), 0, ny)[0]
         out.append(cells)
         d = _lcm_den(cells)
         if dc % d:
@@ -562,7 +525,7 @@ class TruncSeries1:
         pole = self.pole + other.pole
         if trunc < -pole:
             raise TruncationStarvation("product truncation exhausted")
-        cells = _conv1(self.coeffs, other.coeffs, trunc + pole + 1)
+        cells = _conv((self.coeffs,), (other.coeffs,), 0, trunc + pole)[0]
         return TruncSeries1(cells, pole, trunc)
 
     __rmul__ = __mul__
@@ -900,7 +863,7 @@ class TruncSeries2:
         if not isinstance(other, TruncSeries2):
             return self.scale(other)
         nx, ny = self._common_rect(other)
-        return TruncSeries2(_conv2(self.rows, other.rows, nx, ny), nx, ny)
+        return TruncSeries2(_conv(self.rows, other.rows, nx, ny), nx, ny)
 
     __rmul__ = __mul__
 

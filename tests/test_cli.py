@@ -391,8 +391,8 @@ def _forbid_work(monkeypatch):
     def no_work(*_, **__):
         raise AssertionError("work started on a rejected configuration")
 
-    for name in ("solve_psi", "beta_family", "formal_solutions",
-                 "monodromy_report"):
+    for name in ("solve_psi", "beta_data", "beta_family", "formal_solutions",
+                 "ode_from_real_data", "monodromy_report"):
         monkeypatch.setattr(cli, name, no_work)
 
 
@@ -514,6 +514,8 @@ _ONE_MEMBER = ("build-ode", "segre", "check", "equiv", "monodromy", "autovec",
     *[[cmd, "--family", "2,1", "--m", "3", "--a", "1*w^0", "--b", "1*w^2"]
       for cmd in ("build-ode", "segre", "check")],
     ["growth", "--series", "series.json", "--family", "2,1"],
+    *[[cmd, "--family", "2,1", "--trunc", "4,8"]
+      for cmd in ("build-ode", "segre", "check", "equiv", "autovec")],
 ])
 def test_cli_flag_not_taken_rejected_before_work(monkeypatch, capsys,
                                                  tmp_path, argv):
@@ -644,3 +646,55 @@ def test_cli_unknown_pieces_rejected_before_work(monkeypatch, capsys, argv):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: unknown") and err.count("\n") == 1
+
+
+def _counting_check(monkeypatch, name):
+    """Replace check ``name`` by a passing stub; returns its call list."""
+    calls = []
+
+    def stub(ctx):
+        calls.append(ctx)
+        return {"pass": True, "witness": None}
+
+    monkeypatch.setitem(cli.CHECKS, name, stub)
+    return calls
+
+
+def test_known_names_drops_repeats_in_order():
+    assert cli._known_names(["realty", "roundtrip", "realty"], cli.CHECKS,
+                            "check") == ["realty", "roundtrip"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--family", "2,1", "--checks", "roundtrip,roundtrip"],
+    ["run", "--family", "2,1", "--checks", "roundtrip,roundtrip"],
+])
+def test_cli_check_named_twice_runs_once(monkeypatch, capsys, argv):
+    calls = _counting_check(monkeypatch, "roundtrip")
+    assert cli.main(argv) == 0
+    checks = json.loads(capsys.readouterr().out)["runs"][0]["checks"]
+    assert len(calls) == 1
+    assert list(checks) == ["roundtrip"]
+
+
+def test_cli_equiv_verify_runs_map_once(monkeypatch, capsys):
+    """--verify ode and hypersurface are both the map check: it runs once
+    and its entry is reported under both names."""
+    calls = _counting_check(monkeypatch, "map")
+    code = cli.main(["equiv", "--family", "2,1", "--emit", "",
+                     "--verify", "ode,hypersurface,ode"])
+    assert code == 0
+    verify = json.loads(capsys.readouterr().out)["verify"]
+    assert len(calls) == 1
+    entry = {"pass": True, "witness": None}
+    assert verify == {"ode": entry, "hypersurface": entry}
+
+
+def test_cli_reality_on_rect_below_beta_degree(capsys):
+    """The recovered (a, b) is compared with the member's data on the orders
+    recovered, also when they stop below the degree 2m - 2 of beta*w^(2m-2)."""
+    code = cli.main(["check", "--family", "3,1", "--rect", "3,3",
+                     "--degree", "10", "--checks", "reality"])
+    assert code == 0
+    entry = json.loads(capsys.readouterr().out)["runs"][0]["checks"]["reality"]
+    assert entry["pass"] is True and entry["recovered_data"] is True

@@ -639,6 +639,66 @@ def test_pow_frac2_claim_is_sound(data, u, alpha):
 any_series2 = sparse_qi.flatmap(series2)
 
 
+# -- the product kernel against a naive double sum ---------------------------
+
+
+def _mul1_oracle(a, b):
+    """(cells, pole, trunc) of a * b by a double sum over the cells, on the
+    truncation min(a.trunc - b.pole, b.trunc - a.pole)."""
+    pole = a.pole + b.pole
+    trunc = min(a.trunc - b.pole, b.trunc - a.pole)
+    cells = [ZERO] * max(0, trunc + pole + 1)
+    for da, ca in a.items():
+        for db, cb in b.items():
+            if da + db <= trunc:
+                cells[da + db + pole] += ca * cb
+    return cells, pole, trunc
+
+
+def _cells2(s):
+    return [((j, l), c) for j, row in enumerate(s.rows)
+            for l, c in enumerate(row)]
+
+
+def _mul2_oracle(a, b):
+    """a * b by a double sum over the cells, on the common rectangle."""
+    nx, ny = min(a.nx, b.nx), min(a.ny, b.ny)
+    rows = [[ZERO] * (ny + 1) for _ in range(nx + 1)]
+    for (j1, l1), c1 in _cells2(a):
+        for (j2, l2), c2 in _cells2(b):
+            if j1 + j2 <= nx and l1 + l2 <= ny:
+                rows[j1 + j2][l1 + l2] += c1 * c2
+    return TruncSeries2(rows, nx, ny)
+
+
+# a zero row between nonzero ones, and a rectangle wider than it is tall
+_GAP2 = TruncSeries2([[QI(1), QI(0, 2)], [ZERO, ZERO], [QI(-1, 1, 3), ZERO]],
+                     2, 1)
+_WIDE2 = TruncSeries2([[ZERO, QI(1, 0, 2), QI(3), QI(0, -1, 5)],
+                       [QI(2, 1), ZERO, ZERO, QI(1)]], 1, 3)
+
+
+@given(laurent1(), laurent1())
+@example(_LAURENT, _T1)
+@example(_LAURENT, TruncSeries1([QI(2), ZERO, QI(0, -1, 3), ZERO], 0, 3))
+@example(_T0, TruncSeries1([ZERO, ZERO, QI(1, 1)], 0, 2))
+def test_mul1_matches_double_sum_oracle(a, b):
+    cells, pole, trunc = _mul1_oracle(a, b)
+    if trunc < 0:  # no series holds a negative truncation
+        with pytest.raises(TruncationStarvation):
+            a * b
+        return
+    _same_cells(a * b, TruncSeries1(cells, pole, trunc))
+
+
+@given(any_series2, any_series2)
+@example(_GAP2, _WIDE2)
+@example(_GAP2, _GAP2)
+@example(_ROW2, _COL2)
+def test_mul2_matches_double_sum_oracle(a, b):
+    _same_rect_cells(a * b, _mul2_oracle(a, b))
+
+
 @given(st.data(), any_series2, any_series2)
 def test_mul2_claim_is_sound(data, a, b):
     _assert_sound2(a * b, _extended2(data.draw, a) * _extended2(data.draw, b))
