@@ -3,6 +3,10 @@
 Every series in this package has coefficients in Q(i), represented by
 :class:`QI`.  Arithmetic never rounds: all values stay in lowest terms with
 positive denominators.
+
+Zero is one shared value, :data:`ZERO` = 0/1: a sum, difference or product
+with a zero operand returns an operand or ``ZERO`` and builds nothing, as
+most cells of the Segre families' sparse series are zero.
 """
 
 from __future__ import annotations
@@ -99,6 +103,10 @@ class QI:
         o = _coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        if not (o.a or o.b):
+            return self
+        if not (self.a or self.b):
+            return o
         return QI(self.a * o.d + o.a * self.d, self.b * o.d + o.b * self.d, self.d * o.d)
 
     __radd__ = __add__
@@ -107,6 +115,8 @@ class QI:
         o = _coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        if not (o.a or o.b):
+            return self
         return QI(self.a * o.d - o.a * self.d, self.b * o.d - o.b * self.d, self.d * o.d)
 
     def __rsub__(self, other):
@@ -119,6 +129,8 @@ class QI:
         o = _coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        if not (self.a or self.b) or not (o.a or o.b):
+            return ZERO
         return QI(
             self.a * o.a - self.b * o.b,
             self.a * o.b + self.b * o.a,

@@ -17,7 +17,9 @@ Every series product runs through one kernel, :func:`_conv`: it puts each
 operand's cells inside the output rectangle over one common denominator and
 convolves the nonzero Gaussian-integer numerators row pair by row pair.  A
 univariate product is its one-row case, which keeps exact arithmetic fast
-enough for the rectangle sizes used elsewhere in the package.
+enough for the rectangle sizes used elsewhere in the package.  The kernels
+emit the shared ``ZERO`` for every cell whose sum is zero, so the zero cells
+of a sparse series build no ``QI``.
 
 Univariate division, exp, log and fractional powers run the classical O(n^2)
 coefficient recurrences (Knuth, TAOCP vol. 2, section 4.7) through one online
@@ -31,7 +33,8 @@ in x through :func:`_row_recurrence`, whose cells are the x-rows, each a
 y-polynomial mod y^(ny+1): row 0 is the univariate exp, log or power of
 f(0, y), then k*E_k = sum j*f_j*E_{k-j}, L_k = (u_k - sum (1 - j/k)*u_j*L_{k-j})
 / u_0 and Miller's rule with the products taken between rows.  No bivariate
-product is formed; the factor 1/u_0 is a one-row :func:`_conv` per row.
+product is formed; the factor 1/u_0 is a one-row :func:`_conv` per row,
+fed each row's integer sums.
 """
 
 from __future__ import annotations
@@ -103,13 +106,21 @@ def _numerators(rows, nx: int, ny: int):
                   for l, c in enumerate(row) if c.a or c.b] for row in rows]
 
 
-def _conv(rows_a, rows_b, nx: int, ny: int):
+def _product(rows_a, rows_b, nx: int, ny: int):
     """Cells of the product of two cell arrays on the rectangle (nx, ny), as
     nx + 1 rows of ny + 1 cells; a univariate product is the one-row case.
     Each operand's cells inside the rectangle are put over one common
     denominator, so the convolution runs over Gaussian integers."""
     da, sa = _numerators(rows_a, nx, ny)
     db, sb = _numerators(rows_b, nx, ny)
+    return _conv(sa, sb, nx, ny, da * db)
+
+
+def _conv(sa, sb, nx: int, ny: int, den: int):
+    """The one product kernel: rows of nonzero (l, re, im) Gaussian-integer
+    numerators in, the reduced cells of their product over ``den`` out on
+    the rectangle (nx, ny), with the shared ZERO for every cell whose sum
+    is zero."""
     acc_r = [[0] * (ny + 1) for _ in range(nx + 1)]
     acc_i = [[0] * (ny + 1) for _ in range(nx + 1)]
     for ja, row_a in enumerate(sa):
@@ -126,8 +137,7 @@ def _conv(rows_a, rows_b, nx: int, ny: int):
                     k = la + lb
                     tr[k] += ar * br - ai * bi
                     ti[k] += ar * bi + ai * br
-    den = da * db
-    return [[QI(r, i, den) for r, i in zip(rr, ri)]
+    return [[QI(r, i, den) if r or i else ZERO for r, i in zip(rr, ri)]
             for rr, ri in zip(acc_r, acc_i)]
 
 
@@ -248,7 +258,8 @@ def _recurrence(w: Sequence[QI], n: int, c0: QI, a: int, b: int, q: int = 1,
             if not tk.is_zero:
                 r, i = r * tk.d + tk.a * den, i * tk.d + tk.b * den
                 den *= tk.d
-            cell = QI(r * mu.a - i * mu.b, r * mu.b + i * mu.a, den * mu.d)
+            cell = (QI(r * mu.a - i * mu.b, r * mu.b + i * mu.a, den * mu.d)
+                    if r or i else ZERO)
         out.append(cell)
         d = cell.d
         if dc % d:
@@ -271,12 +282,14 @@ def _row_recurrence(w, nx: int, ny: int, c0: Sequence[QI], a: int, b: int,
     the twin of :func:`_recurrence` with y-polynomial cells; mu = 1 when
     None and t_k = 0 when ``t`` is None; only rows 1 .. nx of ``w`` are read.
     The sums run over Gaussian integers: w_1 .. w_nx over their common
-    denominator and c_0 .. c_{k-1} over their running common denominator,
-    so each step builds one reduced QI per output cell; mu then multiplies
-    the row through a one-row :func:`_conv`.
+    denominator and c_0 .. c_{k-1} over their running common denominator.
+    mu is put over its common denominator once per call, and a one-row
+    :func:`_conv` multiplies each row's integer sums by it, so each output
+    cell is reduced to a QI once.
     """
     dw, rows = _numerators(w[1:], nx - 1, ny)
     ws = [(j, b * j, row) for j, row in enumerate(rows, 1) if row]
+    dm, ms = (1, [[(0, 1, 0)]]) if mu is None else _numerators((mu,), 0, ny)
     out = []
     nums = []  # nonzero (l, re, im) numerators of c_0 .. c_{k-1} over dc
     dc = 1
@@ -309,9 +322,9 @@ def _row_recurrence(w, nx: int, ny: int, c0: Sequence[QI], a: int, b: int,
                     acc_r[l] = acc_r[l] * dt + tr * den
                     acc_i[l] = acc_i[l] * dt + ti * den
                 den *= dt
-            cells = [QI(r, i, den) for r, i in zip(acc_r, acc_i)]
-            if mu is not None:
-                cells = _conv((cells,), (mu,), 0, ny)[0]
+            row = [(l, r, i) for l, (r, i) in enumerate(zip(acc_r, acc_i))
+                   if r or i]
+            cells = _conv((row,), ms, 0, ny, den * dm)[0]
         out.append(cells)
         d = _lcm_den(cells)
         if dc % d:
@@ -525,7 +538,7 @@ class TruncSeries1:
         pole = self.pole + other.pole
         if trunc < -pole:
             raise TruncationStarvation("product truncation exhausted")
-        cells = _conv((self.coeffs,), (other.coeffs,), 0, trunc + pole)[0]
+        cells = _product((self.coeffs,), (other.coeffs,), 0, trunc + pole)[0]
         return TruncSeries1(cells, pole, trunc)
 
     __rmul__ = __mul__
@@ -863,7 +876,7 @@ class TruncSeries2:
         if not isinstance(other, TruncSeries2):
             return self.scale(other)
         nx, ny = self._common_rect(other)
-        return TruncSeries2(_conv(self.rows, other.rows, nx, ny), nx, ny)
+        return TruncSeries2(_product(self.rows, other.rows, nx, ny), nx, ny)
 
     __rmul__ = __mul__
 

@@ -77,6 +77,55 @@ def test_qi_lowest_terms_invariant(a, b):
         assert q * b == a
 
 
+# zeros drawn often: ZERO, an unreduced 0/d, zero real or imaginary parts
+zero_heavy_qi = st.one_of(
+    st.just(ZERO),
+    st.builds(QI, st.just(0), st.just(0), st.integers(-9, 9).filter(bool)),
+    st.builds(QI, st.integers(-9, 9), st.just(0), st.integers(1, 9)),
+    st.builds(QI, st.just(0), st.integers(-9, 9), st.integers(1, 9)),
+    qi_values)
+
+
+def _fraction_pair(v):
+    if isinstance(v, QI):
+        return Fraction(v.a, v.d), Fraction(v.b, v.d)
+    return Fraction(v), Fraction(0)
+
+
+@given(zero_heavy_qi,
+       st.one_of(zero_heavy_qi, st.integers(-3, 3),
+                 st.fractions(-3, 3, max_denominator=5)),
+       st.booleans())
+def test_qi_zero_operands_keep_exact_values(a, b, swap):
+    """+, - and * with zero operands, an int or a Fraction on either side
+    (swap reaches __radd__, __rsub__ and __rmul__), equal the Fraction-pair
+    values and stay in lowest terms."""
+    x, y = (b, a) if swap else (a, b)
+    (xr, xi), (yr, yi) = _fraction_pair(x), _fraction_pair(y)
+    for c, want in ((x + y, (xr + yr, xi + yi)), (x - y, (xr - yr, xi - yi)),
+                    (x * y, (xr * yr - xi * yi, xr * yi + xi * yr))):
+        assert isinstance(c, QI)
+        assert _fraction_pair(c) == want
+        assert math.gcd(c.a, c.b, c.d) == 1 and c.d > 0
+
+
+def test_sparse_product_builds_no_zero_cells(monkeypatch):
+    """rho of (2,1) is sparse; rho*rho builds at most one QI per nonzero
+    cell of the product, none for its zero cells."""
+    rho = family_hyper(2, "1", 8, 24).rho
+    built = []
+    init = QI.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(QI, "__init__", counting_init)
+    square = rho * rho
+    monkeypatch.undo()
+    assert len(built) <= sum(1 for row in square.rows for c in row if c)
+
+
 @pytest.mark.parametrize("text", ["3/2", "-1/2+3i", "2i", "-2/3i", "1-1/2i",
                                   "0", "-7", "1+1i"])
 def test_coeff_grammar_roundtrip(text):
