@@ -19,7 +19,7 @@ from fractions import Fraction
 from multiprocessing import Pool
 
 from .coefficients import QI
-from .growth import expected_termination, gevrey_estimate, termination_detect
+from .growth import _resonance_level, gevrey_estimate, termination_detect
 from .monodromy import DEVIATION_TOL, check_radius, check_tol, monodromy_report
 from .ode import (
     AdmissibleOde,
@@ -466,10 +466,12 @@ def check_model0(ctx: FamilyContext) -> dict:
 
 
 def check_growth(ctx: FamilyContext) -> dict:
-    n = max(200, ctx.degree)
+    level = _resonance_level(ctx.m, ctx.beta)
+    expected = level is not None
+    # a resonant f is a polynomial of degree l*(m-1): run one order past it
+    n = max(200, ctx.degree, level * (ctx.m - 1) + 1 if expected else 0)
     pair = formal_solutions(ctx.m, ctx.beta, n)
     term = termination_detect(pair.f)
-    expected = expected_termination(ctx.m, ctx.beta)
     out = {
         "pass": term.terminated == expected,
         "terminated": term.terminated,

@@ -4,9 +4,10 @@ Every series in this package has coefficients in Q(i), represented by
 :class:`QI`.  Arithmetic never rounds: all values stay in lowest terms with
 positive denominators.
 
-Zero is one shared value, :data:`ZERO` = 0/1: a sum, difference or product
-with a zero operand returns an operand or ``ZERO`` and builds nothing, as
-most cells of the Segre families' sparse series are zero.
+Zero is one shared value, :data:`ZERO` = 0/1: a sum, difference, product or
+negation with a zero operand returns an operand or ``ZERO`` and builds
+nothing, as most cells of the Segre families' sparse series are zero; a real
+value is its own conjugate.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ class QI:
     """A Gaussian rational (a + b*i)/d with integers a, b and d > 0.
 
     Instances are normalized on construction: gcd(a, b, d) == 1 and d > 0.
-    Values are immutable; arithmetic returns new instances.
+    Values are immutable, so arithmetic may return an operand or a shared
+    value (``ZERO``, a real value's own conjugate) instead of a new one.
     """
 
     __slots__ = ("a", "b", "d")
@@ -89,7 +91,7 @@ class QI:
         return Fraction(self.b, self.d)
 
     def conj(self) -> "QI":
-        return QI(self.a, -self.b, self.d)
+        return QI(self.a, -self.b, self.d) if self.b else self
 
     def log_abs(self) -> float:
         """log|value|, computed from the integer parts (no float overflow)."""
@@ -159,7 +161,7 @@ class QI:
         return o / self
 
     def __neg__(self):
-        return QI(-self.a, -self.b, self.d)
+        return QI(-self.a, -self.b, self.d) if self.a or self.b else ZERO
 
     def __eq__(self, other):
         o = _coerce(other)

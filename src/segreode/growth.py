@@ -55,16 +55,18 @@ def termination_detect(s: TruncSeries1, min_tail: int = 1) -> TerminationReport:
 def expected_termination(m: int, beta) -> bool:
     """Exact resonance predicate: the recursion for f terminates iff
     beta = l*(l+1)*(m-1)^2 for some integer l >= 0."""
+    return _resonance_level(m, beta) is not None
+
+
+def _resonance_level(m: int, beta) -> int | None:
+    """The l >= 0 with beta = l*(l+1)*(m-1)^2, where f is a polynomial of
+    degree l*(m-1), or None when beta is not resonant."""
     beta = Fraction(beta)
     if beta < 0 or beta.denominator != 1:
-        return False
-    step = (m - 1) ** 2
-    t, rem = divmod(int(beta), step)
-    if rem != 0:
-        return False
-    d = 1 + 4 * t
-    r = math.isqrt(d)
-    return r * r == d and (r - 1) % 2 == 0
+        return None
+    t, rem = divmod(int(beta), (m - 1) ** 2)
+    r = math.isqrt(1 + 4 * t)
+    return (r - 1) // 2 if rem == 0 and r * r == 1 + 4 * t else None
 
 
 def gevrey_estimate(s: TruncSeries1, window: tuple | None = None,

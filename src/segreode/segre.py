@@ -22,6 +22,7 @@ from fractions import Fraction
 from .coefficients import QI
 from .ode import NEG_HALF_I, AdmissibleOde
 from .series import (
+    OnlineSeries2,
     SeriesError,
     TruncationStarvation,
     TruncSeries1,
@@ -144,7 +145,8 @@ def solve_psi(e: AdmissibleOde, sign: int = +1,
     """Solve the parametric Cauchy problem degree-by-degree in the curve
     variable: k(k-1)*psi_k(eta) equals the t^{k-2} coefficient of the
     right-hand side, which only involves psi_2 .. psi_{k-1}.  The division by
-    k(k-1) is exact.
+    k(k-1) is exact.  :func:`_settle` computes each row of the right-hand
+    side once.
     """
     nx, ny = rect
     if nx < 1:
@@ -154,15 +156,31 @@ def solve_psi(e: AdmissibleOde, sign: int = +1,
             f"ODE coefficients known to order {e.trunc}; rectangle "
             f"({nx}, {ny}) needs order >= {nx + ny}"
         )
-    rows = {0: TruncSeries1.zero(ny), 1: TruncSeries1.one(ny)}
-    for k in range(2, nx + 1):
-        y_cur = TruncSeries2.from_rows(
-            {j: s for j, s in rows.items() if j <= k - 1}, k - 1, ny
-        )
-        rhs = _profile_rhs(e, sign, y_cur)
-        rows[k] = rhs.row(k - 2).scale(Fraction(1, k * (k - 1)))
-    psi = TruncSeries2.from_rows(rows, nx, ny)
+    psi = _settle(lambda y: _profile_rhs(e, sign, y),
+                  TruncSeries2.var_x(nx, ny), 2,
+                  lambda rhs, k: [c * Fraction(1, k * (k - 1))
+                                  for c in rhs[k - 2]])
     return SegreFamily(e.m, sign, psi)
+
+
+def _settle(step, start: TruncSeries2, first: int = 1, row=None):
+    """The series u on the rectangle of ``start`` whose rows below ``first``
+    are those of ``start`` and whose row k is ``row(step(u), k)``, or row k
+    of step(u): ``step`` runs once, on an online u, and row k of step(u) may
+    read only rows < k of u.  A fixed point (``row`` None) is confirmed by
+    one eager sweep, whose result it returns, or :class:`SeriesError`."""
+    nx, ny = start.rect
+    u = OnlineSeries2(nx, ny, lambda k: start[k] if k < first
+                      else image[k] if row is None else row(image, k))
+    image = step(u)
+    cur = u.to_series()
+    image = None  # u reads image: free that cycle now, not at the next gc
+    if row is not None:
+        return cur
+    full = step(cur)
+    if full != cur:
+        raise SeriesError("fixed point failed to stabilize")
+    return full
 
 
 def profile_residual(e: AdmissibleOde, fam: SegreFamily) -> TruncSeries2:
@@ -223,34 +241,14 @@ def build_rho(fam: SegreFamily) -> Hypersurface:
 # ---------------------------------------------------------------------------
 
 
-def _grow_x(step, start: TruncSeries2) -> TruncSeries2:
-    """Fixed point of ``step`` on the rectangle of ``start``, grown in x.
-
-    x-row k of the image of ``step`` must depend only on the x-rows below k
-    of its input; the fixed points below qualify because rho - y, psi and v
-    have x-order >= 1.  Sweep k runs ``step`` on the rectangle (k, ny),
-    seeded with the rows 0..k-1 settled by sweep k-1 plus row k of
-    ``start``, and so settles row k.  A confirming sweep on the full
-    rectangle must return its input.
-    """
-    nx, ny = start.rect
-    rows = ()
-    for k in range(nx + 1):
-        cur = step(TruncSeries2(rows + (start.rows[k][: ny + 1],), k, ny))
-        rows, ny = cur.rows, cur.ny
-    if step(cur) != cur:
-        raise SeriesError("fixed point failed to stabilize")
-    return cur
-
-
 def dual_family(fam: SegreFamily) -> SegreFamily:
     """Swap variables and parameters in the defining equation and solve back.
 
     The defining equation of the dual is eta = w * exp(s*i*w^{m-1}*psi(x, w));
     the fixed-point form w <- eta * exp(-s*i*w^{m-1}*psi(x, w)) settles one
-    x-row per sweep, so :func:`_grow_x` runs sweep k on the rectangle (k, ny)
-    only, then confirms the fixed point with one sweep on the full rectangle
-    and raises :class:`SeriesError` if it does not settle.
+    x-row per step, as psi(x, w) has x-order >= 1: :func:`_settle` computes
+    row k from rows < k of w, then confirms the fixed point with one sweep
+    on the full rectangle.
     """
     neg_si = QI(0, -fam.sign)
 
@@ -258,7 +256,7 @@ def dual_family(fam: SegreFamily) -> SegreFamily:
         exponent = (fam.psi.substitute_y(w) * w.pow_int(fam.m - 1)).scale(neg_si)
         return exponent.exp().shift_y(1)
 
-    w = _grow_x(step, TruncSeries2.var_y(*fam.psi.rect))
+    w = _settle(step, TruncSeries2.var_y(*fam.psi.rect))
     log_part = w.shift_y(-1).log()
     psi_star = log_part.shift_y(-(fam.m - 1)).scale(QI(0, fam.sign))
     return SegreFamily(fam.m, -fam.sign, psi_star)
@@ -300,22 +298,23 @@ def real_normal_form(h) -> NormalForm:
     """Extract the real normal form v = u^m*(sign*x + sum h_k(u) x^k).
 
     Solves u + i*v = rho(x, u - i*v) for v(x, u) by the fixed point
-    v <- (rho(x, u - i*v) - (u - i*v))/(2i), which settles one x-row per
-    sweep: :func:`_grow_x` runs sweep k on the rectangle (k, ny) only, then
-    one confirming sweep on the full rectangle, and raises
-    :class:`SeriesError` if that does not return its input.  The x-rows of
+    v <- (rho - y)(x, u - i*v)/(2i), as rho - y has x-order >= 1:
+    :func:`_settle` computes row k of v from rows < k, then one confirming
+    sweep on the full rectangle, and raises :class:`SeriesError` if that
+    does not return its input.  The x-rows of
     v are divided by u^m, and rho rebuilt from v by the same helper must
     match.  Any nonzero imaginary part in v means the defining series was
     not real.
     """
     rho = h.rho if isinstance(h, Hypersurface) else h
     nx, ny = rho.rect
+    rho_y = rho - TruncSeries2.var_y(nx, ny)
 
     def step(v):
         w_bar = TruncSeries2.var_y(*v.rect) - v.scale(QI(0, 1))
-        return (rho.substitute_y(w_bar) - w_bar).scale(NEG_HALF_I)
+        return rho_y.substitute_y(w_bar).scale(NEG_HALF_I)
 
-    v = _grow_x(step, TruncSeries2.zero(nx, ny))
+    v = _settle(step, TruncSeries2.zero(nx, ny))
     theta = v.scale(2)
     for j in range(1, nx + 1):
         bad = theta.row(j).first_nonreal()
@@ -360,9 +359,10 @@ def real_normal_form(h) -> NormalForm:
 
 def _reconstruct(v: TruncSeries2) -> TruncSeries2:
     """The complex defining series w = y + 2i*v(x, (w + y)/2) rebuilt from
-    the real form v; the fixed point settles one x-row per sweep."""
+    the real form v; the fixed point settles one x-row per step of
+    :func:`_settle`, as v has x-order >= 1."""
     def step(w):
         y = TruncSeries2.var_y(*w.rect)
         return y + v.substitute_y((w + y).scale(HALF)).scale(QI(0, 2))
 
-    return _grow_x(step, TruncSeries2.var_y(*v.rect))
+    return _settle(step, TruncSeries2.var_y(*v.rect))

@@ -35,13 +35,19 @@ f(0, y), then k*E_k = sum j*f_j*E_{k-j}, L_k = (u_k - sum (1 - j/k)*u_j*L_{k-j})
 / u_0 and Miller's rule with the products taken between rows.  No bivariate
 product is formed; the factor 1/u_0 is a one-row :func:`_conv` per row,
 fed each row's integer sums.
+
+An :class:`OnlineSeries2` computes each x-row once, from rows <= k of its
+inputs (relaxed evaluation): a product's row k is one output row of
+:func:`_conv`, and exp resumes :func:`_row_recurrence`.  The row-local
+operations (:class:`_Rows2`) and the Taylor shift, Horner in delta = g - y
+(:func:`_horner`), are written once for eager and online series.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 from typing import Iterable, Sequence, Union
 
 from .coefficients import ONE, QI, ZERO, coeff_from_json, coeff_str
@@ -116,19 +122,20 @@ def _product(rows_a, rows_b, nx: int, ny: int):
     return _conv(sa, sb, nx, ny, da * db)
 
 
-def _conv(sa, sb, nx: int, ny: int, den: int):
+def _conv(sa, sb, nx: int, ny: int, den: int, lo: int = 0):
     """The one product kernel: rows of nonzero (l, re, im) Gaussian-integer
     numerators in, the reduced cells of their product over ``den`` out on
-    the rectangle (nx, ny), with the shared ZERO for every cell whose sum
-    is zero."""
-    acc_r = [[0] * (ny + 1) for _ in range(nx + 1)]
-    acc_i = [[0] * (ny + 1) for _ in range(nx + 1)]
+    the x-rows lo..nx of the rectangle (nx, ny), with the shared ZERO for
+    every cell whose sum is zero."""
+    acc_r = [[0] * (ny + 1) for _ in range(lo, nx + 1)]
+    acc_i = [[0] * (ny + 1) for _ in range(lo, nx + 1)]
     for ja, row_a in enumerate(sa):
         if not row_a:
             continue
-        for jb, row_b in enumerate(sb[: nx + 1 - ja]):
-            tr = acc_r[ja + jb]
-            ti = acc_i[ja + jb]
+        for jb in range(max(0, lo - ja), min(len(sb), nx + 1 - ja)):
+            row_b = sb[jb]
+            tr = acc_r[ja + jb - lo]
+            ti = acc_i[ja + jb - lo]
             for la, ar, ai in row_a:
                 top = ny - la
                 for lb, br, bi in row_b:
@@ -139,6 +146,20 @@ def _conv(sa, sb, nx: int, ny: int, den: int):
                     ti[k] += ar * bi + ai * br
     return [[QI(r, i, den) if r or i else ZERO for r, i in zip(rr, ri)]
             for rr, ri in zip(acc_r, acc_i)]
+
+
+def _append_row(store: list, den: int, cells) -> int:
+    """Append the nonzero (l, re, im) numerators of ``cells`` to ``store``,
+    whose rows are over the common denominator ``den``; returns that
+    denominator, grown (and ``store`` rescaled) when ``cells`` need it."""
+    d = _lcm_den(cells)
+    if den % d:
+        grow = d // math.gcd(den, d)
+        den *= grow
+        store[:] = [[(l, r * grow, i * grow) for l, r, i in row] for row in store]
+    store.append([(l, c.a * (m := den // c.d), c.b * m)
+                  for l, c in enumerate(cells) if c.a or c.b])
+    return den
 
 
 # ---------------------------------------------------------------------------
@@ -173,37 +194,25 @@ def _power_sum(acc, base, kmax: int, coeff):
     return acc
 
 
-def _horner_x(top: int, coeff_rows, base, vx: int, nx: int, ny: int):
-    """sum_{k=0..top} (x^vx * phi)^k * C_k on the rectangle (nx, ny), by
-    Horner in x^vx * phi, where x^vx * phi is the part of ``base`` on x-rows
-    vx..nx; needs top * vx <= nx.
-
-    ``coeff_rows(k, hi)`` returns the x-rows 0..hi of C_k as lists of ny + 1
-    cells.  The k-th partial sum is later multiplied by x^(k*vx), so only its
-    rows up to nx - k*vx reach the result and each product runs on that
-    trimmed rectangle.
-    """
-    hi = nx - top * vx
-    acc = TruncSeries2(coeff_rows(top, hi), hi, ny)
-    if top:
-        phi = TruncSeries2([list(r[: ny + 1]) for r in base.rows[vx: nx + 1]],
-                           nx - vx, ny)
-    for k in range(top - 1, -1, -1):
-        prod = acc * phi.restrict(hi, ny)
-        hi += vx
-        rows = coeff_rows(k, hi)
-        for r, prow in enumerate(prod.rows, vx):
-            rows[r] = [a + b for a, b in zip(rows[r], prow)]
-        acc = TruncSeries2(rows, hi, ny)
+def _horner(top: int, coeff, base, nx: int, ny: int):
+    """sum_{j=0..top} C_j * base^j on the rectangle (nx, ny) by Horner,
+    H_j = C_j + H_{j+1} * base, as online sums and products, where
+    ``coeff(j)`` maps i to the cells of row i of C_j.  base has x-order
+    vx >= 1, so row k of H_{j+1} * base reads rows <= k - vx of H_{j+1}:
+    H_j is computed on the rows up to nx - j*vx only."""
+    acc = OnlineSeries2(nx, ny, coeff(top), False)
+    for j in range(top - 1, -1, -1):
+        acc = OnlineSeries2(nx, ny, coeff(j), False) + acc * base
     return acc
 
 
-def _capped_ny(g, nx: int, ny: int, trunc: int) -> int:
+def _capped_ny(g, nx: int, ny: int, trunc: int, v: int | None = None) -> int:
     """ny capped by total degree, nx + ny <= (trunc + 1) * v - 1 with v the
     total order of g: an outer series known to degree trunc meets its first
     unknown term times g^(trunc + 1) there."""
-    fn = g.first_nonzero()
-    v = sum(fn[0]) if fn else g.nx + g.ny + 1
+    if v is None:
+        fn = g.first_nonzero()
+        v = sum(fn[0]) if fn else g.nx + g.ny + 1
     ny = min(ny, (trunc + 1) * v - 1 - nx)
     if ny < 0:
         raise TruncationStarvation(f"outer truncation {trunc} cannot cover "
@@ -271,39 +280,35 @@ def _recurrence(w: Sequence[QI], n: int, c0: QI, a: int, b: int, q: int = 1,
     return out
 
 
-def _row_recurrence(w, nx: int, ny: int, c0: Sequence[QI], a: int, b: int,
+def _row_recurrence(w, ny: int, c0: Sequence[QI], a: int, b: int,
                     q: int = 1, t=None, mu: Sequence[QI] | None = None):
-    """x-rows c_0 .. c_nx of a bivariate series, each a y-polynomial mod
-    y^(ny+1), defined online by the x-rows of ``w``:
+    """Yield the x-rows c_0, c_1, ... of a bivariate series, each a
+    y-polynomial mod y^(ny+1), defined online by the x-rows of ``w``:
 
         c_k = mu * (t_k + (a*k*s0 + b*s1) / (q*k))   for k >= 1,
         s0 = sum_{j=1..k} w_j * c_{k-j},   s1 = sum_{j=1..k} j * w_j * c_{k-j},
 
     the twin of :func:`_recurrence` with y-polynomial cells; mu = 1 when
-    None and t_k = 0 when ``t`` is None; only rows 1 .. nx of ``w`` are read.
-    The sums run over Gaussian integers: w_1 .. w_nx over their common
-    denominator and c_0 .. c_{k-1} over their running common denominator.
-    mu is put over its common denominator once per call, and a one-row
-    :func:`_conv` multiplies each row's integer sums by it, so each output
-    cell is reduced to a QI once.
+    None and t_k = 0 when ``t`` is None.  Row k reads rows <= k of ``w`` and
+    ``t``, so it runs as far as its caller asks, eager or online.  The sums
+    run over Gaussian integers, w_1 .. w_k and c_0 .. c_{k-1} each over
+    their running common denominator; a one-row :func:`_conv` multiplies
+    them by mu, put over its denominator once, and without mu the cells
+    come straight from the sums, so each cell is reduced to a QI once.
     """
-    dw, rows = _numerators(w[1:], nx - 1, ny)
-    ws = [(j, b * j, row) for j, row in enumerate(rows, 1) if row]
-    dm, ms = (1, [[(0, 1, 0)]]) if mu is None else _numerators((mu,), 0, ny)
-    out = []
-    nums = []  # nonzero (l, re, im) numerators of c_0 .. c_{k-1} over dc
-    dc = 1
+    dm, ms = (1, None) if mu is None else _numerators((mu,), 0, ny)
+    ws, nums = [], []  # nonzero (l, re, im) of w_1 .. w_k over dw, c_0 .. over dc
+    dw = dc = 1
     cells = list(c0)
-    for k in range(nx + 1):
+    for k in count():
         if k:
+            dw = _append_row(ws, dw, w[k][: ny + 1])
             ak = a * k
             acc_r = [0] * (ny + 1)
             acc_i = [0] * (ny + 1)
-            for j, bj, row in ws:
-                if j > k:
-                    break
-                wt = ak + bj
-                if not wt:
+            for j, row in enumerate(ws, 1):
+                wt = ak + b * j
+                if not (wt and row):
                     continue
                 prev = nums[k - j]
                 for l1, wr, wi in row:
@@ -322,19 +327,15 @@ def _row_recurrence(w, nx: int, ny: int, c0: Sequence[QI], a: int, b: int,
                     acc_r[l] = acc_r[l] * dt + tr * den
                     acc_i[l] = acc_i[l] * dt + ti * den
                 den *= dt
-            row = [(l, r, i) for l, (r, i) in enumerate(zip(acc_r, acc_i))
-                   if r or i]
-            cells = _conv((row,), ms, 0, ny, den * dm)[0]
-        out.append(cells)
-        d = _lcm_den(cells)
-        if dc % d:
-            grow = d // math.gcd(dc, d)
-            dc *= grow
-            nums = [[(l, cr * grow, ci * grow) for l, cr, ci in prev]
-                    for prev in nums]
-        nums.append([(l, cr, ci) for l, (cr, ci) in enumerate(_scaled(cells, dc))
-                     if cr or ci])
-    return out
+            if ms is None:
+                cells = [QI(r, i, den) if r or i else ZERO
+                         for r, i in zip(acc_r, acc_i)]
+            else:
+                row = [(l, r, i) for l, (r, i) in enumerate(zip(acc_r, acc_i))
+                       if r or i]
+                cells = _conv((row,), ms, 0, ny, den * dm)[0]
+        yield cells
+        dc = _append_row(nums, dc, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +628,100 @@ class TruncSeries1:
 # ---------------------------------------------------------------------------
 
 
-class TruncSeries2:
+class _Rows2:
+    """Row-local operations, written once for :class:`TruncSeries2` and
+    :class:`OnlineSeries2`: ``s[k]`` is row k, and ``_new(nx, ny, cells)``
+    makes a series of the same kind whose row k is ``cells(k)``."""
+
+    __slots__ = ()
+
+    @property
+    def rect(self):
+        return (self.nx, self.ny)
+
+    def restrict(self, nx: int, ny: int):
+        if nx > self.nx or ny > self.ny:
+            raise TruncationStarvation(
+                f"cannot extend rectangle {self.rect} to ({nx}, {ny})")
+        return self._new(nx, ny, lambda k: list(self[k][: ny + 1]))
+
+    def shift_x(self, j: int):
+        """Multiply by x^j (j >= 0); cells pushed past nx are dropped."""
+        if j < 0:
+            raise SeriesError("negative x-shift is not defined on power series")
+        return self._new(self.nx, self.ny, lambda k: self[k - j] if k >= j
+                         else [ZERO] * (self.ny + 1))
+
+    def shift_y(self, j: int):
+        """Multiply by y^j; j < 0 requires exact divisibility and shrinks ny."""
+        ny = self.ny + min(j, 0)
+        if ny < 0:
+            raise TruncationStarvation("y-shift empties the rectangle")
+
+        def row(k):
+            r = self[k]
+            if j >= 0:
+                return ([ZERO] * j + list(r))[: ny + 1]
+            for l in range(-j):
+                if not r[l].is_zero:
+                    raise SeriesError(f"series is not divisible by y^{-j} "
+                                      f"(cell ({k}, {l}) nonzero)")
+            return list(r[-j:])
+
+        return self._new(self.nx, ny, row)
+
+    def _zip(self, other, sub: bool):
+        if not isinstance(other, _Rows2):
+            return NotImplemented
+        new = (other if isinstance(other, OnlineSeries2) else self)._new
+        return new(min(self.nx, other.nx), min(self.ny, other.ny), lambda k: [
+            a - b if sub else a + b for a, b in zip(self[k], other[k])])
+
+    def __add__(self, other):
+        return self._zip(other, False)
+
+    def __sub__(self, other):
+        return self._zip(other, True)
+
+    def scale(self, value: Scalar):
+        c = _as_cell(value)
+        return self._new(self.nx, self.ny, lambda k: [c * x for x in self[k]])
+
+    def pow_int(self, n: int):
+        if n < 0:
+            raise SeriesError("negative powers of bivariate series are not defined")
+        one = TruncSeries2.one(self.nx, self.ny).__getitem__
+        return _pow_int(self._new(self.nx, self.ny, one), self, n)
+
+    def derivative_x(self):
+        if self.nx < 1:
+            raise TruncationStarvation("cannot x-differentiate with nx = 0")
+        return self._new(self.nx - 1, self.ny,
+                         lambda k: [c * (k + 1) for c in self[k + 1]])
+
+    def derivative_y(self):
+        if self.ny < 1:
+            raise TruncationStarvation("cannot y-differentiate with ny = 0")
+        return self._new(self.nx, self.ny - 1, lambda k: [
+            c * l for l, c in enumerate(self[k]) if l])
+
+    def conj(self):
+        return self._new(self.nx, self.ny, lambda k: [c.conj() for c in self[k]])
+
+    def __neg__(self):
+        return self._new(self.nx, self.ny, lambda k: [-c for c in self[k]])
+
+    def exp(self):
+        """E = exp(f) row by row in x: E_0 = exp(f(0, y)) and
+        k*E_k = sum_{j=1..k} j*f_j*E_{k-j}."""
+        row0 = TruncSeries1(list(self[0]), 0, self.ny)
+        if not row0.coeffs[0].is_zero:
+            raise SeriesError("exp requires zero constant term")
+        rows = _row_recurrence(self, self.ny, row0.exp().coeffs, 0, 1)
+        return self._new(self.nx, self.ny, lambda k: next(rows), True)
+
+
+class TruncSeries2(_Rows2):
     """Bivariate truncated power series on the rectangle (nx, ny), no poles."""
 
     __slots__ = ("nx", "ny", "rows")
@@ -650,6 +744,12 @@ class TruncSeries2:
 
     def __setattr__(self, *_):
         raise AttributeError("series are immutable")
+
+    def __getitem__(self, k: int):
+        return self.rows[k]
+
+    def _new(self, nx: int, ny: int, cells, memo: bool = False):
+        return TruncSeries2([cells(k) for k in range(nx + 1)], nx, ny)
 
     # -- constructors -----------------------------------------------------------
 
@@ -726,10 +826,6 @@ class TruncSeries2:
 
     # -- queries ----------------------------------------------------------------
 
-    @property
-    def rect(self):
-        return (self.nx, self.ny)
-
     def coefficient(self, j: int, k: int) -> QI:
         if j > self.nx or k > self.ny:
             raise TruncationStarvation(
@@ -794,133 +890,27 @@ class TruncSeries2:
         nz = sum(1 for row in self.rows for c in row if not c.is_zero)
         return f"<series2 rect={self.rect} nonzero_cells={nz}>"
 
-    # -- structural --------------------------------------------------------------
-
-    def restrict(self, nx: int, ny: int) -> "TruncSeries2":
-        if nx > self.nx or ny > self.ny:
-            raise TruncationStarvation(
-                f"cannot extend rectangle {self.rect} to ({nx}, {ny})"
-            )
-        rows = [list(self.rows[j][: ny + 1]) for j in range(nx + 1)]
-        return TruncSeries2(rows, nx, ny)
-
-    def shift_x(self, k: int) -> "TruncSeries2":
-        """Multiply by x^k (k >= 0); cells pushed past nx are dropped."""
-        if k < 0:
-            raise SeriesError("negative x-shift is not defined on power series")
-        rows = [[ZERO] * (self.ny + 1) for _ in range(k)]
-        rows.extend(list(r) for r in self.rows[: self.nx + 1 - k])
-        while len(rows) < self.nx + 1:
-            rows.append([ZERO] * (self.ny + 1))
-        return TruncSeries2(rows, self.nx, self.ny)
-
-    def shift_y(self, k: int) -> "TruncSeries2":
-        """Multiply by y^k; k < 0 requires exact divisibility and shrinks ny."""
-        if k >= 0:
-            rows = [
-                [ZERO] * k + list(r[: self.ny + 1 - k]) for r in self.rows
-            ]
-            return TruncSeries2(rows, self.nx, self.ny)
-        k = -k
-        ny = self.ny - k
-        if ny < 0:
-            raise TruncationStarvation("y-shift empties the rectangle")
-        for j, r in enumerate(self.rows):
-            for l in range(k):
-                if not r[l].is_zero:
-                    raise SeriesError(
-                        f"series is not divisible by y^{k} (cell ({j}, {l}) nonzero)"
-                    )
-        rows = [list(r[k: self.ny + 1]) for r in self.rows]
-        return TruncSeries2(rows, self.nx, ny)
-
-    def conj(self) -> "TruncSeries2":
-        rows = [[c.conj() for c in r] for r in self.rows]
-        return TruncSeries2(rows, self.nx, self.ny)
-
-    # -- ring ops -----------------------------------------------------------------
-
-    def _common_rect(self, other):
-        return min(self.nx, other.nx), min(self.ny, other.ny)
-
-    def __add__(self, other):
-        if not isinstance(other, TruncSeries2):
-            return NotImplemented
-        nx, ny = self._common_rect(other)
-        rows = [
-            [self.rows[j][k] + other.rows[j][k] for k in range(ny + 1)]
-            for j in range(nx + 1)
-        ]
-        return TruncSeries2(rows, nx, ny)
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncSeries2):
-            return NotImplemented
-        nx, ny = self._common_rect(other)
-        rows = [
-            [self.rows[j][k] - other.rows[j][k] for k in range(ny + 1)]
-            for j in range(nx + 1)
-        ]
-        return TruncSeries2(rows, nx, ny)
-
-    def __neg__(self):
-        rows = [[-c for c in r] for r in self.rows]
-        return TruncSeries2(rows, self.nx, self.ny)
-
-    def scale(self, value: Scalar) -> "TruncSeries2":
-        c = _as_cell(value)
-        rows = [[c * x for x in r] for r in self.rows]
-        return TruncSeries2(rows, self.nx, self.ny)
+    # -- ring ops; the row-local operations are those of _Rows2 ----------------
 
     def __mul__(self, other):
         if not isinstance(other, TruncSeries2):
             return self.scale(other)
-        nx, ny = self._common_rect(other)
+        nx, ny = min(self.nx, other.nx), min(self.ny, other.ny)
         return TruncSeries2(_product(self.rows, other.rows, nx, ny), nx, ny)
 
     __rmul__ = __mul__
 
-    def pow_int(self, n: int) -> "TruncSeries2":
-        if n < 0:
-            raise SeriesError("negative powers of bivariate series are not defined")
-        return _pow_int(TruncSeries2.one(self.nx, self.ny), self, n)
-
-    # -- calculus ----------------------------------------------------------------
-
-    def derivative_x(self) -> "TruncSeries2":
-        if self.nx < 1:
-            raise TruncationStarvation("cannot x-differentiate with nx = 0")
-        rows = []
-        for j in range(1, self.nx + 1):
-            rows.append([c * j for c in self.rows[j]])
-        return TruncSeries2(rows, self.nx - 1, self.ny)
-
-    def derivative_y(self) -> "TruncSeries2":
-        if self.ny < 1:
-            raise TruncationStarvation("cannot y-differentiate with ny = 0")
-        rows = []
-        for r in self.rows:
-            rows.append([r[k] * k for k in range(1, self.ny + 1)])
-        return TruncSeries2(rows, self.nx, self.ny - 1)
-
     # -- transcendental -----------------------------------------------------------
 
-    def exp(self) -> "TruncSeries2":
-        """E = exp(f) row by row in x: E_0 = exp(f(0, y)) and
-        k*E_k = sum_{j=1..k} j*f_j*E_{k-j}."""
-        if not self.rows[0][0].is_zero:
-            raise SeriesError("exp requires zero constant term")
-        rows = _row_recurrence(self.rows, self.nx, self.ny,
-                               self.row(0).exp().coeffs, 0, 1)
-        return TruncSeries2(rows, self.nx, self.ny)
+    exp = _Rows2.exp
 
     def log(self) -> "TruncSeries2":
         """L = log(u) row by row in x: L_0 = log(u(0, y)) and
         L_k = (u_k - sum_{j=1..k} (1 - j/k)*u_j*L_{k-j}) / u_0."""
         u0 = self._unit_row0()
-        rows = _row_recurrence(self.rows, self.nx, self.ny, u0.log().coeffs,
-                               -1, 1, t=self.rows, mu=u0.inverse().coeffs)
-        return TruncSeries2(rows, self.nx, self.ny)
+        rows = _row_recurrence(self, self.ny, u0.log().coeffs, -1, 1,
+                               t=self.rows, mu=u0.inverse().coeffs)
+        return self._new(self.nx, self.ny, lambda k: next(rows))
 
     def pow_frac(self, alpha) -> "TruncSeries2":
         """Principal formal branch u^alpha = exp(alpha*log(u)); needs
@@ -929,10 +919,9 @@ class TruncSeries2:
         alpha = Fraction(alpha)
         u0 = self._unit_row0()
         p, q = alpha.numerator, alpha.denominator
-        rows = _row_recurrence(self.rows, self.nx, self.ny,
-                               u0.pow_frac(alpha).coeffs, -q, p + q, q,
-                               mu=u0.inverse().coeffs)
-        return TruncSeries2(rows, self.nx, self.ny)
+        rows = _row_recurrence(self, self.ny, u0.pow_frac(alpha).coeffs,
+                               -q, p + q, q, mu=u0.inverse().coeffs)
+        return self._new(self.nx, self.ny, lambda k: next(rows))
 
     def _unit_row0(self) -> TruncSeries1:
         if self.rows[0][0] != ONE:
@@ -947,48 +936,41 @@ class TruncSeries2:
 
         With g = y + delta, delta of x-order >= 1, this is the Taylor shift
         f(x, y + delta) = sum_{k <= nx} delta^k * D_k f with
-        (D_k f)_{j,l} = C(l+k, k) * f_{j,l+k}, evaluated by Horner in delta:
-        at most nx bivariate products.
+        (D_k f)_{j,l} = C(l+k, k) * f_{j,l+k}, evaluated by :func:`_horner`
+        in delta: at most nx bivariate products, each on the rows it can
+        reach.
 
         With g of y-order >= 1 the full common rectangle carries over.  When
         delta has y^0 terms, terms beyond the outer truncation can reach low
         y-orders, so the guaranteed region is capped by total degree
         (:func:`_capped_ny`): ny = min(g.ny, self.ny - nx), as g has total
-        order 1 unless g.ny = 0.
+        order 1 unless g.ny = 0.  An :class:`OnlineSeries2` g gives an
+        online result on the uncapped rectangle.
         """
-        if any(c != (ONE if l == 1 else ZERO) for l, c in enumerate(g.rows[0])):
+        if any(c != (ONE if l == 1 else ZERO) for l, c in enumerate(g[0])):
             raise SeriesError("substitute_y needs g(0, y) = y")
+        online = isinstance(g, OnlineSeries2)
         nx = min(self.nx, g.nx)
         ny = min(self.ny, g.ny)
-        if g.y_order() == 0:
+        if not online and g.y_order() == 0:
             ny = _capped_ny(g, nx, ny, self.ny)
-        # delta = g - y lives on rows >= 1 of g; its first nonzero row is vx
-        delta_rows = g.rows[1: nx + 1]
-        vx = 1 + next((j for j, row in enumerate(delta_rows)
-                       if any(not c.is_zero for c in row[: ny + 1])),
-                      len(delta_rows))
-        # no D_k f with k > top has a nonzero cell on rows <= nx - k*vx
-        top = 0
-        for j in range(nx + 1):
-            for l, c in enumerate(self.rows[j]):
-                if not c.is_zero:
-                    top = max(top, min(l, (nx - j) // vx))
+        g = _online(g)
+        delta = g._new(g.nx, g.ny, lambda k: g[k] if k else [ZERO] * (g.ny + 1))
+        # no D_j f with j > top has a nonzero cell on rows <= nx - j
+        top = max((min(l, nx - i) for i, row in enumerate(self.rows[: nx + 1])
+                   for l, c in enumerate(row) if c), default=0)
 
-        def shifted(k, hi):
-            # cells f_{j,l+k} beyond the outer truncation meet delta^k, of
-            # y-order >= k (total order >= k when delta has y^0 terms), so
+        def shifted(j):
+            # cells f_{i,l+j} beyond the outer truncation meet delta^j, of
+            # y-order >= j (total order >= j when delta has y^0 terms), so
             # they land outside the rectangle and count as zero
-            rows = []
-            for src in self.rows[: hi + 1]:
-                row = [ZERO] * (ny + 1)
-                for l in range(min(ny, self.ny - k) + 1):
-                    c = src[l + k]
-                    if not c.is_zero:
-                        row[l] = c * math.comb(l + k, k)
-                rows.append(row)
-            return rows
+            pad = [ZERO] * (ny + j - min(ny + j, self.ny))
+            return lambda i: [c * math.comb(l + j, j) if c.a or c.b else ZERO
+                              for l, c in enumerate(self.rows[i][j: j + ny + 1])
+                              ] + pad
 
-        return _horner_x(top, shifted, g, vx, nx, ny)
+        out = _horner(top, shifted, delta, nx, ny)
+        return out if online else out.to_series()
 
     # -- serialization -----------------------------------------------------------------
 
@@ -1003,6 +985,80 @@ class TruncSeries2:
         nx, ny = obj["trunc"]
         rows = [[coeff_from_json(raw) for raw in raw_row] for raw_row in obj["coeffs"]]
         return cls(rows, nx, ny)
+
+
+# ---------------------------------------------------------------------------
+# online bivariate series
+# ---------------------------------------------------------------------------
+
+
+class OnlineSeries2(_Rows2):
+    """A bivariate series on the rectangle (nx, ny) computed one x-row at a
+    time (relaxed evaluation with the naive product; van der Hoeven, "Relax,
+    but don't be too lazy", J. Symb. Comp. 34, 2002): ``s[k]`` computes row
+    k from rows <= k of the inputs, once and in order, and raises
+    :class:`SeriesError` if row k is read while it is being computed.  Its
+    operations give the eager cells and rectangles, but ``substitute_y`` by
+    a g with y^0 terms leaves out the cap that depends on every row of g."""
+
+    __slots__ = ("nx", "ny", "_rows", "_nums", "_den", "_make", "_busy")
+
+    def __init__(self, nx: int, ny: int, make, memo: bool = True):
+        self.nx, self.ny, self._make, self._busy = nx, ny, make, False
+        self._rows, self._nums, self._den = [] if memo else None, [], 1
+
+    def __getitem__(self, k: int):
+        rows = self._rows
+        if rows is None:  # row-local: its inputs keep the rows
+            return self._make(k)
+        while len(rows) <= k:
+            if self._busy:
+                raise SeriesError(f"row {len(rows)} of an online series is "
+                                  "read while it is being computed")
+            self._busy = True
+            rows.append(self._make(len(rows)))
+            self._busy = False
+        return rows[k]
+
+    def _num(self, k: int):
+        """The nonzero (l, re, im) of row k over ``_den``, the running common
+        denominator of the rows put over it so far."""
+        nums = self._nums
+        while len(nums) <= k:
+            self._den = _append_row(nums, self._den, self[len(nums)])
+        return nums[k]
+
+    def to_series(self) -> TruncSeries2:
+        return TruncSeries2([self[k] for k in range(self.nx + 1)],
+                            self.nx, self.ny)
+
+    def _new(self, nx: int, ny: int, cells, memo: bool = False):
+        return OnlineSeries2(nx, ny, cells, memo)
+
+    def __mul__(self, other):
+        """Row k is sum_i a_i * b_{k-i} by :func:`_conv`.  The lower row of
+        each pair is read first and a zero one leaves the other unread, so a
+        factor of x-order >= 1 never reads row k of the other."""
+        if not isinstance(other, _Rows2):
+            return self.scale(other)
+        o = _online(other)
+        ny = min(self.ny, o.ny)
+
+        def row(k):
+            for i in range(k + 1):
+                lo, hi = ((self, i), (o, k - i))[:: 1 if 2 * i <= k else -1]
+                if lo[0]._num(lo[1]):
+                    hi[0]._num(hi[1])
+            return _conv(self._nums, o._nums, k, ny, self._den * o._den, k)[0]
+
+        return OnlineSeries2(min(self.nx, o.nx), ny, row)
+
+    __rmul__ = __mul__
+
+
+def _online(s) -> OnlineSeries2:
+    return s if isinstance(s, OnlineSeries2) else OnlineSeries2(
+        s.nx, s.ny, s.__getitem__, False)
 
 
 # ---------------------------------------------------------------------------
@@ -1039,7 +1095,7 @@ def compose(outer: TruncSeries1, inner):
     is then the Taylor shift embed_y(outer).substitute_y(g), at most nx
     bivariate products, claimed on nx + ny <= outer.trunc.
     """
-    if isinstance(inner, TruncSeries2):
+    if isinstance(inner, (TruncSeries2, OnlineSeries2)):
         return _compose_1_2(outer, inner)
     return _compose_1_1(outer, inner)
 
@@ -1066,13 +1122,15 @@ def _compose_1_1(outer: TruncSeries1, inner: TruncSeries1) -> TruncSeries1:
     return acc if acc.trunc <= cap else acc.truncate(min(acc.trunc, cap))
 
 
-def _compose_1_2(outer: TruncSeries1, inner: TruncSeries2) -> TruncSeries2:
+def _compose_1_2(outer: TruncSeries1, inner):
     if outer.pole > 0:
         raise SeriesError("pole-part composition with a bivariate inner series")
-    if not inner.rows[0][0].is_zero:
+    if not inner[0][0].is_zero:
         raise SeriesError("inner series must have zero constant term")
     nx = inner.nx
-    ny = _capped_ny(inner, nx, inner.ny, outer.trunc)
+    # an online g must have g(0, y) = y, which makes its total order 1
+    ny = _capped_ny(inner, nx, inner.ny, outer.trunc,
+                    1 if isinstance(inner, OnlineSeries2) else None)
     return TruncSeries2.embed_y(outer, nx).substitute_y(inner).restrict(nx, ny)
 
 
@@ -1104,14 +1162,10 @@ def compose2(outer: TruncSeries2, first: TruncSeries2,
                 if not c.is_zero), default=0)
     spowers = [TruncSeries1.one(ny)]
     spowers.extend(_powers(second.truncate(ny), cols))
-
-    def row_sums(j, hi):
-        # outer row j summed against the powers of second, as row 0
-        acc = TruncSeries1.zero(ny)
-        for c, power in zip(rows[j], spowers):
-            if not c.is_zero:
-                acc = acc + power.scale(c)
-        return [list(acc.coeffs)] + [[ZERO] * (ny + 1) for _ in range(hi)]
-
-    return _horner_x(top, row_sums, first, vx, nx, ny)
+    # outer row j summed against the powers of second
+    sums = [list(sum((p.scale(c) for c, p in zip(row, spowers) if c),
+                     TruncSeries1.zero(ny)).coeffs) for row in rows]
+    zero = [ZERO] * (ny + 1)
+    return _horner(top, lambda j: lambda i: zero if i else sums[j],
+                   _online(first), nx, ny).to_series()
 

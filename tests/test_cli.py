@@ -93,6 +93,19 @@ def test_run_pipeline_parallel_matches_serial():
         json.dumps(cli._round_floats(parallel), sort_keys=True)
 
 
+@pytest.mark.parametrize("family,degree", [("2,40200", 200), ("3,90600", 300)])
+def test_cli_growth_resonant_polynomial_above_default_order(capsys, family,
+                                                             degree):
+    """beta = l*(l+1)*(m-1)^2 makes f a polynomial of degree l*(m-1); here
+    l = 200 and 150 put that degree at or above the default order 200, and
+    the check runs one order past it to see f terminate."""
+    args = ["run", "--family", family, "--checks", "growth"]
+    assert cli.main(args) == 0
+    growth = json.loads(capsys.readouterr().out)["runs"][0]["checks"]["growth"]
+    assert growth["pass"] is True and growth["terminated"] is True
+    assert growth["termination_degree"] == degree
+
+
 def test_cli_main_run_deterministic(tmp_path, capsys):
     args = ["run", "--family", "2,2", "--checks", "monodromy,growth",
             "--rect", "6,12", "--degree", "24"]

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import family_hyper, family_profile
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segreode import (
@@ -29,7 +29,7 @@ from segreode import (
     realty_identity_check,
     solve_psi,
 )
-from segreode.segre import _grow_x, _reconstruct
+from segreode.segre import _profile_rhs, _reconstruct, _settle
 
 RECT = (6, 12)
 GRID = [(2, "0"), (2, "1"), (2, "2"), (3, "0"), (3, "1")]
@@ -422,24 +422,139 @@ def test_grown_normal_form_matches_sweeps_on_explicit_model(m):
     _check_normal_form_against_oracles(explicit_model(m, RECT8).rho)
 
 
-def test_grow_x_reaches_a_known_fixed_point():
+# -- the online row engine against the per-row rebuilding loops ----------------
+
+
+def _grow_x_oracle(step, start):
+    """The x-growing fixed point that rebuilt every row below the one it
+    settles: sweep k runs ``step`` on the rectangle (k, ny), seeded with the
+    rows settled by sweep k-1 plus row k of ``start``."""
+    nx, ny = start.rect
+    rows = ()
+    for k in range(nx + 1):
+        cur = step(TruncSeries2(rows + (start.rows[k][: ny + 1],), k, ny))
+        rows, ny = cur.rows, cur.ny
+    if step(cur) != cur:
+        raise SeriesError("fixed point failed to stabilize")
+    return cur
+
+
+def _solve_psi_oracle(e, sign, rect):
+    """The Cauchy solve that evaluated the right-hand side on psi_0..psi_{k-1}
+    afresh for every k."""
+    nx, ny = rect
+    rows = {0: TruncSeries1.zero(ny), 1: TruncSeries1.one(ny)}
+    for k in range(2, nx + 1):
+        y_cur = TruncSeries2.from_rows(
+            {j: s for j, s in rows.items() if j <= k - 1}, k - 1, ny)
+        rhs = _profile_rhs(e, sign, y_cur)
+        rows[k] = rhs.row(k - 2).scale(Fraction(1, k * (k - 1)))
+    return TruncSeries2.from_rows(rows, nx, ny)
+
+
+def _grown_solvers(fam, rho):
+    """Dual profile, normal-form v and the rho rebuilt from v, each by the
+    old fixed-point steps run through :func:`_grow_x_oracle`."""
+    nx, ny = fam.psi.rect
+    neg_si = QI(0, -fam.sign)
+
+    def dual_step(w):
+        exponent = (fam.psi.substitute_y(w) * w.pow_int(fam.m - 1)).scale(neg_si)
+        return exponent.exp().shift_y(1)
+
+    def v_step(v):
+        w_bar = TruncSeries2.var_y(*v.rect) - v.scale(QI(0, 1))
+        return (rho.substitute_y(w_bar) - w_bar).scale(QI(0, -1, 2))
+
+    w = _grow_x_oracle(dual_step, TruncSeries2.var_y(nx, ny))
+    dual = w.shift_y(-1).log().shift_y(-(fam.m - 1)).scale(QI(0, fam.sign))
+    v = _grow_x_oracle(v_step, TruncSeries2.zero(*rho.rect))
+
+    def rho_step(w):
+        y = TruncSeries2.var_y(*w.rect)
+        return y + v.substitute_y((w + y).scale(Fraction(1, 2))).scale(QI(0, 2))
+
+    return dual, v, _grow_x_oracle(rho_step, TruncSeries2.var_y(*v.rect))
+
+
+def _check_online_solvers(e, sign, rect):
+    fam = solve_psi(e, sign, rect)
+    _same_rect_cells(fam.psi, _solve_psi_oracle(e, sign, rect))
+    rho = build_rho(fam).rho
+    dual, v, rebuilt = _grown_solvers(fam, rho)
+    _same_rect_cells(dual_family(fam).psi, dual)
+    _same_rect_cells(real_normal_form(rho).v, v)
+    _same_rect_cells(_reconstruct(v), rebuilt)
+
+
+@pytest.mark.parametrize("m,beta_str", GRID6)
+def test_online_solvers_match_row_rebuilding_loops_on_grid(m, beta_str):
+    work = RECT8[0] + RECT8[1] + 2 * m + 2
+    _check_online_solvers(beta_family(m, Fraction(beta_str), work), +1, RECT8)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 3), st.sampled_from([+1, -1]), st.integers(2, 5),
+       st.integers(0, 3), st.lists(small_real, min_size=14, max_size=14),
+       st.lists(small_real, min_size=14, max_size=14))
+def test_online_solvers_match_row_rebuilding_loops_on_random_data(
+        m, sign, nx, dy, a, b):
+    from segreode import ode_from_real_data
+    rect = (nx, m + dy)
+    n = sum(rect)
+    data = RealData(m, TruncSeries1(a[: n + 1], 0, n),
+                    TruncSeries1(b[: n + 1], 0, n))
+    _check_online_solvers(ode_from_real_data(data), sign, rect)
+
+
+def test_settle_reaches_a_known_fixed_point():
     # w = y + x*w has the fixed point y/(1 - x) = y*(1 + x + x^2 + ...)
     def step(w):
         return TruncSeries2.var_y(*w.rect) + w.shift_x(1)
 
-    w = _grow_x(step, TruncSeries2.var_y(5, 3))
+    w = _settle(step, TruncSeries2.var_y(5, 3))
     assert w.rect == (5, 3)
     assert all(w.row(j) == TruncSeries1.var(3) for j in range(6))
 
 
-def test_grow_x_raises_when_the_step_does_not_settle():
-    # row 1 of the image is 1 + 2*(row 1 of the input): it never settles
+def test_settle_raises_when_the_step_does_not_settle():
+    # row 0 of the image is y + 1, but the settled rows keep row 0 of start
+    def step(w):
+        y = TruncSeries2.var_y(*w.rect)
+        return y + TruncSeries2.one(*w.rect) + w.shift_x(1)
+
+    with pytest.raises(SeriesError, match="fixed point failed to stabilize"):
+        _settle(step, TruncSeries2.var_y(3, 4))
+
+
+@pytest.mark.parametrize("tail", [(1, 0), (0, 1)])
+def test_settle_claims_the_capped_rectangle_of_the_confirming_sweep(tail):
+    """Raw rho = y + c*x + x*y/2 puts y^0 terms into v, so substituting
+    u - i*v caps ny at rho.ny - nx.  The online rows run uncapped; the
+    settled v takes the confirming sweep's rectangle, that of the old loop."""
+    x, y = TruncSeries2.var_x(4, 6), TruncSeries2.var_y(4, 6)
+    rho = y + x.scale(QI(*tail)) + (x * y).scale(QI(1, 0, 2))
+
+    def step(v, f):
+        w_bar = TruncSeries2.var_y(*v.rect) - v.scale(QI(0, 1))
+        return f(w_bar).scale(QI(0, -1, 2))
+
+    v = _settle(lambda v: step(v, (rho - y).substitute_y),
+                TruncSeries2.zero(4, 6))
+    old = _grow_x_oracle(lambda v: step(v, lambda w: rho.substitute_y(w) - w),
+                         TruncSeries2.zero(4, 6))
+    assert v.rect == (4, 2)
+    _same_rect_cells(v, old)
+
+
+def test_settle_rejects_a_step_that_reads_row_k_of_its_unknown():
+    # row 1 of the image is 1 + 2*(row 1 of the input)
     def step(w):
         y = TruncSeries2.var_y(*w.rect)
         return y + TruncSeries2.one(*w.rect).shift_x(1) + (w - y).scale(2)
 
-    with pytest.raises(SeriesError, match="fixed point failed to stabilize"):
-        _grow_x(step, TruncSeries2.var_y(3, 4))
+    with pytest.raises(SeriesError, match="read while it is being computed"):
+        _settle(step, TruncSeries2.var_y(3, 4))
 
 
 # -- pipeline soundness: N versus N+k ODE data ---------------------------------
@@ -473,3 +588,28 @@ def test_dual_and_normal_form_claims_are_sound(m, sign, nx, dy, k, a, b):
     assert nf.sign == nf_big.sign == sign
     for j, hk in nf.hks.items():
         assert hk.trunc <= nf_big.hks[j].trunc and hk == nf_big.hks[j]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 3), st.sampled_from([+1, -1]),
+       st.integers(2, 5), st.integers(0, 3), st.integers(1, 2),
+       st.lists(small_real, min_size=14, max_size=14),
+       st.lists(small_real, min_size=14, max_size=14))
+@example(3, +1, 2, 0, 1, [QI(1)] * 14, [QI(1, 0, 2)] * 14)
+def test_profile_and_rho_claims_are_sound(m, sign, nx, ny, k, a, b):
+    """Unknown ODE terms beyond the working order, replaced by random ones on
+    a rectangle k larger each way, change no cell of psi or rho that the
+    smaller run claims.  ny = 0 with m = 3 shifts rows by y^2 past ny."""
+    from segreode import ode_from_real_data
+    runs = []
+    for rect in ((nx, ny), (nx + k, ny + k)):
+        n = sum(rect)
+        data = RealData(m, TruncSeries1(a[: n + 1], 0, n),
+                        TruncSeries1(b[: n + 1], 0, n))
+        fam = solve_psi(ode_from_real_data(data), sign, rect)
+        assert fam.rect == rect
+        # a defining series holds sign*i*eta^m*x, so it needs ny >= m
+        runs.append((fam.psi, build_rho(fam).rho if ny >= m else fam.psi))
+    (psi, rho), (psi_big, rho_big) = runs
+    _assert_restricts(psi, psi_big)
+    _assert_restricts(rho, rho_big)

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import family_hyper, family_profile
@@ -22,6 +22,7 @@ from segreode import (
     parse_coeff,
 )
 from segreode.coefficients import ONE, ZERO
+from segreode.series import OnlineSeries2, _online
 
 N = 10
 
@@ -124,6 +125,33 @@ def test_sparse_product_builds_no_zero_cells(monkeypatch):
     square = rho * rho
     monkeypatch.undo()
     assert len(built) <= sum(1 for row in square.rows for c in row if c)
+
+
+def test_conj_and_neg_build_no_qi_for_real_or_zero_cells(monkeypatch):
+    """rho of (2,1) is sparse with i-multiple cells; its conjugate builds
+    one QI per nonreal cell and its negation one per nonzero cell, and both
+    give the cells of the arithmetic definitions."""
+    rho = family_hyper(2, "1", 8, 24).rho
+    cells = [c for row in rho.rows for c in row]
+    built = []
+    init = QI.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    half, zero = QI(3, 0, 2), QI(0, 0, 5)
+    monkeypatch.setattr(QI, "__init__", counting_init)
+    conj, neg = rho.conj(), -rho
+    real = (half.conj(), ZERO.conj(), -ZERO, -zero)
+    monkeypatch.undo()
+    assert len(built) == (sum(1 for c in cells if c.b)
+                          + sum(1 for c in cells if c))
+    assert real[0] is half and all(z is ZERO for z in real[1:])
+    assert [c for row in conj.rows for c in row] == [
+        QI(c.a, -c.b, c.d) for c in cells]
+    assert [c for row in neg.rows for c in row] == [
+        QI(-c.a, -c.b, c.d) for c in cells]
 
 
 @pytest.mark.parametrize("text", ["3/2", "-1/2+3i", "2i", "-2/3i", "1-1/2i",
@@ -637,7 +665,7 @@ def test_bivariate_recurrences_make_no_series_products(monkeypatch):
     y = TruncSeries2.var_y(3, 6)
     f = x.scale(QI(1, 1, 2)) + (x * y).scale(QI(0, -2)) + y.pow_int(3)
     u = TruncSeries2.one(3, 6) + f
-    calls = _counting_mul(monkeypatch, TruncSeries2)
+    calls = _counting_mul(monkeypatch, TruncSeries2, OnlineSeries2)
     results = (f.exp(), u.log(), u.pow_frac(Fraction(-1, 2)))
     assert not calls
     monkeypatch.undo()
@@ -988,15 +1016,20 @@ def test_compose2_claim_is_sound(data, head, first, second):
     _assert_sound2(compose2(outer, first, second), big)
 
 
-def _counting_mul(monkeypatch, cls):
+def _counting_mul(monkeypatch, *classes):
+    """Count the products of the given classes in one list; a bivariate
+    product is a TruncSeries2 or an OnlineSeries2 product (the Taylor shift
+    multiplies online)."""
     calls = []
-    mul = cls.__mul__
 
-    def counted(self, other):
-        calls.append(1)
-        return mul(self, other)
+    def counting(mul):
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+        return counted
 
-    monkeypatch.setattr(cls, "__mul__", counted)
+    for cls in classes:
+        monkeypatch.setattr(cls, "__mul__", counting(cls.__mul__))
     return calls
 
 
@@ -1037,7 +1070,7 @@ def test_compose_bivariate_polynomial_outer_products(monkeypatch, degree):
     where summing powers up to nx + ny takes 9."""
     outer = _polynomial_outer(degree, max(12, degree))
     inner = _inner2(4, 6)
-    calls = _counting_mul(monkeypatch, TruncSeries2)
+    calls = _counting_mul(monkeypatch, TruncSeries2, OnlineSeries2)
     got = compose(outer, inner)
     assert len(calls) <= min(degree, 4)  # vx = 1
     monkeypatch.undo()
@@ -1051,7 +1084,7 @@ def test_compose2_stops_at_last_nonzero_outer_row(monkeypatch):
     x = TruncSeries2.var_x(5, 7)
     first = x + (x * TruncSeries2.var_y(5, 7)).scale(3)
     second = TruncSeries1.from_terms({1: 1, 2: QI(0, 1)}, 7)
-    calls = _counting_mul(monkeypatch, TruncSeries2)
+    calls = _counting_mul(monkeypatch, TruncSeries2, OnlineSeries2)
     got = compose2(outer, first, second)
     assert len(calls) == 1
     monkeypatch.undo()
@@ -1143,6 +1176,57 @@ def test_substitute_y_claimed_rectangles():
     assert res.rect == (4, 2)
     assert res.rows == _substitute_y_oracle(broken, broken.conj()).rows
     assert res.coefficient(1, 0) == QI(2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(substitution_pairs(), series2(ZERO), series2(ZERO),
+       st.integers(4, 12).flatmap(series1))
+def test_online_operations_match_eager(pair, a, b, outer):
+    """An OnlineSeries2 gives the cells and rectangles of the eager
+    operations: products, sums, the row-local operations, exp, and
+    substitute_y and compose by an online g; when delta has y^0 terms the
+    online substitute_y leaves out the total-degree cap, so its cells are
+    compared on the eager rectangle."""
+    oa, ob = _online(a), _online(b)
+    cases = [(oa * ob, a * b), (oa + b, a + b), (a - ob, a - b),
+             (oa.shift_y(2).scale(QI(1, -1, 2)), a.shift_y(2).scale(QI(1, -1, 2))),
+             (oa.shift_x(1).conj(), a.shift_x(1).conj()), (oa.exp(), a.exp()),
+             (oa.pow_int(2), a.pow_int(2)), (-oa, -a)]
+    if a.nx:
+        cases.append((oa.derivative_x(), a.derivative_x()))
+    for got, want in cases:
+        _same_rect_cells(got.to_series(), want)
+    f, g = pair
+    try:
+        want = f.substitute_y(g)
+    except TruncationStarvation:
+        return
+    got = f.substitute_y(_online(g)).to_series()
+    assert got.restrict(*want.rect).rows == want.rows
+    if g.y_order():
+        assert got.rect == want.rect
+    try:
+        want = compose(outer, g)
+    except TruncationStarvation:
+        return
+    _same_rect_cells(compose(outer, _online(g)).to_series(), want)
+
+
+def test_online_product_skips_the_partner_of_a_zero_row():
+    """u = x: row 2 of x*u and of u*x is 1 and reads rows <= 1 of u; row 2
+    of u itself is read only by a factor whose row 0 is nonzero."""
+    x = TruncSeries2.var_x(3, 2)
+    reads = []
+    u = OnlineSeries2(3, 2, lambda k: reads.append(k) or list(x[k]))
+    for p in (_online(x) * u, u * x):
+        assert p[2] == [ONE, ZERO, ZERO] and max(reads) == 1
+    assert (u * TruncSeries2.one(3, 2))[2] == list(x[2]) and max(reads) == 2
+
+
+def test_online_row_read_while_computed_raises():
+    u = OnlineSeries2(2, 1, lambda k: list(u[k]))
+    with pytest.raises(SeriesError, match="read while it is being computed"):
+        u[0]
 
 
 @pytest.mark.parametrize("g", [
