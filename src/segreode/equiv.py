@@ -205,6 +205,15 @@ def self_map_probe(e: AdmissibleOde, degree: int) -> ProbeReport:
     of P at w^{d-1+m} and of Q at w^{d-1+m} are affine in them (nonlinear
     corrections and later unknowns only reach higher orders), so an exact
     2x2 affine solve per stage either pins them or reports free directions.
+
+    A stage reads only that one coefficient.  A pullback through a gauge
+    known to order T >= 2m + 1 claims order T - 1 (below 2m + 1 the
+    w^{-2m} pole part of gamma(g) starves it), so the two perturbed
+    pullbacks of stage d run at T = max(d + m, 2m + 1); a claim that fell
+    short would raise :class:`TruncationStarvation`.  The unperturbed
+    residual depends only on the settled gauge: it is pulled back at the
+    working order once per gauge and serves every stage's right-hand side
+    and invariant check and the final verified order.
     """
     m = e.m
     work = degree + 2 * m + 8
@@ -213,19 +222,14 @@ def self_map_probe(e: AdmissibleOde, degree: int) -> ProbeReport:
             f"probe to degree {degree} needs ODE coefficients to order {work}, "
             f"got {e.trunc}"
         )
+    e = AdmissibleOde(m, e.p.truncate(work), e.q.truncate(work))
 
     f_terms = {0: QI(1)}
     g_terms = {1: QI(1)}
 
-    def residual_pair(fd: QI, ge: QI, d: int):
-        ft = dict(f_terms)
-        gt = dict(g_terms)
-        if not fd.is_zero:
-            ft[d] = fd
-        if not ge.is_zero:
-            gt[d + m] = ge
-        gauge = GaugeMap(TruncSeries1.from_terms(ft, work),
-                         TruncSeries1.from_terms(gt, work))
+    def residual_pair(trunc: int, ft: dict, gt: dict):
+        gauge = GaugeMap(TruncSeries1.from_terms(ft, trunc),
+                         TruncSeries1.from_terms(gt, trunc))
         pulled = pullback_under_gauge(e, gauge, m)
         return pulled.p - e.p.truncate(pulled.p.trunc), \
             pulled.q - e.q.truncate(pulled.q.trunc)
@@ -233,11 +237,13 @@ def self_map_probe(e: AdmissibleOde, degree: int) -> ProbeReport:
     stages = []
     identity = True
     rigid = True
+    settled = residual_pair(work, f_terms, g_terms)
     for d in range(1, degree + 1):
         crit = d - 1 + m
-        rp0, rq0 = residual_pair(QI(0), QI(0), d)
-        rp1, rq1 = residual_pair(QI(1), QI(0), d)
-        rp2, rq2 = residual_pair(QI(0), QI(1), d)
+        order = max(d + m, 2 * m + 1)
+        rp0, rq0 = settled
+        rp1, rq1 = residual_pair(order, {**f_terms, d: QI(1)}, g_terms)
+        rp2, rq2 = residual_pair(order, f_terms, {**g_terms, d + m: QI(1)})
         # coefficients finalized at earlier stages must already vanish
         for low in range(min(crit, rp0.trunc)):
             if not (rp0.coefficient(low).is_zero and rq0.coefficient(low).is_zero):
@@ -293,9 +299,10 @@ def self_map_probe(e: AdmissibleOde, degree: int) -> ProbeReport:
                 f_terms[d] = fd
             if not ge.is_zero:
                 g_terms[d + m] = ge
+            settled = residual_pair(work, f_terms, g_terms)
         stages.append(ProbeStage(d, dim, fd, ge, True, free))
 
-    rp, rq = residual_pair(QI(0), QI(0), degree + 1)
+    rp, rq = settled
     verified = degree + m - 1
     for low in range(min(verified, rp.trunc) + 1):
         if not (rp.coefficient(low).is_zero and rq.coefficient(low).is_zero):

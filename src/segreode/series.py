@@ -893,6 +893,8 @@ class TruncSeries2(_Rows2):
     # -- ring ops; the row-local operations are those of _Rows2 ----------------
 
     def __mul__(self, other):
+        if isinstance(other, OnlineSeries2):
+            return NotImplemented  # OnlineSeries2.__rmul__ multiplies online
         if not isinstance(other, TruncSeries2):
             return self.scale(other)
         nx, ny = min(self.nx, other.nx), min(self.ny, other.ny)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,10 @@ from segreode import (
     QI,
     AdmissibleOde,
     GaugeMap,
+    ProbeReport,
+    RealData,
     SeriesError,
+    TruncationStarvation,
     TruncSeries1,
     beta_family,
     build_chi_tau,
@@ -15,11 +19,14 @@ from segreode import (
     coupled_residual,
     divide,
     formal_solutions,
+    ode_from_real_data,
     pullback_under_gauge,
     self_map_probe,
     solution_residuals,
     verify_map_on_hypersurface,
 )
+from segreode import equiv
+from segreode.equiv import ProbeStage
 
 RECT = (6, 12)
 
@@ -226,3 +233,178 @@ def test_probe_flat_equation_detects_freedom():
     assert not report.rigid
     assert report.stages[0].dimension == 1
     assert report.stages[0].free_directions == ("g",)
+
+
+# -- the probe against its full-order oracle ---------------------------------------
+
+
+def _self_map_probe_oracle(e, degree):
+    """The probe with every pullback at the full working order: three
+    pullbacks per stage, the unperturbed one included, and one more for
+    the verified order."""
+    m = e.m
+    work = degree + 2 * m + 8
+    if e.trunc < work:
+        raise TruncationStarvation(
+            f"probe to degree {degree} needs ODE coefficients to order {work}, "
+            f"got {e.trunc}"
+        )
+
+    f_terms = {0: QI(1)}
+    g_terms = {1: QI(1)}
+
+    def residual_pair(fd, ge, d):
+        ft = dict(f_terms)
+        gt = dict(g_terms)
+        if not fd.is_zero:
+            ft[d] = fd
+        if not ge.is_zero:
+            gt[d + m] = ge
+        gauge = GaugeMap(TruncSeries1.from_terms(ft, work),
+                         TruncSeries1.from_terms(gt, work))
+        pulled = pullback_under_gauge(e, gauge, m)
+        return pulled.p - e.p.truncate(pulled.p.trunc), \
+            pulled.q - e.q.truncate(pulled.q.trunc)
+
+    stages = []
+    identity = True
+    rigid = True
+    for d in range(1, degree + 1):
+        crit = d - 1 + m
+        rp0, rq0 = residual_pair(QI(0), QI(0), d)
+        rp1, rq1 = residual_pair(QI(1), QI(0), d)
+        rp2, rq2 = residual_pair(QI(0), QI(1), d)
+        for low in range(min(crit, rp0.trunc)):
+            if not (rp0.coefficient(low).is_zero and rq0.coefficient(low).is_zero):
+                raise SeriesError(
+                    f"probe invariant broken at stage {d}: residual at order "
+                    f"{low} should be zero"
+                )
+        a11 = rp1.coefficient(crit) - rp0.coefficient(crit)
+        a12 = rp2.coefficient(crit) - rp0.coefficient(crit)
+        a21 = rq1.coefficient(crit) - rq0.coefficient(crit)
+        a22 = rq2.coefficient(crit) - rq0.coefficient(crit)
+        b1 = -rp0.coefficient(crit)
+        b2 = -rq0.coefficient(crit)
+
+        det = a11 * a22 - a12 * a21
+        free = ()
+        if not det.is_zero:
+            fd = (b1 * a22 - a12 * b2) / det
+            ge = (a11 * b2 - b1 * a21) / det
+            dim = 0
+        else:
+            rows = [(a11, a12, b1), (a21, a22, b2)]
+            pivot = next((r for r in rows if not (r[0].is_zero and r[1].is_zero)),
+                         None)
+            if pivot is None:
+                consistent = b1.is_zero and b2.is_zero
+                dim = 2
+                fd = ge = QI(0)
+                free = ("f", "g")
+            else:
+                other = rows[1] if pivot is rows[0] else rows[0]
+                consistent = (pivot[0] * other[2] - other[0] * pivot[2]).is_zero \
+                    and (pivot[1] * other[2] - other[1] * pivot[2]).is_zero \
+                    and (pivot[0] * other[1] - other[0] * pivot[1]).is_zero
+                dim = 1
+                if not pivot[0].is_zero:
+                    fd = pivot[2] / pivot[0]
+                    ge = QI(0)
+                    free = ("g",)
+                else:
+                    ge = pivot[2] / pivot[1]
+                    fd = QI(0)
+                    free = ("f",)
+            if not consistent:
+                stages.append(ProbeStage(d, dim, QI(0), QI(0), False, free))
+                return ProbeReport(tuple(stages), False, False, d - 1)
+        if dim > 0:
+            rigid = False
+        if not (fd.is_zero and ge.is_zero):
+            identity = False
+            if not fd.is_zero:
+                f_terms[d] = fd
+            if not ge.is_zero:
+                g_terms[d + m] = ge
+        stages.append(ProbeStage(d, dim, fd, ge, True, free))
+
+    rp, rq = residual_pair(QI(0), QI(0), degree + 1)
+    verified = degree + m - 1
+    for low in range(min(verified, rp.trunc) + 1):
+        if not (rp.coefficient(low).is_zero and rq.coefficient(low).is_zero):
+            verified = low - 1
+            break
+    return ProbeReport(tuple(stages), rigid, identity, verified)
+
+
+def _random_real_ode(m, trunc, seed):
+    """Real data (a, b) with a(0) = 1 and small random rationals elsewhere."""
+    rng = random.Random(f"probe/{m}/{seed}")
+
+    def draw():
+        return QI(rng.randint(-4, 4), 0, rng.randint(1, 4))
+
+    a = TruncSeries1([QI(1)] + [draw() for _ in range(trunc)], 0, trunc)
+    b = TruncSeries1([draw() for _ in range(trunc + 1)], 0, trunc)
+    return ode_from_real_data(RealData(m, a, b))
+
+
+def _random_complex_ode(m, trunc, seed):
+    rng = random.Random(f"probe-complex/{m}/{seed}")
+
+    def series():
+        return TruncSeries1([QI(rng.randint(-3, 3), rng.randint(-3, 3),
+                                rng.randint(1, 3)) for _ in range(trunc + 1)],
+                            0, trunc)
+
+    return AdmissibleOde(m, series(), series())
+
+
+def _probe_cases():
+    # the six grid members and the three equiv-deep members, at the order
+    # the pipeline builds them: max(rect sum + 2m + 2, degree + 2m + 10)
+    for m, beta in ((2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2)):
+        yield f"grid-{m},{beta}", lambda m=m, beta=beta: beta_family(
+            m, beta, 50 + 2 * m), 12
+    for m, beta in ((2, Fraction(1)), (2, Fraction(-1, 3)), (3, Fraction(5, 2))):
+        yield f"deep-{m},{beta}", lambda m=m, beta=beta: beta_family(
+            m, beta, 170 + 2 * m), 12
+    for m in (1, 2, 3, 4):
+        for degree in (1, 5, 12):
+            yield f"real-m{m}-d{degree}", lambda m=m, degree=degree: \
+                _random_real_ode(m, degree + 2 * m + 8, degree), degree
+        yield f"complex-m{m}", lambda m=m: _random_complex_ode(m, 2 * m + 13, 0), 5
+    yield "flat-m1", lambda: AdmissibleOde(1, TruncSeries1.zero(24),
+                                           TruncSeries1.zero(24)), 6
+    # P(0)^2 + 4 Q(0) = 0 makes the stage-1 system singular
+    yield "singular-m2", lambda: AdmissibleOde(
+        2, TruncSeries1.from_terms({0: 2, 1: -2}, 24),
+        TruncSeries1.from_terms({0: -1, 3: 1}, 24)), 6
+
+
+@pytest.mark.parametrize("make,degree", [c[1:] for c in _probe_cases()],
+                         ids=[c[0] for c in _probe_cases()])
+def test_probe_matches_full_order_oracle(make, degree):
+    e = make()
+    assert self_map_probe(e, degree) == _self_map_probe_oracle(e, degree)
+
+
+def test_rigid_probe_pulls_back_twice_per_stage_and_the_settled_gauge_once(
+        monkeypatch):
+    """Stage d pulls back f_d = 1 and g_{d+m} = 1 at order max(d + m, 2m + 1);
+    the settled identity gauge is pulled back once, at the working order
+    degree + 2m + 8, for every stage and the verified order."""
+    orders = []
+    pullback = equiv.pullback_under_gauge
+
+    def counting(target, gauge, m):
+        orders.append(gauge.f.trunc)
+        return pullback(target, gauge, m)
+
+    monkeypatch.setattr(equiv, "pullback_under_gauge", counting)
+    report = self_map_probe(beta_family(2, 1, 40), 12)
+    assert report.rigid and report.identity
+    assert len(orders) == 2 * 12 + 1
+    assert orders == [12 + 4 + 8] + [max(d + 2, 5) for d in range(1, 13)
+                                     for _ in range(2)]

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segreode import (
@@ -11,6 +11,7 @@ from segreode import (
     PoleOverflow,
     RealData,
     SeriesError,
+    TruncationStarvation,
     TruncSeries1,
     beta_family,
     check_real_structure,
@@ -131,6 +132,47 @@ def test_pullback_contravariant_functorial(g1, g2):
     composed = pullback_under_gauge(e, g1.compose(g2), 2)
     assert once.p == composed.p
     assert once.q == composed.q
+
+
+small_complex = st.builds(QI, st.integers(-3, 3), st.integers(-3, 3),
+                          st.integers(1, 4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 10), st.integers(1, 3),
+       st.lists(real_coeffs, min_size=20, max_size=20),
+       st.lists(real_coeffs, min_size=21, max_size=21),
+       st.lists(small_complex, min_size=13, max_size=13),
+       st.lists(small_complex, min_size=12, max_size=12))
+def test_pullback_claims_are_sound(m, n, k, a_tail, b, f_tail, g_tail):
+    """A special gauge known to order n and the same gauge known to n + k
+    pull back random real data to the same cells up to the order claimed
+    at n; that claim is at least n - 1 once n >= 2m + 1, and below that the
+    pullback either claims soundly or raises TruncationStarvation."""
+    data = RealData(m, TruncSeries1([QI(1)] + a_tail, 0, 20),
+                    TruncSeries1(b, 0, 20))
+    e = ode_from_real_data(data)
+
+    def pulled(trunc):
+        g_terms = {1: QI(1)}
+        g_terms.update((m + 1 + i, c) for i, c in enumerate(g_tail)
+                       if m + 1 + i <= trunc)
+        gauge = GaugeMap(TruncSeries1([QI(1)] + f_tail[:trunc], 0, trunc),
+                         TruncSeries1.from_terms(g_terms, trunc))
+        assert gauge.is_special(m)
+        return pullback_under_gauge(e, gauge, m)
+
+    try:
+        small = pulled(n)
+    except TruncationStarvation:
+        assert n < 2 * m + 1
+        return
+    big = pulled(n + k)
+    if n >= 2 * m + 1:
+        assert small.trunc >= n - 1
+    assert small.trunc <= big.trunc
+    assert small.p == big.p.truncate(small.trunc)
+    assert small.q == big.q.truncate(small.trunc)
 
 
 def test_gauge_compose_and_specialness():

@@ -1188,7 +1188,8 @@ def test_online_operations_match_eager(pair, a, b, outer):
     online substitute_y leaves out the total-degree cap, so its cells are
     compared on the eager rectangle."""
     oa, ob = _online(a), _online(b)
-    cases = [(oa * ob, a * b), (oa + b, a + b), (a - ob, a - b),
+    cases = [(oa * ob, a * b), (a * ob, a * b), (oa * b, a * b),
+             (oa + b, a + b), (a - ob, a - b),
              (oa.shift_y(2).scale(QI(1, -1, 2)), a.shift_y(2).scale(QI(1, -1, 2))),
              (oa.shift_x(1).conj(), a.shift_x(1).conj()), (oa.exp(), a.exp()),
              (oa.pow_int(2), a.pow_int(2)), (-oa, -a)]
@@ -1210,6 +1211,18 @@ def test_online_operations_match_eager(pair, a, b, outer):
     except TruncationStarvation:
         return
     _same_rect_cells(compose(outer, _online(g)).to_series(), want)
+
+
+def test_eager_times_online_is_the_online_product():
+    """An eager left factor leaves the product to OnlineSeries2.__rmul__;
+    both orders give the eager product's cells and rectangle."""
+    x = TruncSeries2.var_x(2, 2)
+    a = x + TruncSeries2.var_y(3, 1).scale(QI(1, 2))
+    for got in (x * _online(a), _online(a) * x, x * _online(x)):
+        assert isinstance(got, OnlineSeries2)
+    _same_rect_cells((x * _online(a)).to_series(), x * a)
+    _same_rect_cells((_online(a) * x).to_series(), a * x)
+    _same_rect_cells((x * _online(x)).to_series(), x * x)
 
 
 def test_online_product_skips_the_partner_of_a_zero_row():
