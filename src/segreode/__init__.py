@@ -15,7 +15,6 @@ from .series import (
     TruncSeries1,
     TruncSeries2,
     compose,
-    compose2,
     divide,
 )
 from .ode import (
@@ -70,6 +69,7 @@ from .autovec import (
     VectorFieldRep,
     build_vector_field,
     explicit_model,
+    model_rho,
     straightening_check,
     tangency_check,
 )

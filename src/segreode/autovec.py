@@ -71,23 +71,30 @@ def tangency_check(field: VectorFieldRep, h: Hypersurface) -> TruncSeries2:
     return b_at - ((a_at + a_bar) * rx).shift_x(1) - b_bar * ry
 
 
-def explicit_model(m: int, rect: tuple = (8, 24)) -> Hypersurface:
-    """The closed-form beta = 0 hypersurface of order m:
+def model_rho(m: int, x: TruncSeries2, y: TruncSeries2) -> TruncSeries2:
+    """The closed-form beta = 0 defining series of order m, evaluated at
+    (x, y):
 
-        rho(x, eta) = eta * (1 + (i/2)(1-m) * eta^{m-1} * L(x))^{1/(1-m)},
+        rho_0(x, y) = y * (1 + (i/2)(1-m) * y^{m-1} * L(x))^{1/(1-m)},
         L(x) = -log(1 - 2x) = 2x + 2x^2 + (8/3)x^3 + ...
 
-    computed entirely through series operations.
+    x must vanish at the origin.  No outer series is truncated, so the
+    result holds on the common rectangle of x and y.
     """
     if m < 2:
         raise ValueError(f"the closed-form model needs m >= 2, got {m}")
-    nx, ny = rect
-    lx = (TruncSeries1.one(nx) - TruncSeries1.monomial(2, 1, nx)).log().scale(-1)
-    big_l = TruncSeries2.embed_x(lx, ny)
-    c = QI(0, 1 - m, 2)  # (i/2)(1-m)
-    inner = TruncSeries2.one(nx, ny) + big_l.shift_y(m - 1).scale(c)
-    rho = inner.pow_frac(Fraction(1, 1 - m)).shift_y(1)
-    return Hypersurface(m, +1, rho)
+    one = TruncSeries2.one(*x.rect)
+    # (i/2)(1-m) * L(x) = (i/2)(m-1) * log(1 - 2x)
+    log = (one - x.scale(2)).log()
+    inner = one + (y.pow_int(m - 1) * log).scale(QI(0, m - 1, 2))
+    return inner.pow_frac(Fraction(1, 1 - m)) * y
+
+
+def explicit_model(m: int, rect: tuple = (8, 24)) -> Hypersurface:
+    """The closed-form beta = 0 hypersurface of order m: :func:`model_rho`
+    at (x, eta), computed entirely through series operations."""
+    x, y = TruncSeries2.var_x(*rect), TruncSeries2.var_y(*rect)
+    return Hypersurface(m, +1, model_rho(m, x, y))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from .growth import _resonance_level, gevrey_estimate, termination_detect
 from .monodromy import DEVIATION_TOL, check_radius, check_tol, monodromy_report
 from .ode import (
     AdmissibleOde,
+    GaugeMap,
     RealData,
     beta_data,
     beta_family,
@@ -276,10 +277,8 @@ class FamilyContext:
         return self._memo("zero_ode", lambda: beta_family(self.m, 0, self.work))
 
     def zero_hyper(self):
-        return self._memo(
-            "zero_hyper",
-            lambda: build_rho(solve_psi(self.zero_ode(), +1, self.rect)),
-        )
+        return self._memo("zero_hyper",
+                          lambda: explicit_model(self.m, self.rect))
 
     def solutions(self):
         return self._memo(
@@ -388,7 +387,7 @@ def check_map(ctx: FamilyContext) -> dict:
     e = ctx.ode()
     ok_p, wit_p = _series_eq(pulled.p, e.p)
     ok_q, wit_q = _series_eq(pulled.q, e.q)
-    res = verify_map_on_hypersurface(ctx.hyper(), ctx.zero_hyper(), gauge)
+    res = verify_map_on_hypersurface(ctx.hyper(), ctx.m, gauge)
     ok_h = res.is_zero
     return {
         "pass": ok_p and ok_q and ok_h,
@@ -419,7 +418,7 @@ def check_selfmap(ctx: FamilyContext) -> dict:
     report = self_map_probe(ctx.ode(), degree)
     dims = [st.dimension for st in report.stages]
     return {
-        "pass": report.rigid and report.identity,
+        "pass": report.rigid,
         "degree": degree,
         "dimensions": dims,
         "verified_order": report.verified_order,
@@ -460,8 +459,7 @@ def check_tangency(ctx: FamilyContext) -> dict:
 def check_model0(ctx: FamilyContext) -> dict:
     if ctx.beta != 0:
         return {"pass": None, "detail": "closed-form model applies to beta = 0"}
-    model = explicit_model(ctx.m, ctx.rect)
-    ok, wit = _series_eq(model.rho, ctx.hyper().rho)
+    ok, wit = _series_eq(ctx.zero_hyper().rho, ctx.hyper().rho)
     return {"pass": ok, "rect": list(ctx.rect), "witness": wit}
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .autovec import model_rho
 from .coefficients import QI
 from .ode import (
     AdmissibleOde,
@@ -37,7 +38,6 @@ from .series import (
     TruncSeries1,
     TruncSeries2,
     compose,
-    compose2,
     divide,
 )
 
@@ -147,16 +147,17 @@ def coupled_residual(f_map: GaugeMap, g_map: GaugeMap, m: int) -> TruncSeries1:
 # ---------------------------------------------------------------------------
 
 
-def verify_map_on_hypersurface(h_beta: Hypersurface, h_zero: Hypersurface,
+def verify_map_on_hypersurface(h_beta: Hypersurface, m: int,
                                gauge: GaugeMap) -> TruncSeries2:
     """Residual of the complexified mapping identity
 
         tau(rho_b(x, eta)) == rho_0(x * chi(rho_b(x, eta)) * conj_chi(eta),
                                     conj_tau(eta)),
 
-    where conj denotes coefficient conjugation.  Zero up to the returned
+    where conj denotes coefficient conjugation and rho_0 is the closed-form
+    beta = 0 series of order m (:func:`model_rho`).  Zero up to the returned
     rectangle certifies that (z, w) -> (chi(w) z, tau(w)) maps the first
-    hypersurface into the second at that order.
+    hypersurface into the beta = 0 model at that order.
     """
     rho_b = h_beta.rho
     chi, tau = gauge.f, gauge.g
@@ -169,9 +170,8 @@ def verify_map_on_hypersurface(h_beta: Hypersurface, h_zero: Hypersurface,
     chi_at = compose(chi, rho_b)
     chi_bar = TruncSeries2.embed_y(chi.conj().truncate(ny), rho_b.nx, ny)
     first = (chi_at * chi_bar).shift_x(1)
-    second = tau.conj().truncate(ny)
-    rhs = compose2(h_zero.rho, first, second)
-    return lhs - rhs
+    second = TruncSeries2.embed_y(tau.conj().truncate(ny), rho_b.nx, ny)
+    return lhs - model_rho(m, first, second)
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +183,6 @@ def verify_map_on_hypersurface(h_beta: Hypersurface, h_zero: Hypersurface,
 class ProbeStage:
     degree: int
     dimension: int
-    f_coeff: QI
-    g_coeff: QI
-    consistent: bool
     free_directions: tuple = ()
 
 
@@ -193,7 +190,6 @@ class ProbeStage:
 class ProbeReport:
     stages: tuple
     rigid: bool          # every stage pinned both unknowns
-    identity: bool       # the unique solution is the identity map
     verified_order: int  # residuals vanish to this coefficient order
 
 
@@ -203,17 +199,18 @@ def self_map_probe(e: AdmissibleOde, degree: int) -> ProbeReport:
 
     At stage d the new unknowns are f_d and g_{d+m}; the residual coefficients
     of P at w^{d-1+m} and of Q at w^{d-1+m} are affine in them (nonlinear
-    corrections and later unknowns only reach higher orders), so an exact
-    2x2 affine solve per stage either pins them or reports free directions.
+    corrections and later unknowns only reach higher orders).  The identity
+    solves every stage, so the affine part vanishes and the rank of the 2x2
+    linear part either pins both unknowns or leaves free directions.
 
-    A stage reads only that one coefficient.  A pullback through a gauge
-    known to order T >= 2m + 1 claims order T - 1 (below 2m + 1 the
-    w^{-2m} pole part of gamma(g) starves it), so the two perturbed
-    pullbacks of stage d run at T = max(d + m, 2m + 1); a claim that fell
-    short would raise :class:`TruncationStarvation`.  The unperturbed
-    residual depends only on the settled gauge: it is pulled back at the
-    working order once per gauge and serves every stage's right-hand side
-    and invariant check and the final verified order.
+    The identity's residual is pulled back once, at the working order, and
+    must vanish to the verified order degree + m - 1; otherwise the pullback
+    is broken and :class:`SeriesError` is raised.  A stage reads only one
+    coefficient.  A pullback through a gauge known to order T >= 2m + 1
+    claims order T - 1 (below 2m + 1 the w^{-2m} pole part of gamma(g)
+    starves it), so the two perturbed pullbacks of stage d run at
+    T = max(d + m, 2m + 1); a claim that fell short would raise
+    :class:`TruncationStarvation`.
     """
     m = e.m
     work = degree + 2 * m + 8
@@ -224,88 +221,39 @@ def self_map_probe(e: AdmissibleOde, degree: int) -> ProbeReport:
         )
     e = AdmissibleOde(m, e.p.truncate(work), e.q.truncate(work))
 
-    f_terms = {0: QI(1)}
-    g_terms = {1: QI(1)}
-
     def residual_pair(trunc: int, ft: dict, gt: dict):
-        gauge = GaugeMap(TruncSeries1.from_terms(ft, trunc),
-                         TruncSeries1.from_terms(gt, trunc))
+        gauge = GaugeMap(TruncSeries1.from_terms({0: QI(1), **ft}, trunc),
+                         TruncSeries1.from_terms({1: QI(1), **gt}, trunc))
         pulled = pullback_under_gauge(e, gauge, m)
         return pulled.p - e.p.truncate(pulled.p.trunc), \
             pulled.q - e.q.truncate(pulled.q.trunc)
 
+    rp, rq = residual_pair(work, {}, {})
+    verified = degree + m - 1
+    for low in range(verified + 1):
+        if not (rp.coefficient(low).is_zero and rq.coefficient(low).is_zero):
+            raise SeriesError(
+                f"probe invariant broken: the identity's residual at order "
+                f"{low} should be zero"
+            )
+
     stages = []
-    identity = True
-    rigid = True
-    settled = residual_pair(work, f_terms, g_terms)
     for d in range(1, degree + 1):
         crit = d - 1 + m
         order = max(d + m, 2 * m + 1)
-        rp0, rq0 = settled
-        rp1, rq1 = residual_pair(order, {**f_terms, d: QI(1)}, g_terms)
-        rp2, rq2 = residual_pair(order, f_terms, {**g_terms, d + m: QI(1)})
-        # coefficients finalized at earlier stages must already vanish
-        for low in range(min(crit, rp0.trunc)):
-            if not (rp0.coefficient(low).is_zero and rq0.coefficient(low).is_zero):
-                raise SeriesError(
-                    f"probe invariant broken at stage {d}: residual at order "
-                    f"{low} should be zero"
-                )
-        a11 = rp1.coefficient(crit) - rp0.coefficient(crit)
-        a12 = rp2.coefficient(crit) - rp0.coefficient(crit)
-        a21 = rq1.coefficient(crit) - rq0.coefficient(crit)
-        a22 = rq2.coefficient(crit) - rq0.coefficient(crit)
-        b1 = -rp0.coefficient(crit)
-        b2 = -rq0.coefficient(crit)
-
-        det = a11 * a22 - a12 * a21
-        free: tuple = ()
+        rp1, rq1 = residual_pair(order, {d: QI(1)}, {})
+        rp2, rq2 = residual_pair(order, {}, {d + m: QI(1)})
+        rows = [(rp1.coefficient(crit), rp2.coefficient(crit)),
+                (rq1.coefficient(crit), rq2.coefficient(crit))]
+        det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+        pivot = next((r for r in rows if not (r[0].is_zero and r[1].is_zero)),
+                     None)
         if not det.is_zero:
-            fd = (b1 * a22 - a12 * b2) / det
-            ge = (a11 * b2 - b1 * a21) / det
-            dim = 0
+            stages.append(ProbeStage(d, 0))
+        elif pivot is None:
+            stages.append(ProbeStage(d, 2, ("f", "g")))
         else:
-            rows = [(a11, a12, b1), (a21, a22, b2)]
-            pivot = next((r for r in rows if not (r[0].is_zero and r[1].is_zero)),
-                         None)
-            if pivot is None:
-                consistent = b1.is_zero and b2.is_zero
-                dim = 2
-                fd = ge = QI(0)
-                free = ("f", "g")
-            else:
-                other = rows[1] if pivot is rows[0] else rows[0]
-                # other row must be proportional to the pivot row
-                consistent = (pivot[0] * other[2] - other[0] * pivot[2]).is_zero \
-                    and (pivot[1] * other[2] - other[1] * pivot[2]).is_zero \
-                    and (pivot[0] * other[1] - other[0] * pivot[1]).is_zero
-                dim = 1
-                if not pivot[0].is_zero:
-                    fd = pivot[2] / pivot[0]
-                    ge = QI(0)
-                    free = ("g",)
-                else:
-                    ge = pivot[2] / pivot[1]
-                    fd = QI(0)
-                    free = ("f",)
-            if not consistent:
-                stages.append(ProbeStage(d, dim, QI(0), QI(0), False, free))
-                return ProbeReport(tuple(stages), False, False, d - 1)
-        if dim > 0:
-            rigid = False
-        if not (fd.is_zero and ge.is_zero):
-            identity = False
-            if not fd.is_zero:
-                f_terms[d] = fd
-            if not ge.is_zero:
-                g_terms[d + m] = ge
-            settled = residual_pair(work, f_terms, g_terms)
-        stages.append(ProbeStage(d, dim, fd, ge, True, free))
-
-    rp, rq = settled
-    verified = degree + m - 1
-    for low in range(min(verified, rp.trunc) + 1):
-        if not (rp.coefficient(low).is_zero and rq.coefficient(low).is_zero):
-            verified = low - 1
-            break
-    return ProbeReport(tuple(stages), rigid, identity, verified)
+            stages.append(ProbeStage(d, 1, ("f",) if pivot[0].is_zero
+                                     else ("g",)))
+    rigid = all(st.dimension == 0 for st in stages)
+    return ProbeReport(tuple(stages), rigid, verified)

@@ -1134,40 +1134,3 @@ def _compose_1_2(outer: TruncSeries1, inner):
     ny = _capped_ny(inner, nx, inner.ny, outer.trunc,
                     1 if isinstance(inner, OnlineSeries2) else None)
     return TruncSeries2.embed_y(outer, nx).substitute_y(inner).restrict(nx, ny)
-
-
-def compose2(outer: TruncSeries2, first: TruncSeries2,
-             second: TruncSeries1) -> TruncSeries2:
-    """Full bivariate substitution outer(first(x, y), second(y)).
-
-    ``first`` must have x-order >= 1; ``second`` is univariate in y and must
-    have order >= 1.
-    """
-    vx = first.x_order()
-    if vx is None:
-        vx = first.nx + 1
-    if vx < 1:
-        raise SeriesError("first substituted series must have x-order >= 1")
-    if not isinstance(second, TruncSeries1):
-        raise SeriesError("second substituted series must be univariate in y")
-    if second.pole != 0 or not second.coefficient(0).is_zero:
-        raise SeriesError("second substituted series must vanish at the origin")
-    vy = second.order() or (second.trunc + 1)
-    nx = min(first.nx, (outer.nx + 1) * vx - 1)
-    ny = min(first.ny, second.trunc, (outer.ny + 1) * vy - 1)
-    # outer rows above nx // vx meet first^j of x-order > nx
-    rows = outer.rows[: min(outer.nx, nx // vx) + 1]
-    top = max((j for j, row in enumerate(rows)
-               if any(not c.is_zero for c in row)), default=0)
-    rows = rows[: top + 1]
-    cols = max((l for row in rows for l, c in enumerate(row[: ny + 1])
-                if not c.is_zero), default=0)
-    spowers = [TruncSeries1.one(ny)]
-    spowers.extend(_powers(second.truncate(ny), cols))
-    # outer row j summed against the powers of second
-    sums = [list(sum((p.scale(c) for c, p in zip(row, spowers) if c),
-                     TruncSeries1.zero(ny)).coeffs) for row in rows]
-    zero = [ZERO] * (ny + 1)
-    return _horner(top, lambda j: lambda i: zero if i else sums[j],
-                   _online(first), nx, ny).to_series()
-

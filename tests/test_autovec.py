@@ -84,9 +84,16 @@ def test_explicit_model_values():
     assert h.rho.row(2) == TruncSeries1.from_terms({2: QI(0, 1), 3: -1}, ny)
 
 
-def test_explicit_model_matches_solved_family():
-    assert explicit_model(2, RECT).rho == family_hyper(2, "0", *RECT).rho
-    assert explicit_model(3, RECT).rho == family_hyper(3, "0", *RECT).rho
+@pytest.mark.parametrize("rect", [(6, 12), (8, 24)], ids=["6x12", "8x24"])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_explicit_model_matches_solved_family(m, rect):
+    """The link the map check relies on: the closed-form model is the
+    solved beta = 0 hypersurface, cell for cell and rectangle for
+    rectangle."""
+    model = explicit_model(m, rect).rho
+    solved = family_hyper(m, "0", *rect).rho
+    assert model.rect == solved.rect == rect
+    assert model.rows == solved.rows
 
 
 def test_model_field_tangent():

@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import typing
 from fractions import Fraction
 from pathlib import Path
 
@@ -64,6 +65,24 @@ def test_run_pipeline_skips_inapplicable():
     report, code = run_pipeline(cfg)
     assert code == 0
     assert report["runs"][0]["checks"]["model0"]["pass"] is None
+
+
+def test_family_context_annotations_resolve():
+    """Every type a FamilyContext method names is imported in cli."""
+    for name, member in vars(cli.FamilyContext).items():
+        if callable(member):
+            typing.get_type_hints(member)
+
+
+def test_map_and_model0_share_the_closed_form_model():
+    """map reads the closed-form beta = 0 model, not a solved one, and
+    builds the zero_hyper stage only when model0 reads it."""
+    ctx = cli.FamilyContext(2, beta=Fraction(1), degree=24, rect=(6, 12))
+    assert cli.check_map(ctx)["pass"] is True
+    assert "zero_hyper" not in ctx._cache
+    ctx = cli.FamilyContext(2, beta=Fraction(0), degree=24, rect=(6, 12))
+    assert cli.check_model0(ctx)["pass"] is True
+    assert "zero_hyper" in ctx._cache
 
 
 def test_run_pipeline_failure_sets_exit(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from segreode import (
     QI,
     AdmissibleOde,
     GaugeMap,
-    ProbeReport,
     RealData,
     SeriesError,
     TruncationStarvation,
@@ -26,7 +26,6 @@ from segreode import (
     verify_map_on_hypersurface,
 )
 from segreode import equiv
-from segreode.equiv import ProbeStage
 
 RECT = (6, 12)
 
@@ -189,23 +188,21 @@ def test_coupled_requires_special_gauge():
 
 def test_map_identity_on_beta0():
     h0 = family_hyper(2, "0", *RECT)
-    res = verify_map_on_hypersurface(h0, h0, GaugeMap.identity(30))
+    res = verify_map_on_hypersurface(h0, 2, GaugeMap.identity(30))
     assert res.is_zero
 
 
 def test_map_beta1_to_beta0():
     h1 = family_hyper(2, "1", *RECT)
-    h0 = family_hyper(2, "0", *RECT)
     gauge = build_chi_tau(formal_solutions(2, 1, 30))
-    res = verify_map_on_hypersurface(h1, h0, gauge)
+    res = verify_map_on_hypersurface(h1, 2, gauge)
     assert res.rect == RECT
     assert res.is_zero
 
 
 def test_map_identity_with_wrong_beta_leaves_witness():
     h1 = family_hyper(2, "1", *RECT)
-    h0 = family_hyper(2, "0", *RECT)
-    res = verify_map_on_hypersurface(h1, h0, GaugeMap.identity(30))
+    res = verify_map_on_hypersurface(h1, 2, GaugeMap.identity(30))
     (j, k), value = res.first_nonzero()
     # the profiles first differ in the x^3 row: delta(psi_3) = beta*eta^2/6
     assert (j, k) == (3, 4)
@@ -217,14 +214,14 @@ def test_map_identity_with_wrong_beta_leaves_witness():
 
 def test_probe_beta0_rigid():
     report = self_map_probe(beta_family(2, 0, 26), 12)
-    assert report.rigid and report.identity
+    assert report.rigid
     assert all(st.dimension == 0 for st in report.stages)
     assert report.verified_order >= 12
 
 
 def test_probe_beta1_rigid():
     report = self_map_probe(beta_family(2, 1, 26), 12)
-    assert report.rigid and report.identity
+    assert report.rigid
 
 
 def test_probe_flat_equation_detects_freedom():
@@ -238,10 +235,29 @@ def test_probe_flat_equation_detects_freedom():
 # -- the probe against its full-order oracle ---------------------------------------
 
 
+@dataclass(frozen=True)
+class _OracleStage:
+    degree: int
+    dimension: int
+    f_coeff: QI
+    g_coeff: QI
+    consistent: bool
+    free_directions: tuple = ()
+
+
+@dataclass(frozen=True)
+class _OracleReport:
+    stages: tuple
+    rigid: bool
+    identity: bool
+    verified_order: int
+
+
 def _self_map_probe_oracle(e, degree):
-    """The probe with every pullback at the full working order: three
-    pullbacks per stage, the unperturbed one included, and one more for
-    the verified order."""
+    """The probe as a full affine solve, every pullback at the working
+    order: three pullbacks per stage, the unperturbed one included, and one
+    more for the verified order.  Each stage solves for f_d and g_{d+m}
+    against the residual of the gauge settled so far."""
     m = e.m
     work = degree + 2 * m + 8
     if e.trunc < work:
@@ -317,8 +333,8 @@ def _self_map_probe_oracle(e, degree):
                     fd = QI(0)
                     free = ("f",)
             if not consistent:
-                stages.append(ProbeStage(d, dim, QI(0), QI(0), False, free))
-                return ProbeReport(tuple(stages), False, False, d - 1)
+                stages.append(_OracleStage(d, dim, QI(0), QI(0), False, free))
+                return _OracleReport(tuple(stages), False, False, d - 1)
         if dim > 0:
             rigid = False
         if not (fd.is_zero and ge.is_zero):
@@ -327,7 +343,7 @@ def _self_map_probe_oracle(e, degree):
                 f_terms[d] = fd
             if not ge.is_zero:
                 g_terms[d + m] = ge
-        stages.append(ProbeStage(d, dim, fd, ge, True, free))
+        stages.append(_OracleStage(d, dim, fd, ge, True, free))
 
     rp, rq = residual_pair(QI(0), QI(0), degree + 1)
     verified = degree + m - 1
@@ -335,7 +351,7 @@ def _self_map_probe_oracle(e, degree):
         if not (rp.coefficient(low).is_zero and rq.coefficient(low).is_zero):
             verified = low - 1
             break
-    return ProbeReport(tuple(stages), rigid, identity, verified)
+    return _OracleReport(tuple(stages), rigid, identity, verified)
 
 
 def _random_real_ode(m, trunc, seed):
@@ -386,15 +402,42 @@ def _probe_cases():
 @pytest.mark.parametrize("make,degree", [c[1:] for c in _probe_cases()],
                          ids=[c[0] for c in _probe_cases()])
 def test_probe_matches_full_order_oracle(make, degree):
+    """The rank-only probe reports what the full affine solve reports, and
+    the affine solve never leaves the identity: every stage is consistent
+    with zero coefficients."""
     e = make()
-    assert self_map_probe(e, degree) == _self_map_probe_oracle(e, degree)
+    report = self_map_probe(e, degree)
+    oracle = _self_map_probe_oracle(e, degree)
+    assert [(st.degree, st.dimension, st.free_directions)
+            for st in report.stages] == [
+        (st.degree, st.dimension, st.free_directions) for st in oracle.stages]
+    assert (report.rigid, report.verified_order) == (oracle.rigid,
+                                                      oracle.verified_order)
+    assert oracle.identity
+    assert all(st.consistent and st.f_coeff.is_zero and st.g_coeff.is_zero
+               for st in oracle.stages)
+
+
+def test_probe_raises_when_the_identity_leaves_a_residual(monkeypatch):
+    """A pullback that moves the identity breaks the invariant every stage
+    relies on."""
+    pullback = equiv.pullback_under_gauge
+
+    def perturbed(target, gauge, m):
+        pulled = pullback(target, gauge, m)
+        bump = TruncSeries1.monomial(QI(0, 1, 7), m + 3, pulled.q.trunc)
+        return AdmissibleOde(m, pulled.p, pulled.q + bump)
+
+    monkeypatch.setattr(equiv, "pullback_under_gauge", perturbed)
+    with pytest.raises(SeriesError, match="identity's residual at order 5"):
+        self_map_probe(beta_family(2, 1, 40), 12)
 
 
 def test_rigid_probe_pulls_back_twice_per_stage_and_the_settled_gauge_once(
         monkeypatch):
     """Stage d pulls back f_d = 1 and g_{d+m} = 1 at order max(d + m, 2m + 1);
-    the settled identity gauge is pulled back once, at the working order
-    degree + 2m + 8, for every stage and the verified order."""
+    the identity is pulled back once, at the working order degree + 2m + 8,
+    for every stage and the verified order."""
     orders = []
     pullback = equiv.pullback_under_gauge
 
@@ -404,7 +447,7 @@ def test_rigid_probe_pulls_back_twice_per_stage_and_the_settled_gauge_once(
 
     monkeypatch.setattr(equiv, "pullback_under_gauge", counting)
     report = self_map_probe(beta_family(2, 1, 40), 12)
-    assert report.rigid and report.identity
+    assert report.rigid
     assert len(orders) == 2 * 12 + 1
     assert orders == [12 + 4 + 8] + [max(d + 2, 5) for d in range(1, 13)
                                      for _ in range(2)]

@@ -16,13 +16,14 @@ from segreode import (
     build_chi_tau,
     coeff_str,
     compose,
-    compose2,
     divide,
+    explicit_model,
     formal_solutions,
+    model_rho,
     parse_coeff,
 )
 from segreode.coefficients import ONE, ZERO
-from segreode.series import OnlineSeries2, _online
+from segreode.series import OnlineSeries2, _horner, _online, _powers
 
 N = 10
 
@@ -1000,20 +1001,73 @@ def _zero_row0(s):
                         s.nx, s.ny)
 
 
-@given(st.data(), sparse_qi, series2(ZERO), with_head(ZERO))
-def test_compose2_claim_is_sound(data, head, first, second):
-    """outer(first, second) with first of x-order >= 1 and second(0) = 0.
+# -- the closed-form beta = 0 model against full bivariate substitution -------
 
-    The x-order of first is read off the stored columns, so a larger first
-    can claim fewer x-rows unless the larger outer is known at least as far
-    as first and second are: it is padded to that rectangle here."""
-    outer = data.draw(series2(head))
-    first = _zero_row0(first)
-    outer_big = _padded2(data.draw, outer, max(outer.nx, first.nx) + 1,
-                         max(outer.ny, first.ny, second.trunc) + 1)
-    big = compose2(outer_big, _zero_row0(_extended2(data.draw, first)),
-                   _extended(data.draw, second))
-    _assert_sound2(compose2(outer, first, second), big)
+
+def _compose2_oracle(outer, first, second):
+    """Full bivariate substitution outer(first(x, y), second(y)): Horner in
+    first over the rows of outer, each row summed against the powers of the
+    univariate second.  first must have x-order >= 1 and second must vanish
+    at the origin."""
+    vx = first.x_order()
+    if vx is None:
+        vx = first.nx + 1
+    if vx < 1:
+        raise SeriesError("first substituted series must have x-order >= 1")
+    if second.pole != 0 or not second.coefficient(0).is_zero:
+        raise SeriesError("second substituted series must vanish at the origin")
+    vy = second.order() or (second.trunc + 1)
+    nx = min(first.nx, (outer.nx + 1) * vx - 1)
+    ny = min(first.ny, second.trunc, (outer.ny + 1) * vy - 1)
+    # outer rows above nx // vx meet first^j of x-order > nx
+    rows = outer.rows[: min(outer.nx, nx // vx) + 1]
+    top = max((j for j, row in enumerate(rows)
+               if any(not c.is_zero for c in row)), default=0)
+    rows = rows[: top + 1]
+    cols = max((l for row in rows for l, c in enumerate(row[: ny + 1])
+                if not c.is_zero), default=0)
+    spowers = [TruncSeries1.one(ny)]
+    spowers.extend(_powers(second.truncate(ny), cols))
+    sums = [list(sum((p.scale(c) for c, p in zip(row, spowers) if c),
+                     TruncSeries1.zero(ny)).coeffs) for row in rows]
+    zero = [ZERO] * (ny + 1)
+    return _horner(top, lambda j: lambda i: zero if i else sums[j],
+                   _online(first), nx, ny).to_series()
+
+
+@given(st.data(), st.integers(2, 4), st.integers(1, 3))
+def test_model_rho_matches_substitution_into_explicit_model(data, m, nx):
+    """model_rho at (X, Y) is the explicit model's rho with X and Y
+    substituted, for X of x-order >= 1 and Y of y-order 1.  A Hypersurface
+    holds eta^m in its x-row, so ny >= m."""
+    ny = data.draw(st.integers(m, m + 3))
+    x = _zero_row0(TruncSeries2(_rows(data.draw, nx, ny, True), nx, ny))
+    second = TruncSeries1(
+        [ZERO, data.draw(qi_values.filter(bool))]
+        + [data.draw(sparse_qi) for _ in range(ny - 1)], 0, ny)
+    got = model_rho(m, x, TruncSeries2.embed_y(second, nx))
+    _same_rect_cells(got, _compose2_oracle(explicit_model(m, (nx, ny)).rho,
+                                           x, second))
+
+
+@pytest.mark.parametrize("m, beta", [(2, 1), (3, 2)])
+def test_model_rho_matches_substitution_on_the_map(m, beta):
+    """The map check's X = x*chi(rho)*conj_chi(eta) and Y = conj_tau(eta)."""
+    rho = family_hyper(m, str(beta), 6, 12).rho
+    gauge = build_chi_tau(formal_solutions(m, beta, 30))
+    chi_bar = TruncSeries2.embed_y(gauge.f.conj().truncate(12), 6)
+    x = (compose(gauge.f, rho) * chi_bar).shift_x(1)
+    second = gauge.g.conj().truncate(12)
+    got = model_rho(m, x, TruncSeries2.embed_y(second, 6))
+    _same_rect_cells(got, _compose2_oracle(explicit_model(m, (6, 12)).rho,
+                                           x, second))
+
+
+@given(st.data(), st.integers(2, 4), series2(ZERO), any_series2)
+def test_model_rho_claim_is_sound(data, m, x, y):
+    _assert_sound2(model_rho(m, x, y),
+                   model_rho(m, _extended2(data.draw, x),
+                             _extended2(data.draw, y)))
 
 
 def _counting_mul(monkeypatch, *classes):
@@ -1075,22 +1129,6 @@ def test_compose_bivariate_polynomial_outer_products(monkeypatch, degree):
     assert len(calls) <= min(degree, 4)  # vx = 1
     monkeypatch.undo()
     _same_rect_cells(got, _compose_1_2_oracle(outer, inner))
-
-
-def test_compose2_stops_at_last_nonzero_outer_row(monkeypatch):
-    """outer = y + x*y^2 needs one bivariate product: first * (row-1 sum)."""
-    outer = TruncSeries2.var_y(6, 8) + (
-        TruncSeries2.var_x(6, 8) * TruncSeries2.var_y(6, 8).pow_int(2))
-    x = TruncSeries2.var_x(5, 7)
-    first = x + (x * TruncSeries2.var_y(5, 7)).scale(3)
-    second = TruncSeries1.from_terms({1: 1, 2: QI(0, 1)}, 7)
-    calls = _counting_mul(monkeypatch, TruncSeries2, OnlineSeries2)
-    got = compose2(outer, first, second)
-    assert len(calls) == 1
-    monkeypatch.undo()
-    s = TruncSeries2.embed_y(second, 5, 7)
-    assert got.rect == (5, 7)
-    assert got == s + first * s * s
 
 
 # -- substitution in y ----------------------------------------------------------
