@@ -15,6 +15,7 @@ from segreode import (
     gevrey_estimate,
     residue_analysis,
     termination_detect,
+    termination_order,
 )
 
 
@@ -24,8 +25,11 @@ def main() -> int:
     ap.add_argument("--beta-min", type=int, default=0)
     ap.add_argument("--beta-max", type=int, default=12)
     ap.add_argument("--order", type=int, default=200,
-                    help="series order for the growth fit")
+                    help="series order for the growth fit (raised past the "
+                         "degree of a polynomial f)")
     args = ap.parse_args()
+    if args.m < 2:
+        ap.error(f"the family needs m >= 2, got --m {args.m}")
 
     header = f"{'beta':>6}  {'monodromy':>10}  {'terminates':>10}  " \
              f"{'degree':>6}  {'gevrey':>8}  {'radius':>10}"
@@ -33,7 +37,9 @@ def main() -> int:
     print("-" * len(header))
     for beta in range(args.beta_min, args.beta_max + 1):
         mono = residue_analysis(args.m, Fraction(beta))
-        pair = formal_solutions(args.m, Fraction(beta), args.order)
+        # a resonant f is run one order past its degree, to see it end
+        order = termination_order(args.m, beta, args.order)
+        pair = formal_solutions(args.m, Fraction(beta), order)
         term = termination_detect(pair.f)
         assert term.terminated == expected_termination(args.m, beta)
         if term.terminated:

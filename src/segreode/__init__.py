@@ -79,6 +79,7 @@ from .growth import (
     expected_termination,
     gevrey_estimate,
     termination_detect,
+    termination_order,
 )
 
 __version__ = "0.1.0"

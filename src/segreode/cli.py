@@ -19,7 +19,12 @@ from fractions import Fraction
 from multiprocessing import Pool
 
 from .coefficients import QI
-from .growth import _resonance_level, gevrey_estimate, termination_detect
+from .growth import (
+    expected_termination,
+    gevrey_estimate,
+    termination_detect,
+    termination_order,
+)
 from .monodromy import DEVIATION_TOL, check_radius, check_tol, monodromy_report
 from .ode import (
     AdmissibleOde,
@@ -295,19 +300,16 @@ class FamilyContext:
 # ---------------------------------------------------------------------------
 
 
-def _witness2(diff) -> dict | None:
+def _witness(diff) -> dict | None:
+    """The first nonzero coefficient of a residual: its degree, or its cell
+    for a bivariate one, and its value; None when the residual is zero."""
     fn = diff.first_nonzero()
     if fn is None:
         return None
-    (j, k), value = fn
-    return {"cell": [j, k], "value": str(value)}
-
-
-def _witness1(diff) -> dict | None:
-    fn = diff.first_nonzero()
-    if fn is None:
-        return None
-    return {"degree": fn[0], "value": str(fn[1])}
+    where, value = fn
+    if isinstance(where, tuple):
+        return {"cell": list(where), "value": str(value)}
+    return {"degree": where, "value": str(value)}
 
 
 def _series_eq(a, b):
@@ -315,10 +317,10 @@ def _series_eq(a, b):
     if hasattr(a, "trunc"):
         common = min(a.trunc, b.trunc)
         diff = a.truncate(common) - b.truncate(common)
-        return diff.is_zero, _witness1(diff)
+        return diff.is_zero, _witness(diff)
     nx, ny = min(a.nx, b.nx), min(a.ny, b.ny)
     diff = a.restrict(nx, ny) - b.restrict(nx, ny)
-    return diff.is_zero, _witness2(diff)
+    return diff.is_zero, _witness(diff)
 
 
 def check_roundtrip(ctx: FamilyContext) -> dict:
@@ -360,8 +362,6 @@ def check_reality(ctx: FamilyContext) -> dict:
 def check_realty(ctx: FamilyContext) -> dict:
     h = ctx.hyper()
     res = realty_identity_check(h)
-    ok = res.is_zero
-    witness = None if ok else _witness2(res)
     normal_ok = True
     detail = None
     try:
@@ -373,11 +373,11 @@ def check_realty(ctx: FamilyContext) -> dict:
         normal_ok = False
         detail = str(exc)
     return {
-        "pass": ok and normal_ok,
+        "pass": res.is_zero and normal_ok,
         "rect": [res.nx, res.ny],
         "normal_form": normal_ok,
         "detail": detail,
-        "witness": witness,
+        "witness": _witness(res),
     }
 
 
@@ -388,12 +388,11 @@ def check_map(ctx: FamilyContext) -> dict:
     ok_p, wit_p = _series_eq(pulled.p, e.p)
     ok_q, wit_q = _series_eq(pulled.q, e.q)
     res = verify_map_on_hypersurface(ctx.hyper(), ctx.m, gauge)
-    ok_h = res.is_zero
     return {
-        "pass": ok_p and ok_q and ok_h,
+        "pass": ok_p and ok_q and res.is_zero,
         "ode_order": min(pulled.trunc, e.trunc),
         "hypersurface_rect": [res.nx, res.ny],
-        "witness": wit_p or wit_q or (None if ok_h else _witness2(res)),
+        "witness": wit_p or wit_q or _witness(res),
     }
 
 
@@ -403,10 +402,9 @@ def check_coupled(ctx: FamilyContext) -> dict:
     ok_l, wit_l = _series_eq(paired.f, gauge.f.conj())
     ok_m, wit_m = _series_eq(paired.g, gauge.g.conj())
     residual = coupled_residual(gauge, paired, ctx.m)
-    ok_r = residual.is_zero
     return {
-        "pass": ok_l and ok_m and ok_r,
-        "witness": wit_l or wit_m or (None if ok_r else _witness1(residual)),
+        "pass": ok_l and ok_m and residual.is_zero,
+        "witness": wit_l or wit_m or _witness(residual),
     }
 
 
@@ -448,11 +446,10 @@ def check_monodromy(ctx: FamilyContext) -> dict:
 def check_tangency(ctx: FamilyContext) -> dict:
     fieldrep = build_vector_field(ctx.chi_tau(), ctx.m)
     res = tangency_check(fieldrep, ctx.hyper())
-    ok = res.is_zero
     return {
-        "pass": ok,
+        "pass": res.is_zero,
         "rect": [res.nx, res.ny],
-        "witness": None if ok else _witness2(res),
+        "witness": _witness(res),
     }
 
 
@@ -464,10 +461,8 @@ def check_model0(ctx: FamilyContext) -> dict:
 
 
 def check_growth(ctx: FamilyContext) -> dict:
-    level = _resonance_level(ctx.m, ctx.beta)
-    expected = level is not None
-    # a resonant f is a polynomial of degree l*(m-1): run one order past it
-    n = max(200, ctx.degree, level * (ctx.m - 1) + 1 if expected else 0)
+    expected = expected_termination(ctx.m, ctx.beta)
+    n = termination_order(ctx.m, ctx.beta, max(200, ctx.degree))
     pair = formal_solutions(ctx.m, ctx.beta, n)
     term = termination_detect(pair.f)
     out = {
@@ -550,6 +545,12 @@ def no_verdict(what: str | None = None):
         raise ConfigError(f"{what}: {exc}" if what else str(exc)) from exc
 
 
+def exit_code(entries) -> int:
+    """1 when any check entry failed, else 0; a check that does not apply
+    (``"pass": null``) fails nothing."""
+    return 1 if any(e.get("pass") is False for e in entries) else 0
+
+
 def run_pipeline(cfg: RunConfig) -> tuple[dict, int]:
     cfg.validate()
     payloads = []
@@ -566,12 +567,7 @@ def run_pipeline(cfg: RunConfig) -> tuple[dict, int]:
     else:
         runs = [_run_one(p) for p in payloads]
     report = {"version": REPORT_VERSION, "runs": runs}
-    failed = any(
-        entry.get("pass") is False
-        for run in runs
-        for entry in run["checks"].values()
-    )
-    return report, (1 if failed else 0)
+    return report, exit_code(e for run in runs for e in run["checks"].values())
 
 
 def _round_floats(obj):
@@ -643,12 +639,8 @@ def cmd_segre(args) -> int:
     ctx = _context_from_args(args)
     out = {"family": ctx.label(), "rect": list(ctx.rect), "sign": args.sign}
     with no_verdict(f"segre at rect {list(ctx.rect)}"):
-        if args.sign == +1:
-            fam = ctx.family()
-            hyper = ctx.hyper()
-        else:
-            fam = solve_psi(ctx.ode(), args.sign, ctx.rect)
-            hyper = build_rho(fam)
+        fam = solve_psi(ctx.ode(), args.sign, ctx.rect)
+        hyper = build_rho(fam)
         for piece in pieces:
             if piece == "psi":
                 out["psi"] = fam.psi.to_json()
@@ -672,7 +664,7 @@ def cmd_check(args) -> int:
     report = {"version": REPORT_VERSION,
               "runs": [{"family": ctx.label(), "checks": results}]}
     emit(report, args.out)
-    return 1 if any(r.get("pass") is False for r in results.values()) else 0
+    return exit_code(results.values())
 
 
 def cmd_equiv(args) -> int:
@@ -698,7 +690,7 @@ def cmd_equiv(args) -> int:
     if targets:
         out["verify"] = {name: entries[mapping[name]] for name in targets}
     emit(out, args.out)
-    return 1 if any(e.get("pass") is False for e in entries.values()) else 0
+    return exit_code(entries.values())
 
 
 def cmd_monodromy(args) -> int:
@@ -740,22 +732,18 @@ def cmd_autovec(args) -> int:
                          "--check target")
     # the vector field is built from the gauge map whatever --check selects
     ctx = _context_from_args(args, needs_gauge=["autovec"])
-    out = {"family": ctx.label()}
-    failed = False
+    with no_verdict(f"autovec vector field at degree {ctx.degree}"):
+        fieldrep = build_vector_field(ctx.chi_tau(), ctx.m)
+    out = {"family": ctx.label(),
+           "field": {"A": fieldrep.a.to_json(), "B": fieldrep.b.to_json()}}
     for name in names:
         if name == "tangency":
-            entry = run_check("tangency", ctx)
-            out["tangency"] = entry
-            failed = failed or entry.get("pass") is False
+            out["tangency"] = run_check("tangency", ctx)
         else:
             chk = straightening_check(ctx.m)
             out["lambda"] = {"pass": chk.ok, "witness": chk.witness}
-            failed = failed or not chk.ok
-    with no_verdict(f"autovec vector field at degree {ctx.degree}"):
-        fieldrep = build_vector_field(ctx.chi_tau(), ctx.m)
-    out["field"] = {"A": fieldrep.a.to_json(), "B": fieldrep.b.to_json()}
     emit(out, args.out)
-    return 1 if failed else 0
+    return exit_code(out[name] for name in names)
 
 
 def cmd_growth(args) -> int:
@@ -772,7 +760,9 @@ def cmd_growth(args) -> int:
         label = args.series
     elif member is not None:
         m, beta = member
-        series = formal_solutions(m, beta, max(200, args.degree)).f
+        with no_verdict():
+            n = termination_order(m, beta, max(200, args.degree))
+            series = formal_solutions(m, beta, n).f
         label = [m, str(beta)]
     else:
         raise ConfigError("growth needs --series FILE or --family m,beta")

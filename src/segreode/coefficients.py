@@ -51,26 +51,10 @@ class QI:
     @staticmethod
     def of(value) -> "QI":
         """Coerce an int, Fraction, or QI into a QI."""
-        if isinstance(value, QI):
-            return value
-        if isinstance(value, int):
-            return QI(value)
-        if isinstance(value, Fraction):
-            return QI(value.numerator, 0, value.denominator)
-        raise TypeError(f"cannot coerce {type(value).__name__} to QI")
-
-    @staticmethod
-    def from_parts(re_part, im_part) -> "QI":
-        fr = Fraction(re_part)
-        fi = Fraction(im_part)
-        den = fr.denominator * fi.denominator // math.gcd(
-            fr.denominator, fi.denominator
-        )
-        return QI(
-            fr.numerator * (den // fr.denominator),
-            fi.numerator * (den // fi.denominator),
-            den,
-        )
+        out = _coerce(value)
+        if out is NotImplemented:
+            raise TypeError(f"cannot coerce {type(value).__name__} to QI")
+        return out
 
     # -- queries -------------------------------------------------------
 
@@ -219,17 +203,17 @@ def parse_coeff(text: str) -> QI:
     if not m:
         raise ValueError(f"cannot parse coefficient {text!r}")
     first, sign, second, imag = m.groups()
+    if sign is not None and imag is None:
+        raise ValueError(f"cannot parse coefficient {text!r}")
     if sign is not None:
-        if imag is None:
-            raise ValueError(f"cannot parse coefficient {text!r}")
-        re_f = Fraction(first)
-        im_f = Fraction(second)
-        if sign == "-":
-            im_f = -im_f
-        return QI.from_parts(re_f, im_f)
-    if imag is not None:
-        return QI.from_parts(0, Fraction(first))
-    return QI.from_parts(Fraction(first), 0)
+        re_f, im_f = Fraction(first), Fraction(sign + second)
+    elif imag is not None:
+        re_f, im_f = Fraction(0), Fraction(first)
+    else:
+        re_f, im_f = Fraction(first), Fraction(0)
+    return QI(re_f.numerator * im_f.denominator,
+              im_f.numerator * re_f.denominator,
+              re_f.denominator * im_f.denominator)
 
 
 def coeff_from_json(obj) -> QI:

@@ -51,9 +51,6 @@ class FormalSolutionPair:
     f: TruncSeries1
     u: TruncSeries1
 
-    def g(self) -> TruncSeries1:
-        return self.u.shift(self.m - 1)
-
 
 def formal_solutions(m: int, beta, trunc: int) -> FormalSolutionPair:
     """Run the coefficient recursion for f and u up to the given order."""
@@ -201,7 +198,11 @@ def self_map_probe(e: AdmissibleOde, degree: int) -> ProbeReport:
     of P at w^{d-1+m} and of Q at w^{d-1+m} are affine in them (nonlinear
     corrections and later unknowns only reach higher orders).  The identity
     solves every stage, so the affine part vanishes and the rank of the 2x2
-    linear part either pins both unknowns or leaves free directions.
+    linear part either pins both unknowns or leaves free directions.  Its
+    entry a11, the change of P from f_d = 1, is -2d at every stage, as
+    P^ = P - 2w^m*f'/f under f = 1 + w^d; so a stage is rigid iff its
+    determinant is nonzero, and otherwise has dimension 1 with free
+    direction g.  An a11 other than -2d raises :class:`SeriesError`.
 
     The identity's residual is pulled back once, at the working order, and
     must vanish to the verified order degree + m - 1; otherwise the pullback
@@ -243,17 +244,15 @@ def self_map_probe(e: AdmissibleOde, degree: int) -> ProbeReport:
         order = max(d + m, 2 * m + 1)
         rp1, rq1 = residual_pair(order, {d: QI(1)}, {})
         rp2, rq2 = residual_pair(order, {}, {d + m: QI(1)})
-        rows = [(rp1.coefficient(crit), rp2.coefficient(crit)),
-                (rq1.coefficient(crit), rq2.coefficient(crit))]
-        det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-        pivot = next((r for r in rows if not (r[0].is_zero and r[1].is_zero)),
-                     None)
-        if not det.is_zero:
-            stages.append(ProbeStage(d, 0))
-        elif pivot is None:
-            stages.append(ProbeStage(d, 2, ("f", "g")))
-        else:
-            stages.append(ProbeStage(d, 1, ("f",) if pivot[0].is_zero
-                                     else ("g",)))
+        a11 = rp1.coefficient(crit)
+        if a11 != QI(-2 * d):
+            raise SeriesError(
+                f"probe invariant broken: f_{d} = 1 changes P at order {crit} "
+                f"by {a11}, not {-2 * d}"
+            )
+        det = a11 * rq2.coefficient(crit) \
+            - rp2.coefficient(crit) * rq1.coefficient(crit)
+        stages.append(ProbeStage(d, 1, ("g",)) if det.is_zero
+                      else ProbeStage(d, 0))
     rigid = all(st.dimension == 0 for st in stages)
     return ProbeReport(tuple(stages), rigid, verified)

@@ -58,9 +58,19 @@ def expected_termination(m: int, beta) -> bool:
     return _resonance_level(m, beta) is not None
 
 
+def termination_order(m: int, beta, n: int) -> int:
+    """The order to run the recursion for f to, at least n, so that a
+    terminating f shows a zero coefficient past its last nonzero one: a
+    resonant f is a polynomial of degree l*(m-1), so max(n, l*(m-1) + 1)."""
+    level = _resonance_level(m, beta)
+    return n if level is None else max(n, level * (m - 1) + 1)
+
+
 def _resonance_level(m: int, beta) -> int | None:
     """The l >= 0 with beta = l*(l+1)*(m-1)^2, where f is a polynomial of
     degree l*(m-1), or None when beta is not resonant."""
+    if m < 2:
+        raise ValueError(f"the family needs m >= 2, got {m}")
     beta = Fraction(beta)
     if beta < 0 or beta.denominator != 1:
         return None

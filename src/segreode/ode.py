@@ -121,15 +121,8 @@ class GaugeMap:
         g = compose(self.g, other.g)
         return GaugeMap(f, g)
 
-    def conj(self) -> "GaugeMap":
-        return GaugeMap(self.f.conj(), self.g.conj())
-
     def to_json(self) -> dict:
         return {"f": self.f.to_json(), "g": self.g.to_json()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "GaugeMap":
-        return cls(TruncSeries1.from_json(obj["f"]), TruncSeries1.from_json(obj["g"]))
 
 
 @dataclass(frozen=True)

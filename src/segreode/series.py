@@ -95,14 +95,6 @@ def _lcm_den(cells: Iterable[QI]) -> int:
     return lcm
 
 
-def _scaled(cells: Sequence[QI], lcm: int):
-    out = []
-    for c in cells:
-        m = lcm // c.d
-        out.append((c.a * m, c.b * m))
-    return out
-
-
 def _numerators(rows, nx: int, ny: int):
     """Rows 0..nx of ``rows``, cut at column ny, over their common
     denominator: that denominator and, per row, the nonzero (l, re, im)."""
@@ -243,10 +235,8 @@ def _recurrence(w: Sequence[QI], n: int, c0: QI, a: int, b: int, q: int = 1,
     over the common denominator of w_1 .. w_n and c_0 .. c_{k-1} over their
     running common denominator, so each step builds one reduced QI.
     """
-    dw = _lcm_den(w[1: n + 1])
-    ws = [(j, b * j, wr, wi)
-          for j, (wr, wi) in enumerate(_scaled(w[1: n + 1], dw), 1)
-          if wr or wi]
+    dw, (row,) = _numerators((w[1: n + 1],), 0, n)
+    ws = [(l + 1, b * (l + 1), wr, wi) for l, wr, wi in row]
     out = []
     nums = []  # (re, im) numerators of c_0 .. c_{k-1} over dc
     dc = 1
@@ -322,10 +312,12 @@ def _row_recurrence(w, ny: int, c0: Sequence[QI], a: int, b: int,
                         acc_i[l1 + l2] += wr * ci + wi * cr
             den = q * k * dw * dc
             if t is not None:
-                dt = _lcm_den(t[k])
-                for l, (tr, ti) in enumerate(_scaled(t[k], dt)):
-                    acc_r[l] = acc_r[l] * dt + tr * den
-                    acc_i[l] = acc_i[l] * dt + ti * den
+                dt, (t_row,) = _numerators((t[k],), 0, ny)
+                acc_r = [r * dt for r in acc_r]
+                acc_i = [i * dt for i in acc_i]
+                for l, tr, ti in t_row:
+                    acc_r[l] += tr * den
+                    acc_i[l] += ti * den
                 den *= dt
             if ms is None:
                 cells = [QI(r, i, den) if r or i else ZERO
@@ -810,19 +802,6 @@ class TruncSeries2(_Rows2):
         if ny > s.trunc:
             raise TruncationStarvation(f"ny {ny} above series truncation {s.trunc}")
         return cls.from_rows({0: s}, nx, ny)
-
-    @classmethod
-    def embed_x(cls, s: TruncSeries1, ny: int, nx: int | None = None):
-        if s.pole != 0:
-            raise SeriesError("cannot embed a series with a pole")
-        if nx is None:
-            nx = s.trunc
-        if nx > s.trunc:
-            raise TruncationStarvation(f"nx {nx} above series truncation {s.trunc}")
-        rows = [[ZERO] * (ny + 1) for _ in range(nx + 1)]
-        for j in range(nx + 1):
-            rows[j][0] = s.coefficient(j)
-        return cls(rows, nx, ny)
 
     # -- queries ----------------------------------------------------------------
 

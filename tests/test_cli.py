@@ -10,7 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from segreode import cli, numeric_monodromy
+from segreode import (
+    QI,
+    AdmissibleOde,
+    Hypersurface,
+    TruncSeries2,
+    cli,
+    numeric_monodromy,
+)
 from segreode.cli import (
     ConfigError,
     RunConfig,
@@ -123,6 +130,116 @@ def test_cli_growth_resonant_polynomial_above_default_order(capsys, family,
     growth = json.loads(capsys.readouterr().out)["runs"][0]["checks"]["growth"]
     assert growth["pass"] is True and growth["terminated"] is True
     assert growth["termination_degree"] == degree
+
+
+@pytest.mark.parametrize("family,degree", [("2,40200", 200), ("3,90600", 300)])
+def test_cli_growth_family_runs_past_a_polynomial(capsys, family, degree):
+    """growth --family runs f to the order the growth check runs it to, one
+    past the degree of a resonant polynomial, and so fits nothing to it."""
+    assert cli.main(["growth", "--family", family]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"series": [int(family[0]), family[2:]],
+                       "terminated": True, "termination_degree": degree}
+
+
+@pytest.mark.parametrize("argv", [
+    ["growth", "--family", "1,1"],
+    ["autovec", "--family", "1,1"],
+])
+def test_cli_family_m1_is_usage_error(capsys, argv):
+    """growth and autovec (whose vector field needs the gauge map) work on
+    the beta family of order m >= 2 only: m = 1 exits 2 with one line."""
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") \
+        and captured.err.count("\n") == 1 and "m >= 2" in captured.err
+
+
+def test_cli_roundtrip_names_the_first_offending_degree():
+    """An ODE that differs from the one the profile was solved from by
+    (i/5)*w^4 in P: the extracted P minus the ODE's is -(i/5)*w^4."""
+    ctx = cli.FamilyContext(2, beta=Fraction(1), degree=24, rect=(6, 12))
+    ctx.family()
+    e = ctx.ode()
+    bump = TruncSeries1.monomial(QI(0, 1, 5), 4, e.p.trunc)
+    ctx._cache["ode"] = AdmissibleOde(2, e.p + bump, e.q)
+    entry = cli.check_roundtrip(ctx)
+    assert entry["pass"] is False
+    assert entry["witness"] == {"degree": 4, "value": "-1/5i"}
+
+
+def test_cli_realty_names_the_first_offending_cell():
+    """rho + c*x^2*y^3 with real c: the residual y - rho(x, conj_rho(x, y))
+    changes first at x^2*y^3, by -(c + conj(c)) = -2c, and the normal form
+    of the no longer real rho has an imaginary coefficient in its x^2 row."""
+    ctx = cli.FamilyContext(2, beta=Fraction(1), degree=24, rect=(6, 12))
+    h = ctx.hyper()
+    bump = TruncSeries2.from_rows(
+        {2: TruncSeries1.monomial(QI(1, 0, 3), 3, 12)}, 6, 12)
+    ctx._cache["hyper"] = Hypersurface(h.m, h.sign, h.rho + bump)
+    entry = cli.check_realty(ctx)
+    assert entry["pass"] is False
+    assert entry["witness"] == {"cell": [2, 3], "value": "-2/3"}
+    assert entry["normal_form"] is False
+    assert entry["detail"].startswith("normal form row x^2 has imaginary")
+
+
+def test_cli_segre_sign_minus_one(capsys):
+    """The sign -1 family is the +1 family seen through x -> -x:
+    psi_-(x, eta) = -psi_+(-x, eta), so rho_-(x, eta) = rho_+(-x, eta), the
+    normal form's sign is -1 and h_k picks up (-1)^k."""
+    base = ["segre", "--family", "2,1", "--rect", "4,8", "--degree", "16",
+            "--emit", "psi,rho,hk"]
+    payloads = {}
+    for sign in (1, -1):
+        assert cli.main(base + ["--sign", str(sign)]) == 0
+        payloads[sign] = json.loads(capsys.readouterr().out)
+    plus, minus = payloads[1], payloads[-1]
+    assert (minus["sign"], minus["normal_form_sign"]) == (-1, -1)
+    psi_p, psi_m = (TruncSeries2.from_json(p["psi"]) for p in (plus, minus))
+    rho_p, rho_m = (TruncSeries2.from_json(p["rho"]) for p in (plus, minus))
+    for j in range(5):
+        for k in range(9):
+            flip = (-1) ** j
+            assert psi_m.coefficient(j, k) == -flip * psi_p.coefficient(j, k)
+            assert rho_m.coefficient(j, k) == flip * rho_p.coefficient(j, k)
+    assert set(minus["hk"]) == set(plus["hk"]) == {"2", "3", "4"}
+    for k, hk in minus["hk"].items():
+        assert TruncSeries1.from_json(hk) == \
+            TruncSeries1.from_json(plus["hk"][k]).scale((-1) ** int(k))
+
+
+def test_cli_monodromy_numeric_block(capsys):
+    """The integrated eigenvalues match the predicted ones set-wise, with
+    the radius and tolerance they were integrated at."""
+    code = cli.main(["monodromy", "--family", "2,1", "--numeric",
+                     "--radius", "1.0", "--tol", "1e-10"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    num = payload["numeric"]
+    assert (num["radius"], num["tol"]) == (1.0, 1e-10)
+    assert num["n_evaluations"] > 0
+    assert num["deviation"] < 1e-6 and num["det_deviation"] < 1e-6
+    got = [complex(*ev) for ev in num["eigenvalues"]]
+    want = [complex(*ev) for ev in payload["predicted_eigenvalues"]]
+    assert len(got) == len(want) == 2
+    for one, other in ((got, want), (want, got)):
+        assert all(min(abs(a - b) for b in other) < 1e-6 for a in one)
+
+
+def test_cli_equiv_emit_g(capsys):
+    """G = (lambda, mu) pairs with the special gauge map (chi, tau) of a
+    real member as its conjugate: lambda = conj(chi) and mu = conj(tau)."""
+    code = cli.main(["equiv", "--family", "2,1", "--degree", "24",
+                     "--emit", "chi,tau,G"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload["G"]) == {"f", "g"}
+    lam, mu = (TruncSeries1.from_json(payload["G"][k]) for k in ("f", "g"))
+    assert lam.trunc > 0 and mu.trunc > 0
+    assert lam == TruncSeries1.from_json(payload["chi"]).conj()
+    assert mu == TruncSeries1.from_json(payload["tau"]).conj()
 
 
 def test_cli_main_run_deterministic(tmp_path, capsys):

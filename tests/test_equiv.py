@@ -433,6 +433,25 @@ def test_probe_raises_when_the_identity_leaves_a_residual(monkeypatch):
         self_map_probe(beta_family(2, 1, 40), 12)
 
 
+def test_probe_raises_when_a11_leaves_minus_2d(monkeypatch):
+    """f_d = 1 changes P at w^{d-1+m} by -2d, as P^ = P - 2w^m*f'/f; a
+    pullback that moves that entry breaks the invariant the rank reading
+    relies on, although the identity still leaves no residual."""
+    pullback = equiv.pullback_under_gauge
+
+    def perturbed(target, gauge, m):
+        pulled = pullback(target, gauge, m)
+        if gauge.f.coefficient(1).is_zero:
+            return pulled
+        bump = TruncSeries1.monomial(QI(1, 0, 3), m, pulled.p.trunc)
+        return AdmissibleOde(m, pulled.p + bump, pulled.q)
+
+    monkeypatch.setattr(equiv, "pullback_under_gauge", perturbed)
+    with pytest.raises(SeriesError, match="f_1 = 1 changes P at order 2 "
+                                          "by -5/3, not -2"):
+        self_map_probe(beta_family(2, 1, 40), 12)
+
+
 def test_rigid_probe_pulls_back_twice_per_stage_and_the_settled_gauge_once(
         monkeypatch):
     """Stage d pulls back f_d = 1 and g_{d+m} = 1 at order max(d + m, 2m + 1);

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +14,10 @@ from segreode import (
     formal_solutions,
     gevrey_estimate,
     termination_detect,
+    termination_order,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _series_from(values):
@@ -55,6 +62,46 @@ def test_expected_termination_m3():
     resonant = {l * (l + 1) * 4 for l in range(5)}  # 0, 8, 24, 48, 80
     for beta in range(0, 82):
         assert expected_termination(3, beta) == (beta in resonant)
+
+
+@pytest.mark.parametrize("m,beta,n,order", [
+    (2, 40200, 200, 201),   # l = 200: f has degree 200
+    (3, 90600, 200, 301),   # l = 150: f has degree 300
+    (2, 39800, 200, 200),   # l = 199: degree 199 is below n
+    (2, 1, 200, 200),       # not resonant
+    (2, 2, 10, 10),         # l = 1
+])
+def test_termination_order_runs_past_a_polynomial(m, beta, n, order):
+    """max(n, l*(m-1) + 1) for beta resonant at level l, else n; f run to
+    that order ends in a zero coefficient when it terminates."""
+    assert termination_order(m, beta, n) == order
+    term = termination_detect(formal_solutions(m, beta, order).f)
+    assert term.terminated == expected_termination(m, beta)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: expected_termination(1, 1),
+    lambda: termination_order(1, 1, 200),
+    lambda: termination_order(0, 2, 200),
+])
+def test_resonance_needs_m_at_least_2(call):
+    with pytest.raises(ValueError, match="the family needs m >= 2"):
+        call()
+
+
+def test_divergence_scan_on_a_polynomial_above_the_order():
+    """beta = 40200 makes f a polynomial of degree 200 = --order; the scan
+    runs past it and reports termination at degree 200."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "divergence_scan.py"),
+         "--m", "2", "--beta-min", "40200", "--beta-max", "40200",
+         "--order", "200"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split()[:4] == [
+        "40200", "trivial", "True", "200"]
 
 
 def test_gevrey_inverse_factorial():
