@@ -10,11 +10,11 @@ import argparse
 from fractions import Fraction
 
 from segreode import (
+    SeriesError,
+    diagnose,
     expected_termination,
     formal_solutions,
-    gevrey_estimate,
     residue_analysis,
-    termination_detect,
     termination_order,
 )
 
@@ -37,16 +37,17 @@ def main() -> int:
     print("-" * len(header))
     for beta in range(args.beta_min, args.beta_max + 1):
         mono = residue_analysis(args.m, Fraction(beta))
-        # a resonant f is run one order past its degree, to see it end
-        order = termination_order(args.m, beta, args.order)
-        pair = formal_solutions(args.m, Fraction(beta), order)
-        term = termination_detect(pair.f)
+        # f is run to a degree it reaches, past the degree of a polynomial f
+        try:
+            order = termination_order(args.m, beta, args.order)
+            term, report = diagnose(formal_solutions(args.m, beta, order).f)
+        except SeriesError as exc:
+            ap.error(f"beta {beta} at --order {args.order}: {exc}")
         assert term.terminated == expected_termination(args.m, beta)
-        if term.terminated:
+        if report is None:
             growth_str = f"{'-':>8}  {'inf':>10}"
             degree = "-" if term.degree is None else term.degree
         else:
-            report = gevrey_estimate(pair.f)
             growth_str = f"{report.gevrey:8.3f}  {report.radius:10.3e}"
             degree = "-"
         print(f"{beta:>6}  {'trivial' if mono.trivial else 'nontrivial':>10}  "

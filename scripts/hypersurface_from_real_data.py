@@ -11,6 +11,7 @@ import argparse
 
 from segreode import (
     RealData,
+    SeriesError,
     build_rho,
     coeff_str,
     ode_from_real_data,
@@ -31,31 +32,36 @@ def main() -> int:
     ap.add_argument("--rect", type=str, default="6,12")
     args = ap.parse_args()
 
-    nx, ny = parse_rect(args.rect)
-    work = nx + ny + 2 * args.m + 2
-    data = RealData(args.m, parse_polynomial(args.a, work),
-                    parse_polynomial(args.b, work))
-    ode = ode_from_real_data(data)
+    # bad input (a polynomial, rectangle or order the construction cannot
+    # use) is a usage error; ConfigError is a ValueError
+    try:
+        nx, ny = parse_rect(args.rect)
+        work = nx + ny + 2 * args.m + 2
+        data = RealData(args.m, parse_polynomial(args.a, work),
+                        parse_polynomial(args.b, work))
+        ode = ode_from_real_data(data)
+        fam = solve_psi(ode, +1, (nx, ny))
+        hyper = build_rho(fam)
+        structural = real_structure_test(fam)
+        identity = realty_identity_check(hyper)
+        nf = real_normal_form(hyper)
+    except (ValueError, SeriesError) as exc:
+        ap.error(str(exc))
+
+    def cells(row):
+        return ", ".join(coeff_str(row.coefficient(j))
+                         for j in range(min(5, row.trunc + 1)))
+
     print(f"P = {ode.p!r}")
     print(f"Q = {ode.q!r}")
-
-    fam = solve_psi(ode, +1, (nx, ny))
     print("\nprofile rows (eta-series per x power):")
     for k in range(2, min(4, nx) + 1):
-        row = fam.psi.row(k)
-        cells = ", ".join(coeff_str(row.coefficient(j)) for j in range(5))
-        print(f"  psi_{k}: [{cells}, ...]")
-
-    hyper = build_rho(fam)
-    assert real_structure_test(fam).ok, "dual/conjugated families differ"
-    assert realty_identity_check(hyper).is_zero, "reality identity failed"
-
-    nf = real_normal_form(hyper)
+        print(f"  psi_{k}: [{cells(fam.psi.row(k))}, ...]")
+    assert structural.ok, "dual/conjugated families differ"
+    assert identity.is_zero, "reality identity failed"
     print(f"\nnormal form sign: {nf.sign:+d}")
     for k in sorted(nf.hks):
-        row = nf.hks[k]
-        cells = ", ".join(coeff_str(row.coefficient(j)) for j in range(5))
-        print(f"  h_{k}: [{cells}, ...]")
+        print(f"  h_{k}: [{cells(nf.hks[k])}, ...]")
     print("\nall reality checks passed")
     return 0
 

@@ -11,7 +11,7 @@ import argparse
 from fractions import Fraction
 
 from segreode import monodromy_report
-from segreode.monodromy import DEVIATION_TOL
+from segreode.monodromy import DEVIATION_TOL, check_radius, check_tol
 
 
 def main() -> int:
@@ -22,6 +22,13 @@ def main() -> int:
     ap.add_argument("--radius", type=float, default=1.0)
     ap.add_argument("--tol", type=float, default=1e-10)
     args = ap.parse_args()
+    if min(args.m) < 2:
+        ap.error(f"the family needs m >= 2, got --m {min(args.m)}")
+    try:
+        check_radius(args.radius)
+        check_tol(args.tol)
+    except ValueError as exc:
+        ap.error(str(exc))
 
     header = f"{'m':>3} {'beta':>6}  {'trivial':>8}  {'lambda':>24}  " \
              f"{'deviation':>10}  {'rel dev':>10}  {'det dev':>10}"

@@ -38,8 +38,6 @@ from .segre import (
     conjugated_family,
     dual_family,
     extract_pq,
-    inverse_ode_residual,
-    profile_residual,
     real_normal_form,
     real_structure_test,
     realty_identity_check,
@@ -51,10 +49,8 @@ from .equiv import (
     build_chi_tau,
     coupled_map_g,
     coupled_residual,
-    equivalence_map,
     formal_solutions,
     self_map_probe,
-    solution_residuals,
     verify_map_on_hypersurface,
 )
 from .monodromy import (
@@ -76,6 +72,7 @@ from .autovec import (
 from .growth import (
     GrowthReport,
     TerminationReport,
+    diagnose,
     expected_termination,
     gevrey_estimate,
     termination_detect,

@@ -105,7 +105,7 @@ class StraighteningCheck:
     witness: dict | None = None
 
 
-def straightening_check(m: int, trunc: int = 16,
+def straightening_check(m: int,
                         rate: TruncSeries1 | None = None) -> StraighteningCheck:
     """Laurent identity behind the straightening map (z, w) -> (z, E(w)) with
     E'/E = 2i*w^{-m}: pulling Z'' = 0 back gives z'' = alpha(w) z' with
@@ -114,13 +114,13 @@ def straightening_check(m: int, trunc: int = 16,
 
     which must equal (2i - m*w^{m-1})/w^m exactly.  (The z-coefficient of the
     pullback vanishes identically because the z-component of the map is the
-    identity.)  A corrupted rate series can be passed in as a negative
-    control.
+    identity.)  The rate is taken to order 16; a corrupted rate series can
+    be passed in as a negative control.
     """
     if m < 2:
         raise ValueError(f"straightening check needs m >= 2, got {m}")
     if rate is None:
-        rate = TruncSeries1.monomial(QI(0, 2), -m, trunc)
+        rate = TruncSeries1.monomial(QI(0, 2), -m, 16)
     alpha = rate + divide(rate.derivative(), rate)
     computed_p = alpha.shift(m)
     n = computed_p.trunc

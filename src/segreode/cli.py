@@ -19,12 +19,7 @@ from fractions import Fraction
 from multiprocessing import Pool
 
 from .coefficients import QI
-from .growth import (
-    expected_termination,
-    gevrey_estimate,
-    termination_detect,
-    termination_order,
-)
+from .growth import diagnose, expected_termination, termination_order
 from .monodromy import DEVIATION_TOL, check_radius, check_tol, monodromy_report
 from .ode import (
     AdmissibleOde,
@@ -57,9 +52,6 @@ from .segre import (
 from .series import SeriesError, TruncSeries1
 
 REPORT_VERSION = 1
-
-# checks built on the gauge map (chi, tau), which has no terms at degree 0
-GAUGE_CHECKS = ("map", "coupled", "tangency")
 
 # checks that apply only to a beta-family member of order m >= 2
 BETA_M2_CHECKS = frozenset(
@@ -132,21 +124,45 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def validate_shape(rect, degree, needs_gauge=()) -> None:
-    """Reject a rectangle or degree no stage can work on, before any work.
+# the least degree, Nx and Ny a check (or the vector field of autovec)
+# works on, for order m and rectangle (nx, ny): below them the library call
+# named beside it raises.  Building rho needs Ny >= m (Hypersurface reads
+# its eta^m term); chi is known to the degree, tau to degree + m.
+SHAPE_MINIMA = {
+    # extract_pq reads psi_3, and w^{m-1} to eta-order Ny
+    "roundtrip": lambda m, nx, ny: {"Nx": 3, "Ny": m - 1},
+    # extract_pq, and dual_family's eta-shift by m - 1
+    "reality": lambda m, nx, ny: {"Nx": 3, "Ny": m},
+    "realty": lambda m, nx, ny: {"Ny": m},
+    # verify_map_on_hypersurface truncates conj(chi) to eta-order Ny
+    "map": lambda m, nx, ny: {"Ny": m, "degree": ny},
+    # coupled_map_g divides by g^m*f: lambda keeps degree - 2m + 1 terms
+    "coupled": lambda m, nx, ny: {"degree": 2 * m},
+    # tangency_check composes B = tau^m/tau', known to degree - 1, with rho
+    "tangency": lambda m, nx, ny: {"Ny": m, "degree": nx + 1},
+    "model0": lambda m, nx, ny: {"Ny": m},
+    # build_vector_field differentiates chi
+    "autovec": lambda m, nx, ny: {"degree": 1},
+}
 
-    ``needs_gauge`` names the selected checks or commands that build the
-    gauge map (chi, tau); degree 0 leaves them nothing to work on.
-    """
+
+def validate_shape(rect, degree, checks, m: int) -> None:
+    """Reject a rectangle or degree that no stage, or one of ``checks`` on
+    a member of order up to ``m``, can work on, before any work."""
     if (not isinstance(rect, (list, tuple)) or len(rect) != 2
             or not all(_is_int(n) for n in rect) or min(rect) < 1):
         raise ConfigError(f"rectangle needs Nx, Ny >= 1, got {rect!r}")
     if not _is_int(degree) or degree < 0:
         raise ConfigError(f"degree needs to be an integer >= 0, got {degree!r}")
-    if degree == 0 and needs_gauge:
-        raise ConfigError(
-            f"degree 0 leaves the gauge map (chi, tau) without terms, and "
-            f"{', '.join(needs_gauge)} build on it")
+    nx, ny = rect
+    have = {"degree": degree, "Nx": nx, "Ny": ny}
+    for name in [c for c in checks if c in SHAPE_MINIMA]:
+        for what, least in SHAPE_MINIMA[name](m, nx, ny).items():
+            if have[what] < least:
+                shape = f"degree {degree}" if what == "degree" \
+                    else f"rect {nx},{ny}"
+                raise ConfigError(f"{shape} is too small for {name}: it "
+                                  f"needs {what} >= {least} at m = {m}")
 
 
 def _known_names(names, known, what: str) -> list:
@@ -203,8 +219,10 @@ class RunConfig:
         self.checks = _known_names(self.checks, CHECKS, "check")
         if not self.families and self.explicit is None:
             raise ConfigError("no family members selected")
-        validate_shape(self.rect, self.degree,
-                       [c for c in self.checks if c in GAUGE_CHECKS])
+        orders = [m for m, _ in self.families]
+        if self.explicit is not None:
+            orders.append(self.explicit["m"])
+        validate_shape(self.rect, self.degree, self.checks, max(orders))
         self.rect = tuple(self.rect)
         if not _is_int(self.jobs) or self.jobs < 1:
             raise ConfigError(f"jobs needs to be an integer >= 1, got {self.jobs!r}")
@@ -464,7 +482,7 @@ def check_growth(ctx: FamilyContext) -> dict:
     expected = expected_termination(ctx.m, ctx.beta)
     n = termination_order(ctx.m, ctx.beta, max(200, ctx.degree))
     pair = formal_solutions(ctx.m, ctx.beta, n)
-    term = termination_detect(pair.f)
+    term, report = diagnose(pair.f)
     out = {
         "pass": term.terminated == expected,
         "terminated": term.terminated,
@@ -472,8 +490,7 @@ def check_growth(ctx: FamilyContext) -> dict:
         "termination_degree": term.degree,
         "witness": None,
     }
-    if not term.terminated:
-        report = gevrey_estimate(pair.f)
+    if report is not None:
         out["gevrey"] = report.gevrey
         out["gevrey_stderr"] = report.gevrey_stderr
         out["radius"] = report.radius
@@ -573,8 +590,6 @@ def run_pipeline(cfg: RunConfig) -> tuple[dict, int]:
 def _round_floats(obj):
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
-    if isinstance(obj, complex):
-        return [_round_floats(obj.real), _round_floats(obj.imag)]
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -610,16 +625,16 @@ def _member(args):
     return parse_family(args.family[0]) if args.family else None
 
 
-def _context_from_args(args, needs_gauge=()) -> FamilyContext:
+def _context_from_args(args, checks=()) -> FamilyContext:
     rect = parse_rect(args.rect)
-    validate_shape(rect, args.degree, needs_gauge)
     member = _member(args)
+    if member is None and not hasattr(args, "m"):
+        raise ConfigError(f"{args.command} needs --family m,beta")
+    if member is None and (args.m is None or args.a is None or args.b is None):
+        raise ConfigError("need --family or all of --m/--a/--b")
+    validate_shape(rect, args.degree, checks, member[0] if member else args.m)
     if member is not None:
         return FamilyContext(*member, degree=args.degree, rect=rect)
-    if not hasattr(args, "m"):
-        raise ConfigError(f"{args.command} needs --family m,beta")
-    if args.m is None or args.a is None or args.b is None:
-        raise ConfigError("need --family or all of --m/--a/--b")
     work = _working_order(args.m, rect, args.degree)
     with no_verdict("real data"):
         data = RealData(args.m, parse_polynomial(args.a, work),
@@ -658,8 +673,7 @@ def cmd_check(args) -> int:
     names = args.checks.split(",") if args.checks else ["roundtrip", "reality",
                                                         "realty"]
     names = _known_names(names, CHECKS, "check")
-    ctx = _context_from_args(
-        args, needs_gauge=[n for n in names if n in GAUGE_CHECKS])
+    ctx = _context_from_args(args, names)
     results = {name: run_check(name, ctx) for name in names}
     report = {"version": REPORT_VERSION,
               "runs": [{"family": ctx.label(), "checks": results}]}
@@ -673,8 +687,7 @@ def cmd_equiv(args) -> int:
                            mapping, "--verify target")
     pieces = _known_names(args.emit.split(",") if args.emit else [],
                           ("chi", "tau", "G"), "--emit piece")
-    ctx = _context_from_args(args,
-                             needs_gauge=[f"--verify {n}" for n in targets])
+    ctx = _context_from_args(args, [mapping[name] for name in targets])
     out = {"family": ctx.label(), "degree": ctx.degree}
     with no_verdict(f"equiv --emit at degree {ctx.degree}"):
         for piece in pieces:
@@ -731,7 +744,7 @@ def cmd_autovec(args) -> int:
     names = _known_names(args.check.split(","), ("tangency", "lambda"),
                          "--check target")
     # the vector field is built from the gauge map whatever --check selects
-    ctx = _context_from_args(args, needs_gauge=["autovec"])
+    ctx = _context_from_args(args, ["autovec", *names])
     with no_verdict(f"autovec vector field at degree {ctx.degree}"):
         fieldrep = build_vector_field(ctx.chi_tau(), ctx.m)
     out = {"family": ctx.label(),
@@ -747,9 +760,14 @@ def cmd_autovec(args) -> int:
 
 
 def cmd_growth(args) -> int:
-    window = parse_rect(args.window) if args.window else None
-    if window is not None and not 0 <= window[0] <= window[1]:
-        raise ConfigError(f"window needs 0 <= KMIN <= KMAX, got {args.window!r}")
+    window = None
+    if args.window:
+        parts = args.window.split(",")
+        if (len(parts) != 2 or not all(p.strip().isdecimal() for p in parts)
+                or int(parts[0]) > int(parts[1])):
+            raise ConfigError(f"window must be 'KMIN,KMAX' with 0 <= KMIN "
+                              f"<= KMAX, got {args.window!r}")
+        window = (int(parts[0]), int(parts[1]))
     member = _member(args)
     if args.series:
         try:
@@ -766,12 +784,11 @@ def cmd_growth(args) -> int:
         label = [m, str(beta)]
     else:
         raise ConfigError("growth needs --series FILE or --family m,beta")
-    term = termination_detect(series)
+    with no_verdict():
+        term, report = diagnose(series, window)
     out = {"series": label, "terminated": term.terminated,
            "termination_degree": term.degree}
-    if not term.terminated:
-        with no_verdict():
-            report = gevrey_estimate(series, window=window)
+    if report is not None:
         out.update({
             "gevrey": report.gevrey,
             "gevrey_stderr": report.gevrey_stderr,

@@ -23,14 +23,7 @@ from fractions import Fraction
 
 from .autovec import model_rho
 from .coefficients import QI
-from .ode import (
-    AdmissibleOde,
-    GaugeMap,
-    beta_data,
-    beta_family,
-    conjugate_ode,
-    pullback_under_gauge,
-)
+from .ode import AdmissibleOde, GaugeMap, beta_data, pullback_under_gauge
 from .segre import Hypersurface
 from .series import (
     SeriesError,
@@ -70,20 +63,6 @@ def formal_solutions(m: int, beta, trunc: int) -> FormalSolutionPair:
     return FormalSolutionPair(m, beta_q, run(QI(0, 2)), run(QI(0, -2)))
 
 
-def solution_residuals(pair: FormalSolutionPair):
-    """Residuals certifying the pair: f against the family ODE, u against the
-    conjugated one (the equation satisfied by g*w^{1-m}*exp(...) once the
-    exponential factor is peeled off)."""
-    n = pair.f.trunc
-    e = beta_family(pair.m, pair.beta, n + 2 * pair.m)
-
-    def residual(s: TruncSeries1, ode: AdmissibleOde) -> TruncSeries1:
-        return (s.derivative().derivative()
-                - ode.alpha() * s.derivative() - ode.gamma() * s)
-
-    return residual(pair.f, e), residual(pair.u, conjugate_ode(e))
-
-
 def build_chi_tau(pair: FormalSolutionPair) -> GaugeMap:
     """The special gauge map (z, w) -> (chi(w)*z, tau(w)) onto the beta = 0
     member:
@@ -106,12 +85,6 @@ def build_chi_tau(pair: FormalSolutionPair) -> GaugeMap:
     if not gm.is_special(m):
         raise SeriesError("chi/tau construction lost the special normalization")
     return gm
-
-
-def equivalence_map(m: int, beta, trunc: int = 40) -> GaugeMap:
-    """Convenience: the special gauge map sending the beta family member into
-    the beta = 0 member, at the given series order."""
-    return build_chi_tau(formal_solutions(m, beta, trunc))
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +152,7 @@ def verify_map_on_hypersurface(h_beta: Hypersurface, m: int,
 @dataclass(frozen=True)
 class ProbeStage:
     degree: int
-    dimension: int
-    free_directions: tuple = ()
+    dimension: int  # 1: the stage leaves g_{d+m} free
 
 
 @dataclass(frozen=True)
@@ -252,7 +224,6 @@ def self_map_probe(e: AdmissibleOde, degree: int) -> ProbeReport:
             )
         det = a11 * rq2.coefficient(crit) \
             - rp2.coefficient(crit) * rq1.coefficient(crit)
-        stages.append(ProbeStage(d, 1, ("g",)) if det.is_zero
-                      else ProbeStage(d, 0))
+        stages.append(ProbeStage(d, 1 if det.is_zero else 0))
     rigid = all(st.dimension == 0 for st in stages)
     return ProbeReport(tuple(stages), rigid, verified)

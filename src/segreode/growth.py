@@ -17,6 +17,9 @@ import numpy as np
 
 from .series import SeriesError, TruncSeries1
 
+# the least number of nonzero coefficients the Gevrey fit works on
+MIN_FIT_POINTS = 8
+
 
 @dataclass(frozen=True)
 class TerminationReport:
@@ -31,25 +34,21 @@ class GrowthReport:
     confidence: tuple      # gevrey +- 2*stderr
     fit_window: tuple
     radius: float
-    terminated: bool
-    termination_degree: int | None
     n_points: int
 
 
-def termination_detect(s: TruncSeries1, min_tail: int = 1) -> TerminationReport:
-    """Exact check that all stored coefficients above some degree vanish.
-
-    ``min_tail`` is the number of trailing zero coefficients demanded before
-    the series is called terminated; longer tails give more confidence for
-    series supported on arithmetic progressions.
-    """
+def termination_detect(s: TruncSeries1) -> TerminationReport:
+    """Exact check that all stored coefficients above some degree vanish:
+    one zero coefficient at the truncation order decides it, so a series
+    supported on an arithmetic progression is run to a degree it reaches
+    (:func:`termination_order`)."""
     last = None
     for deg, c in s.items():
         if not c.is_zero:
             last = deg
     if last is None:
         return TerminationReport(True, None)
-    return TerminationReport(s.trunc - last >= min_tail, last)
+    return TerminationReport(last < s.trunc, last)
 
 
 def expected_termination(m: int, beta) -> bool:
@@ -59,11 +58,14 @@ def expected_termination(m: int, beta) -> bool:
 
 
 def termination_order(m: int, beta, n: int) -> int:
-    """The order to run the recursion for f to, at least n, so that a
-    terminating f shows a zero coefficient past its last nonzero one: a
-    resonant f is a polynomial of degree l*(m-1), so max(n, l*(m-1) + 1)."""
+    """The order to run the recursion for f to, at least n, so that f's last
+    coefficient decides termination: f lives on degrees divisible by m-1,
+    so a non-resonant n is rounded up to such a degree, and a resonant f is
+    a polynomial of degree l*(m-1), run to max(n, l*(m-1) + 1)."""
     level = _resonance_level(m, beta)
-    return n if level is None else max(n, level * (m - 1) + 1)
+    if level is None:
+        return -(-n // (m - 1)) * (m - 1)
+    return max(n, level * (m - 1) + 1)
 
 
 def _resonance_level(m: int, beta) -> int | None:
@@ -79,8 +81,7 @@ def _resonance_level(m: int, beta) -> int | None:
     return (r - 1) // 2 if rem == 0 and r * r == 1 + 4 * t else None
 
 
-def gevrey_estimate(s: TruncSeries1, window: tuple | None = None,
-                    min_points: int = 8) -> GrowthReport:
+def gevrey_estimate(s: TruncSeries1, window: tuple | None = None) -> GrowthReport:
     """Least-squares fit of log|c_k| ~ s*k*log(k) + k*log(A) + C over the
     nonzero coefficients in the window.
 
@@ -94,13 +95,6 @@ def gevrey_estimate(s: TruncSeries1, window: tuple | None = None,
         window = (max(4, n // 8), n)
     k_min, k_max = window
     k_max = min(k_max, n)
-    term = termination_detect(s)
-    if term.terminated:
-        return GrowthReport(
-            gevrey=0.0, gevrey_stderr=0.0, confidence=(0.0, 0.0),
-            fit_window=(k_min, k_max), radius=math.inf,
-            terminated=True, termination_degree=term.degree, n_points=0,
-        )
     ks = []
     logs = []
     for k in range(max(k_min, 1), k_max + 1):
@@ -109,9 +103,9 @@ def gevrey_estimate(s: TruncSeries1, window: tuple | None = None,
             continue
         ks.append(float(k))
         logs.append(c.log_abs())
-    if len(ks) < min_points:
+    if len(ks) < MIN_FIT_POINTS:
         raise SeriesError(
-            f"Gevrey fit needs at least {min_points} nonzero coefficients in "
+            f"Gevrey fit needs at least {MIN_FIT_POINTS} nonzero coefficients in "
             f"the window, found {len(ks)}"
         )
     ks_arr = np.array(ks)
@@ -120,16 +114,13 @@ def gevrey_estimate(s: TruncSeries1, window: tuple | None = None,
                               np.ones_like(ks_arr)])
     coef, *_ = np.linalg.lstsq(design, logs_arr, rcond=None)
     fitted = design @ coef
-    dof = len(ks) - 3
-    if dof > 0:
-        sigma2 = float(np.sum((logs_arr - fitted) ** 2)) / dof
-        cov = sigma2 * np.linalg.inv(design.T @ design)
-        stderr = math.sqrt(max(cov[0, 0], 0.0))
-    else:
-        stderr = math.inf
+    # MIN_FIT_POINTS > 3 leaves the three-parameter fit degrees of freedom
+    sigma2 = float(np.sum((logs_arr - fitted) ** 2)) / (len(ks) - 3)
+    cov = sigma2 * np.linalg.inv(design.T @ design)
+    stderr = math.sqrt(max(cov[0, 0], 0.0))
     gevrey = float(coef[0])
 
-    top = max(1, len(ks) // 4)
+    top = len(ks) // 4
     rates = sorted(lg / k for k, lg in zip(ks[-top:], logs[-top:]))
     median_rate = rates[len(rates) // 2]
     radius = math.exp(-median_rate) if median_rate < 700 else 0.0
@@ -140,7 +131,12 @@ def gevrey_estimate(s: TruncSeries1, window: tuple | None = None,
         confidence=(gevrey - 2 * stderr, gevrey + 2 * stderr),
         fit_window=(max(k_min, 1), k_max),
         radius=radius,
-        terminated=False,
-        termination_degree=None,
         n_points=len(ks),
     )
+
+
+def diagnose(s: TruncSeries1, window: tuple | None = None):
+    """The one reading of a series' growth: its termination report, and the
+    Gevrey fit over ``window`` unless it terminated (then None)."""
+    term = termination_detect(s)
+    return term, None if term.terminated else gevrey_estimate(s, window)

@@ -115,12 +115,6 @@ class GaugeMap:
                 return False
         return True
 
-    def compose(self, other: "GaugeMap") -> "GaugeMap":
-        """self after other: (z, w) -> other -> self."""
-        f = other.f * compose(self.f, other.g)
-        g = compose(self.g, other.g)
-        return GaugeMap(f, g)
-
     def to_json(self) -> dict:
         return {"f": self.f.to_json(), "g": self.g.to_json()}
 

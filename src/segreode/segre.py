@@ -183,31 +183,6 @@ def _settle(step, start: TruncSeries2, first: int = 1, row=None):
     return full
 
 
-def profile_residual(e: AdmissibleOde, fam: SegreFamily) -> TruncSeries2:
-    """y'' minus the profile right-hand side; zero up to truncation iff the
-    family is associated with the ODE."""
-    ypp = fam.psi.derivative_x().derivative_x()
-    return ypp - _profile_rhs(e, fam.sign, fam.psi)
-
-
-def inverse_ode_residual(e: AdmissibleOde, fam: SegreFamily) -> TruncSeries2:
-    """Substitute the family into the inverse ODE, cleared of denominators:
-
-    rho_xx * rho^{2m} + P(rho)*rho^m*(rho_x)^2 + Q(rho)*(rho_x)^3*x == 0.
-
-    This is an independent verification path from the profile equation.
-    """
-    rho = build_rho(fam).rho
-    rx = rho.derivative_x()
-    rxx = rx.derivative_x()
-    p_at = compose(e.p, rho)
-    q_at = compose(e.q, rho)
-    m = e.m
-    return (rxx * rho.pow_int(2 * m)
-            + p_at * rho.pow_int(m) * rx * rx
-            + (q_at * rx * rx * rx).shift_x(1))
-
-
 # ---------------------------------------------------------------------------
 # extraction and the defining series
 # ---------------------------------------------------------------------------

@@ -837,12 +837,6 @@ class TruncSeries2(_Rows2):
             return None
         return best[1], best[2]
 
-    def x_order(self) -> int | None:
-        for j, row in enumerate(self.rows):
-            if any(not c.is_zero for c in row):
-                return j
-        return None
-
     def y_order(self) -> int | None:
         best = None
         for row in self.rows:

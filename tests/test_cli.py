@@ -156,6 +156,62 @@ def test_cli_family_m1_is_usage_error(capsys, argv):
         and captured.err.count("\n") == 1 and "m >= 2" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--family", "4,1"],
+    ["--family", "4,2"],
+    ["--family", "3,1", "--degree", "201"],
+])
+def test_cli_growth_check_runs_f_to_a_degree_it_reaches(capsys, argv):
+    """f lives on degrees divisible by m - 1: the check runs it to such a
+    degree (201 for m = 4 at the default 200, 202 for m = 3 at 201), so a
+    divergent f is not read as terminated."""
+    assert cli.main(["run", "--checks", "growth", *argv]) == 0
+    growth = json.loads(capsys.readouterr().out)["runs"][0]["checks"]["growth"]
+    assert growth["pass"] is True and growth["terminated"] is False
+    assert growth["gevrey"] > 0
+
+
+def test_cli_growth_family_fits_f_of_order_4(capsys):
+    """growth --family 4,1 fits f's Gevrey order, near 1/(m - 1)."""
+    assert cli.main(["growth", "--family", "4,1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["terminated"] is False
+    assert abs(payload["gevrey"] - 1 / 3) < 0.1
+
+
+@pytest.mark.parametrize("window", ["5", "a,b", "1,2,3"])
+def test_cli_growth_bad_window_names_the_window(monkeypatch, capsys, window):
+    _forbid_work(monkeypatch)
+    assert cli.main(["growth", "--family", "2,1", "--window", window]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: window must be 'KMIN,KMAX'") \
+        and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("script, args", [
+    ("divergence_scan.py", ["--beta-min", "1", "--beta-max", "1",
+                            "--order", "10"]),
+    ("monodromy_grid.py", ["--m", "1"]),
+    ("monodromy_grid.py", ["--radius", "0.01"]),
+    ("hypersurface_from_real_data.py", ["--m", "2", "--a", "1*w^0+x",
+                                        "--b", "1*w^2"]),
+    ("hypersurface_from_real_data.py", ["--m", "2", "--a", "1*w^0",
+                                        "--b", "1*w^2", "--rect", "2,1"]),
+])
+def test_scripts_reject_bad_input_with_exit_2(script, args):
+    """An input a script cannot use is an argparse usage error: exit 2 with
+    an error line, no traceback."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, str(root / "scripts" / script),
+                           *args], capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert f"{script}: error: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_roundtrip_names_the_first_offending_degree():
     """An ODE that differs from the one the profile was solved from by
     (i/5)*w^4 in P: the extracted P minus the ODE's is -(i/5)*w^4."""
@@ -449,9 +505,18 @@ def test_cli_bad_shape_or_jobs_rejected_before_work(monkeypatch, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_cli_check_library_error_is_a_failed_check(capsys):
+def _starve(monkeypatch, name):
+    """Make the library call ``cli.<name>`` run out of terms."""
+    def starved(*_):
+        raise TruncationStarvation(f"{name} ran out of terms")
+
+    monkeypatch.setattr(cli, name, starved)
+
+
+def test_cli_check_library_error_is_a_failed_check(monkeypatch, capsys):
     """A check that cannot finish is a failed verdict (exit 1), as in run."""
-    code = cli.main(["check", "--family", "2,1", "--rect", "2,5",
+    _starve(monkeypatch, "extract_pq")
+    code = cli.main(["check", "--family", "2,1", "--rect", "4,8",
                      "--degree", "16", "--checks", "roundtrip"])
     assert code == 1
     entry = json.loads(capsys.readouterr().out)["runs"][0]["checks"]["roundtrip"]
@@ -515,6 +580,76 @@ def test_cli_degree_zero_rejected_for_gauge_checks(monkeypatch, capsys, argv):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: degree 0") and err.count("\n") == 1
+
+
+def _check_error(name, ctx):
+    """The library error a check (or the vector field of autovec) stops on
+    at ctx's shape, or None when it runs through and passes."""
+    if name == "autovec":
+        try:
+            cli.build_vector_field(ctx.chi_tau(), ctx.m)
+        except cli.LIBRARY_ERRORS as exc:
+            return str(exc)
+        return None
+    entry = cli.run_check(name, ctx)
+    assert entry.get("error") or entry["pass"] is True, entry
+    return entry.get("error")
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("name", list(cli.SHAPE_MINIMA))
+def test_shape_minima_are_where_the_library_raises(name, m):
+    """Each minimum of SHAPE_MINIMA is the least value its check works on,
+    on the beta = 0 member of order m: one below it the check's library call
+    raises, and at it the check passes."""
+    base = {"degree": 24, "Nx": 4, "Ny": 8}
+    for what, least in cli.SHAPE_MINIMA[name](m, 4, 8).items():
+        for value in (least - 1, least):
+            shape = dict(base, **{what: value})
+            if min(shape["Nx"], shape["Ny"]) < 1:
+                continue
+            ctx = cli.FamilyContext(m, beta=Fraction(0), degree=shape["degree"],
+                                    rect=(shape["Nx"], shape["Ny"]))
+            error = _check_error(name, ctx)
+            assert (error is not None) == (value < least), (what, value, error)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--family", "2,1", "--degree", "10", "--checks", "map"],
+     "degree 10 is too small for map: it needs degree >= 24 at m = 2"),
+    (["run", "--family", "2,1", "--degree", "8", "--checks", "tangency"],
+     "degree 8 is too small for tangency: it needs degree >= 9 at m = 2"),
+    (["run", "--family", "3,1", "--degree", "5", "--checks", "coupled"],
+     "degree 5 is too small for coupled: it needs degree >= 6 at m = 3"),
+    (["run", "--family", "2,0", "--rect", "2,24", "--checks", "reality"],
+     "rect 2,24 is too small for reality: it needs Nx >= 3 at m = 2"),
+    (["run", "--family", "3,0", "--rect", "8,2", "--checks", "model0"],
+     "rect 8,2 is too small for model0: it needs Ny >= 3 at m = 3"),
+    (["run", "--family", "3,0", "--rect", "8,1", "--checks", "roundtrip"],
+     "rect 8,1 is too small for roundtrip: it needs Ny >= 2 at m = 3"),
+    (["run", "--family", "2,0", "--rect", "2,1", "--checks",
+      "roundtrip,reality,model0"],
+     "rect 2,1 is too small for roundtrip: it needs Nx >= 3 at m = 2"),
+    (["run", "--family", "2,1", "--family", "3,1", "--rect", "8,2",
+      "--checks", "realty"],
+     "rect 8,2 is too small for realty: it needs Ny >= 3 at m = 3"),
+    (["check", "--family", "2,1", "--rect", "2,5", "--checks", "roundtrip"],
+     "rect 2,5 is too small for roundtrip: it needs Nx >= 3 at m = 2"),
+    (["equiv", "--family", "2,1", "--degree", "1", "--verify", "coupled"],
+     "degree 1 is too small for coupled: it needs degree >= 4 at m = 2"),
+    (["autovec", "--family", "2,1", "--degree", "1", "--rect", "4,8"],
+     "degree 1 is too small for tangency: it needs degree >= 5 at m = 2"),
+])
+def test_cli_shape_below_a_check_minimum_is_usage_error(monkeypatch, capsys,
+                                                        argv, message):
+    """A degree or rectangle below what a selected check works on exits 2
+    with one line naming the check and the minimum, before any work; each
+    of these was a failed check (exit 1) before the rule."""
+    _forbid_work(monkeypatch)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_cli_segre_rect_too_small_is_usage_error(capsys):
@@ -600,18 +735,22 @@ def test_run_config_radius_bound_is_the_integrators():
     cfg.validate()
 
 
-def test_cli_equiv_verify_library_error_is_a_failed_check(capsys):
-    """At degree 1 the coupled check runs out of terms: a failed verdict
-    with an error field, exit 1, as in run and check."""
-    code = cli.main(["equiv", "--family", "2,1", "--degree", "1",
+def test_cli_equiv_verify_library_error_is_a_failed_check(monkeypatch,
+                                                         capsys):
+    """A coupled check that runs out of terms is a failed verdict with an
+    error field, exit 1, as in run and check."""
+    _starve(monkeypatch, "coupled_map_g")
+    code = cli.main(["equiv", "--family", "2,1", "--degree", "8",
                      "--verify", "coupled"])
     assert code == 1
     entry = json.loads(capsys.readouterr().out)["verify"]["coupled"]
     assert entry["pass"] is False and entry["error"]
 
 
-def test_cli_autovec_tangency_library_error_is_a_failed_check(capsys):
-    code = cli.main(["autovec", "--family", "2,1", "--degree", "1",
+def test_cli_autovec_tangency_library_error_is_a_failed_check(monkeypatch,
+                                                              capsys):
+    _starve(monkeypatch, "tangency_check")
+    code = cli.main(["autovec", "--family", "2,1", "--degree", "8",
                      "--rect", "4,8"])
     assert code == 1
     payload = json.loads(capsys.readouterr().out)

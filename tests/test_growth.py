@@ -10,6 +10,7 @@ from segreode import (
     QI,
     SeriesError,
     TruncSeries1,
+    diagnose,
     expected_termination,
     formal_solutions,
     gevrey_estimate,
@@ -40,12 +41,6 @@ def test_termination_zero_series():
     assert report.terminated and report.degree is None
 
 
-def test_termination_min_tail():
-    s = TruncSeries1.from_terms({0: 1, 9: 1}, 10)
-    assert termination_detect(s).terminated
-    assert not termination_detect(s, min_tail=2).terminated
-
-
 @pytest.mark.parametrize("beta", [0, 2, 6, 12, 20, 30])
 def test_termination_grid_resonant(beta):
     assert expected_termination(2, beta)
@@ -70,10 +65,13 @@ def test_expected_termination_m3():
     (2, 39800, 200, 200),   # l = 199: degree 199 is below n
     (2, 1, 200, 200),       # not resonant
     (2, 2, 10, 10),         # l = 1
+    (4, 1, 200, 201),       # f lives on degrees divisible by 3
+    (3, 1, 201, 202),       # f lives on even degrees
 ])
 def test_termination_order_runs_past_a_polynomial(m, beta, n, order):
-    """max(n, l*(m-1) + 1) for beta resonant at level l, else n; f run to
-    that order ends in a zero coefficient when it terminates."""
+    """max(n, l*(m-1) + 1) for beta resonant at level l, else n rounded up
+    to a multiple of m - 1; f run to that order ends in a zero coefficient
+    exactly when it terminates."""
     assert termination_order(m, beta, n) == order
     term = termination_detect(formal_solutions(m, beta, order).f)
     assert term.terminated == expected_termination(m, beta)
@@ -89,19 +87,33 @@ def test_resonance_needs_m_at_least_2(call):
         call()
 
 
-def test_divergence_scan_on_a_polynomial_above_the_order():
-    """beta = 40200 makes f a polynomial of degree 200 = --order; the scan
-    runs past it and reports termination at degree 200."""
+def _divergence_scan(*args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "divergence_scan.py"),
-         "--m", "2", "--beta-min", "40200", "--beta-max", "40200",
-         "--order", "200"],
+        [sys.executable, str(ROOT / "scripts" / "divergence_scan.py"), *args],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_divergence_scan_on_a_polynomial_above_the_order():
+    """beta = 40200 makes f a polynomial of degree 200 = --order; the scan
+    runs past it and reports termination at degree 200."""
+    proc = _divergence_scan("--m", "2", "--beta-min", "40200",
+                            "--beta-max", "40200", "--order", "200")
     assert proc.stdout.splitlines()[-1].split()[:4] == [
         "40200", "trivial", "True", "200"]
+
+
+def test_divergence_scan_on_f_of_order_4():
+    """For m = 4, f lives on degrees divisible by 3; the scan runs it to
+    201 for --order 200 and fits the divergent members."""
+    proc = _divergence_scan("--m", "4", "--beta-max", "2", "--order", "200")
+    rows = [line.split() for line in proc.stdout.splitlines()[2:]]
+    assert [row[:3] for row in rows] == [["0", "trivial", "True"],
+                                         ["1", "nontrivial", "False"],
+                                         ["2", "nontrivial", "False"]]
 
 
 def test_gevrey_inverse_factorial():
@@ -147,12 +159,15 @@ def test_gevrey_nonzero_support_only():
 
 
 def test_gevrey_terminated_flags():
-    f = formal_solutions(2, 6, 80).f
-    report = gevrey_estimate(f)
-    assert report.terminated
-    assert report.gevrey == 0.0
-    assert report.radius == math.inf
-    assert report.termination_degree == 2
+    """diagnose reads a terminated series off its termination report and
+    fits nothing to it; a divergent one gets both."""
+    term, report = diagnose(formal_solutions(2, 6, 80).f)
+    assert term.terminated and term.degree == 2
+    assert report is None
+    f = formal_solutions(2, 1, 200).f
+    term, report = diagnose(f, (32, 180))
+    assert not term.terminated and term.degree == 200
+    assert report == gevrey_estimate(f, (32, 180))
 
 
 def test_gevrey_too_few_points():

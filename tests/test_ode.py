@@ -15,6 +15,7 @@ from segreode import (
     TruncSeries1,
     beta_family,
     check_real_structure,
+    compose,
     conjugate_ode,
     ode_from_real_data,
     pullback_under_gauge,
@@ -125,11 +126,17 @@ def test_pullback_pole_overflow():
         pullback_under_gauge(e, GaugeMap.identity(N), 1)
 
 
+def compose_gauges(outer, inner):
+    """outer after inner: (z, w) -> inner -> outer."""
+    return GaugeMap(inner.f * compose(outer.f, inner.g),
+                    compose(outer.g, inner.g))
+
+
 @given(special_gauge(), special_gauge())
 def test_pullback_contravariant_functorial(g1, g2):
     e = beta_family(2, 1, 20)
     once = pullback_under_gauge(pullback_under_gauge(e, g1, 2), g2, 2)
-    composed = pullback_under_gauge(e, g1.compose(g2), 2)
+    composed = pullback_under_gauge(e, compose_gauges(g1, g2), 2)
     assert once.p == composed.p
     assert once.q == composed.q
 
@@ -182,7 +189,7 @@ def test_gauge_compose_and_specialness():
     g = TruncSeries1.from_terms({1: 1, 2: 1}, 10)
     gm2 = GaugeMap(f, g)
     assert not gm2.is_special(2)
-    assert gm2.compose(GaugeMap.identity(10)).f == f
+    assert compose_gauges(gm2, GaugeMap.identity(10)).f == f
 
 
 def test_gauge_validation():

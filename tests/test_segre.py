@@ -17,13 +17,12 @@ from segreode import (
     beta_family,
     build_rho,
     check_real_structure,
+    compose,
     conjugate_ode,
     conjugated_family,
     dual_family,
     explicit_model,
     extract_pq,
-    inverse_ode_residual,
-    profile_residual,
     real_normal_form,
     real_structure_test,
     realty_identity_check,
@@ -73,6 +72,29 @@ def test_unit_slope_every_order():
         fam = family_profile(m, beta_str, *RECT)
         assert fam.psi.row(1) == TruncSeries1.one(fam.psi.ny)
         assert fam.psi.row(0).is_zero
+
+
+def profile_residual(e, fam):
+    """y'' minus the profile right-hand side; zero up to truncation iff the
+    family is associated with the ODE."""
+    ypp = fam.psi.derivative_x().derivative_x()
+    return ypp - _profile_rhs(e, fam.sign, fam.psi)
+
+
+def inverse_ode_residual(e, fam):
+    """Substitute the family into the inverse ODE, cleared of denominators:
+
+    rho_xx * rho^{2m} + P(rho)*rho^m*(rho_x)^2 + Q(rho)*(rho_x)^3*x == 0,
+
+    a verification path independent of the profile equation.
+    """
+    rho = build_rho(fam).rho
+    rx = rho.derivative_x()
+    rxx = rx.derivative_x()
+    m = e.m
+    return (rxx * rho.pow_int(2 * m)
+            + compose(e.p, rho) * rho.pow_int(m) * rx * rx
+            + (compose(e.q, rho) * rx * rx * rx).shift_x(1))
 
 
 def test_profile_residual_zero():

@@ -1009,9 +1009,8 @@ def _compose2_oracle(outer, first, second):
     first over the rows of outer, each row summed against the powers of the
     univariate second.  first must have x-order >= 1 and second must vanish
     at the origin."""
-    vx = first.x_order()
-    if vx is None:
-        vx = first.nx + 1
+    vx = next((j for j, row in enumerate(first.rows)
+               if any(not c.is_zero for c in row)), first.nx + 1)
     if vx < 1:
         raise SeriesError("first substituted series must have x-order >= 1")
     if second.pole != 0 or not second.coefficient(0).is_zero:
