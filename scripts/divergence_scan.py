@@ -10,7 +10,6 @@ import argparse
 from fractions import Fraction
 
 from segreode import (
-    SeriesError,
     diagnose,
     expected_termination,
     formal_solutions,
@@ -26,10 +25,13 @@ def main() -> int:
     ap.add_argument("--beta-max", type=int, default=12)
     ap.add_argument("--order", type=int, default=200,
                     help="series order for the growth fit (raised past the "
-                         "degree of a polynomial f)")
+                         "degree of a polynomial f, and until the fit window "
+                         "holds enough coefficients)")
     args = ap.parse_args()
     if args.m < 2:
         ap.error(f"the family needs m >= 2, got --m {args.m}")
+    if args.order < 0:
+        ap.error(f"--order needs to be >= 0, got {args.order}")
 
     header = f"{'beta':>6}  {'monodromy':>10}  {'terminates':>10}  " \
              f"{'degree':>6}  {'gevrey':>8}  {'radius':>10}"
@@ -38,11 +40,9 @@ def main() -> int:
     for beta in range(args.beta_min, args.beta_max + 1):
         mono = residue_analysis(args.m, Fraction(beta))
         # f is run to a degree it reaches, past the degree of a polynomial f
-        try:
-            order = termination_order(args.m, beta, args.order)
-            term, report = diagnose(formal_solutions(args.m, beta, order).f)
-        except SeriesError as exc:
-            ap.error(f"beta {beta} at --order {args.order}: {exc}")
+        # and far enough for the fit
+        order = termination_order(args.m, beta, args.order)
+        term, report = diagnose(formal_solutions(args.m, beta, order).f)
         assert term.terminated == expected_termination(args.m, beta)
         if report is None:
             growth_str = f"{'-':>8}  {'inf':>10}"

@@ -48,7 +48,7 @@ from .equiv import (
     ProbeReport,
     build_chi_tau,
     coupled_map_g,
-    coupled_residual,
+    coupled_pairing_residual,
     formal_solutions,
     self_map_probe,
     verify_map_on_hypersurface,

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coefficients import QI
-from .ode import GaugeMap
 from .segre import Hypersurface
 from .series import (
     SeriesError,
@@ -32,20 +31,15 @@ class VectorFieldRep:
             raise SeriesError("field components must be pole-free")
 
 
-def build_vector_field(gauge: GaugeMap, m: int) -> VectorFieldRep:
-    """Pull the field w^m*dw back through (z, w) -> (chi(w)*z, tau(w)):
-
-        a = -chi'*tau^m/(chi*tau'),    b = tau^m/tau'.
-
-    For a special gauge input, b = w^m + O(w^{m+1}).
-    """
-    chi, tau = gauge.f, gauge.g
-    tau_m = tau.pow_int(m)
-    tau_p = tau.derivative()
-    b = divide(tau_m, tau_p)
-    a = -divide(chi.derivative() * tau_m, chi * tau_p)
-    if b.order() != m:
-        raise SeriesError(f"dw-component must vanish to order exactly {m}")
+def build_vector_field(pair) -> VectorFieldRep:
+    """w^m*dw pulled back through the gauge map (chi, tau) of the formal
+    solutions (f, u): a = -chi'*tau^m/(chi*tau') = w^m*f'*u and
+    b = tau^m/tau' = w^m*f*u by Abel's identity (:mod:`segreode.equiv`),
+    claimed to the orders the quotients reach, n - 1 and n + m - 1."""
+    m, f, u = pair.m, pair.f, pair.u
+    n = f.trunc
+    b = (f * u).shift(m).truncate(n + m - 1)
+    a = (f.derivative() * u).shift(m).truncate(n - 1)
     return VectorFieldRep(a, b)
 
 
@@ -128,11 +122,7 @@ def straightening_check(m: int,
                                          max(n, m - 1))
     if computed_p.pole == 0 and computed_p == expected_p:
         return StraighteningCheck(True, computed_p, expected_p)
-    diff = computed_p - expected_p.truncate(min(n, expected_p.trunc))
-    fn = diff.first_nonzero()
-    witness = None
-    if fn is not None:
-        witness = {"degree": fn[0], "value": str(fn[1])}
-    elif computed_p.pole > 0:
-        witness = {"pole": computed_p.pole}
-    return StraighteningCheck(False, computed_p, expected_p, witness)
+    # a failure, pole included, leaves a nonzero coefficient in the difference
+    degree, value = (computed_p - expected_p).first_nonzero()
+    return StraighteningCheck(False, computed_p, expected_p,
+                              {"degree": degree, "value": str(value)})

@@ -35,7 +35,7 @@ from .autovec import build_vector_field, explicit_model, straightening_check, ta
 from .equiv import (
     build_chi_tau,
     coupled_map_g,
-    coupled_residual,
+    coupled_pairing_residual,
     formal_solutions,
     self_map_probe,
     verify_map_on_hypersurface,
@@ -136,12 +136,12 @@ SHAPE_MINIMA = {
     "realty": lambda m, nx, ny: {"Ny": m},
     # verify_map_on_hypersurface truncates conj(chi) to eta-order Ny
     "map": lambda m, nx, ny: {"Ny": m, "degree": ny},
-    # coupled_map_g divides by g^m*f: lambda keeps degree - 2m + 1 terms
-    "coupled": lambda m, nx, ny: {"degree": 2 * m},
-    # tangency_check composes B = tau^m/tau', known to degree - 1, with rho
+    # coupled_pairing_residual is known to the degree, and w^m is normalized
+    "coupled": lambda m, nx, ny: {"degree": m + 1},
+    # tangency_check composes A = w^m*f'*u, known to degree - 1, with rho
     "tangency": lambda m, nx, ny: {"Ny": m, "degree": nx + 1},
     "model0": lambda m, nx, ny: {"Ny": m},
-    # build_vector_field differentiates chi
+    # build_vector_field differentiates f
     "autovec": lambda m, nx, ny: {"degree": 1},
 }
 
@@ -416,14 +416,9 @@ def check_map(ctx: FamilyContext) -> dict:
 
 def check_coupled(ctx: FamilyContext) -> dict:
     gauge = ctx.chi_tau()
-    paired = coupled_map_g(gauge, ctx.m)
-    ok_l, wit_l = _series_eq(paired.f, gauge.f.conj())
-    ok_m, wit_m = _series_eq(paired.g, gauge.g.conj())
-    residual = coupled_residual(gauge, paired, ctx.m)
-    return {
-        "pass": ok_l and ok_m and residual.is_zero,
-        "witness": wit_l or wit_m or _witness(residual),
-    }
+    witness = _witness(gauge.g - gauge.g.conj()) \
+        or _witness(coupled_pairing_residual(gauge, ctx.m))
+    return {"pass": witness is None, "witness": witness}
 
 
 def check_selfmap(ctx: FamilyContext) -> dict:
@@ -462,8 +457,7 @@ def check_monodromy(ctx: FamilyContext) -> dict:
 
 
 def check_tangency(ctx: FamilyContext) -> dict:
-    fieldrep = build_vector_field(ctx.chi_tau(), ctx.m)
-    res = tangency_check(fieldrep, ctx.hyper())
+    res = tangency_check(build_vector_field(ctx.solutions()), ctx.hyper())
     return {
         "pass": res.is_zero,
         "rect": [res.nx, res.ny],
@@ -743,10 +737,10 @@ def cmd_monodromy(args) -> int:
 def cmd_autovec(args) -> int:
     names = _known_names(args.check.split(","), ("tangency", "lambda"),
                          "--check target")
-    # the vector field is built from the gauge map whatever --check selects
+    # the field is built from the formal solutions whatever --check selects
     ctx = _context_from_args(args, ["autovec", *names])
     with no_verdict(f"autovec vector field at degree {ctx.degree}"):
-        fieldrep = build_vector_field(ctx.chi_tau(), ctx.m)
+        fieldrep = build_vector_field(ctx.solutions())
     out = {"family": ctx.label(),
            "field": {"A": fieldrep.a.to_json(), "B": fieldrep.b.to_json()}}
     for name in names:

@@ -14,6 +14,11 @@ recursion (with 2i replaced by -2i for u)
 so f is supported on degrees divisible by m-1 and terminates exactly when
 beta = l*(l+1)*(m-1)^2 for an integer l >= 0.  The exponential and w^{1-m}
 factors never enter a series slot; u carries all series content of g.
+
+Abel's identity for the pair (Liouville-Ostrogradsky; Ince, ODE, ch. V) is
+w^m*(f*u' - f'*u) + 2i*(f*u - 1) = 0, with u = conj(f) for real beta.  So
+the gauge map (chi, tau) has tau^m/tau' = w^m*f*u: the automorphism field is
+two products of the pair, and coupled is eta^m*tau' = tau^m*chi*conj(chi).
 """
 
 from __future__ import annotations
@@ -105,11 +110,14 @@ def coupled_map_g(gauge: GaugeMap, m: int) -> GaugeMap:
     return GaugeMap(lam, g)
 
 
-def coupled_residual(f_map: GaugeMap, g_map: GaugeMap, m: int) -> TruncSeries1:
-    """Defining-equation residual eta^m*g' - mu^m*f*lambda; zero certifies
-    the pairing."""
-    return f_map.g.derivative().shift(m) \
-        - g_map.g.pow_int(m) * f_map.f * g_map.f
+def coupled_pairing_residual(gauge: GaugeMap, m: int) -> TruncSeries1:
+    """The pairing of :func:`coupled_map_g` at mu = tau, lambda = conj(chi):
+    eta^m*tau' - tau^m*chi*conj(chi), known above the normalized w^m."""
+    chi, tau = gauge.f, gauge.g
+    rhs = tau.pow_int(m) * chi * chi.conj()
+    if rhs.trunc <= m:
+        raise TruncationStarvation(f"coupled pairing stops at w^{rhs.trunc}")
+    return tau.derivative().shift(m) - rhs
 
 
 # ---------------------------------------------------------------------------

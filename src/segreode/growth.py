@@ -60,12 +60,17 @@ def expected_termination(m: int, beta) -> bool:
 def termination_order(m: int, beta, n: int) -> int:
     """The order to run the recursion for f to, at least n, so that f's last
     coefficient decides termination: f lives on degrees divisible by m-1,
-    so a non-resonant n is rounded up to such a degree, and a resonant f is
-    a polynomial of degree l*(m-1), run to max(n, l*(m-1) + 1)."""
+    so a non-resonant n is raised to such a degree where the default fit
+    window holds MIN_FIT_POINTS of them, and a resonant f is a polynomial of
+    degree l*(m-1), run to max(n, l*(m-1) + 1)."""
     level = _resonance_level(m, beta)
-    if level is None:
-        return -(-n // (m - 1)) * (m - 1)
-    return max(n, level * (m - 1) + 1)
+    if level is not None:
+        return max(n, level * (m - 1) + 1)
+    d = m - 1
+    n = -(-n // d) * d
+    while n // d - (_default_fit_window(n)[0] - 1) // d < MIN_FIT_POINTS:
+        n += d
+    return n
 
 
 def _resonance_level(m: int, beta) -> int | None:
@@ -91,9 +96,7 @@ def gevrey_estimate(s: TruncSeries1, window: tuple | None = None) -> GrowthRepor
     the window.
     """
     n = s.trunc
-    if window is None:
-        window = (max(4, n // 8), n)
-    k_min, k_max = window
+    k_min, k_max = window or _default_fit_window(n)
     k_max = min(k_max, n)
     ks = []
     logs = []
@@ -133,6 +136,10 @@ def gevrey_estimate(s: TruncSeries1, window: tuple | None = None) -> GrowthRepor
         radius=radius,
         n_points=len(ks),
     )
+
+
+def _default_fit_window(n: int) -> tuple:
+    return max(4, n // 8), n
 
 
 def diagnose(s: TruncSeries1, window: tuple | None = None):

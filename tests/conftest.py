@@ -13,6 +13,11 @@ settings.load_profile("suite")
 
 from segreode import beta_family, build_rho, solve_psi  # noqa: E402
 
+# real-beta members on which Abel's identity for the formal solutions, and
+# the field and coupled pairing it gives, are checked
+ABEL_MEMBERS = [(2, 0), (2, 1), (2, Fraction(-1, 3)), (3, 2),
+                (3, Fraction(5, 2)), (4, 1)]
+
 
 @lru_cache(maxsize=None)
 def family_profile(m: int, beta_str: str, nx: int, ny: int):

@@ -138,11 +138,10 @@ def test_criterion_05_monodromy():
 def test_criterion_06_tangency(grid_artifacts):
     ok = True
     for beta in (0, 1):
-        field = build_vector_field(build_chi_tau(formal_solutions(2, beta, 40)),
-                                   2)
+        field = build_vector_field(formal_solutions(2, beta, 40))
         res = tangency_check(field, grid_artifacts[(2, beta)]["hyper"])
         ok = ok and res.is_zero
-    field1 = build_vector_field(build_chi_tau(formal_solutions(2, 1, 40)), 2)
+    field1 = build_vector_field(formal_solutions(2, 1, 40))
     mismatch = tangency_check(field1, grid_artifacts[(2, 0)]["hyper"])
     witness = mismatch.first_nonzero()
     ok = ok and witness is not None

@@ -1,5 +1,5 @@
 import pytest
-from conftest import family_hyper
+from conftest import ABEL_MEMBERS, family_hyper
 
 from segreode import (
     QI,
@@ -8,6 +8,7 @@ from segreode import (
     VectorFieldRep,
     build_chi_tau,
     build_vector_field,
+    divide,
     explicit_model,
     formal_solutions,
     straightening_check,
@@ -19,7 +20,31 @@ N = 30
 
 
 def _field(m, beta):
-    return build_vector_field(build_chi_tau(formal_solutions(m, beta, N)), m)
+    return build_vector_field(formal_solutions(m, beta, N))
+
+
+def _field_through_gauge(pair):
+    """The field w^m*dw pulled back through (z, w) -> (chi(w)*z, tau(w)) by
+    its quotients, a = -chi'*tau^m/(chi*tau') and b = tau^m/tau'."""
+    gauge = build_chi_tau(pair)
+    chi, tau = gauge.f, gauge.g
+    tau_m = tau.pow_int(pair.m)
+    tau_p = tau.derivative()
+    return VectorFieldRep(-divide(chi.derivative() * tau_m, chi * tau_p),
+                          divide(tau_m, tau_p))
+
+
+@pytest.mark.parametrize("n", [40, 80])
+@pytest.mark.parametrize("m,beta", ABEL_MEMBERS)
+def test_field_equals_the_pullback_through_the_gauge(m, beta, n):
+    """The two products w^m*f'*u and w^m*f*u are the quotients through
+    (chi, tau), coefficient for coefficient and truncation for truncation."""
+    pair = formal_solutions(m, beta, n)
+    field = build_vector_field(pair)
+    oracle = _field_through_gauge(pair)
+    assert (field.a.trunc, field.b.trunc) == (oracle.a.trunc, oracle.b.trunc) \
+        == (n - 1, n + m - 1)
+    assert field.a == oracle.a and field.b == oracle.b
 
 
 def test_field_beta0_closed_form():

@@ -13,6 +13,7 @@ import pytest
 from segreode import (
     QI,
     AdmissibleOde,
+    GaugeMap,
     Hypersurface,
     TruncSeries2,
     cli,
@@ -147,8 +148,9 @@ def test_cli_growth_family_runs_past_a_polynomial(capsys, family, degree):
     ["autovec", "--family", "1,1"],
 ])
 def test_cli_family_m1_is_usage_error(capsys, argv):
-    """growth and autovec (whose vector field needs the gauge map) work on
-    the beta family of order m >= 2 only: m = 1 exits 2 with one line."""
+    """growth and autovec (whose vector field needs the formal solutions)
+    work on the beta family of order m >= 2 only: m = 1 exits 2 with one
+    line."""
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -171,6 +173,17 @@ def test_cli_growth_check_runs_f_to_a_degree_it_reaches(capsys, argv):
     assert growth["gevrey"] > 0
 
 
+@pytest.mark.parametrize("argv", [[], ["--degree", "290"]])
+def test_cli_growth_check_fits_f_of_order_30(capsys, argv):
+    """For m = 30, f lives on multiples of 29: the check runs f to 232 at
+    the default degree, where the fit window (29, 232) holds the 8 nonzero
+    coefficients the fit needs (203 left it 7), and 290 holds 9."""
+    assert cli.main(["run", "--family", "30,1", "--checks", "growth",
+                     *argv]) == 0
+    growth = json.loads(capsys.readouterr().out)["runs"][0]["checks"]["growth"]
+    assert growth["pass"] is True and growth["terminated"] is False
+
+
 def test_cli_growth_family_fits_f_of_order_4(capsys):
     """growth --family 4,1 fits f's Gevrey order, near 1/(m - 1)."""
     assert cli.main(["growth", "--family", "4,1"]) == 0
@@ -189,8 +202,7 @@ def test_cli_growth_bad_window_names_the_window(monkeypatch, capsys, window):
 
 
 @pytest.mark.parametrize("script, args", [
-    ("divergence_scan.py", ["--beta-min", "1", "--beta-max", "1",
-                            "--order", "10"]),
+    ("divergence_scan.py", ["--order", "-3", "--beta-max", "1"]),
     ("monodromy_grid.py", ["--m", "1"]),
     ("monodromy_grid.py", ["--radius", "0.01"]),
     ("hypersurface_from_real_data.py", ["--m", "2", "--a", "1*w^0+x",
@@ -239,6 +251,30 @@ def test_cli_realty_names_the_first_offending_cell():
     assert entry["witness"] == {"cell": [2, 3], "value": "-2/3"}
     assert entry["normal_form"] is False
     assert entry["detail"].startswith("normal form row x^2 has imaginary")
+
+
+@pytest.mark.parametrize("m, piece, degree, bump, witness", [
+    (2, "chi", 3, QI(1), {"degree": 5, "value": "-2"}),
+    (3, "chi", 3, QI(1), {"degree": 6, "value": "-2"}),
+    (2, "tau", 5, QI(1), {"degree": 6, "value": "3"}),
+    (3, "tau", 5, QI(1), {"degree": 7, "value": "2"}),
+    (2, "tau", 5, QI(0, 1), {"degree": 5, "value": "2i"}),
+])
+def test_cli_coupled_names_a_changed_coefficient(m, piece, degree, bump,
+                                                 witness):
+    """One coefficient of chi or tau changed by c: eta^m*tau' -
+    tau^m*chi*conj(chi) changes first at w^{k+m} by -2*Re(c) for chi_k, and
+    at w^{k+m-1} by (k - m)*c for a real change of tau_k; an imaginary
+    change of tau_k breaks tau = conj(tau) at w^k by 2c."""
+    ctx = cli.FamilyContext(m, beta=Fraction(1), degree=24, rect=(6, 12))
+    chi, tau = ctx.chi_tau().f, ctx.chi_tau().g
+    if piece == "chi":
+        chi = chi + TruncSeries1.monomial(bump, degree, chi.trunc)
+    else:
+        tau = tau + TruncSeries1.monomial(bump, degree, tau.trunc)
+    ctx._cache["chi_tau"] = GaugeMap(chi, tau)
+    entry = cli.check_coupled(ctx)
+    assert entry == {"pass": False, "witness": witness}
 
 
 def test_cli_segre_sign_minus_one(capsys):
@@ -587,7 +623,7 @@ def _check_error(name, ctx):
     at ctx's shape, or None when it runs through and passes."""
     if name == "autovec":
         try:
-            cli.build_vector_field(ctx.chi_tau(), ctx.m)
+            cli.build_vector_field(ctx.solutions())
         except cli.LIBRARY_ERRORS as exc:
             return str(exc)
         return None
@@ -619,8 +655,8 @@ def test_shape_minima_are_where_the_library_raises(name, m):
      "degree 10 is too small for map: it needs degree >= 24 at m = 2"),
     (["run", "--family", "2,1", "--degree", "8", "--checks", "tangency"],
      "degree 8 is too small for tangency: it needs degree >= 9 at m = 2"),
-    (["run", "--family", "3,1", "--degree", "5", "--checks", "coupled"],
-     "degree 5 is too small for coupled: it needs degree >= 6 at m = 3"),
+    (["run", "--family", "5,1", "--degree", "5", "--checks", "coupled"],
+     "degree 5 is too small for coupled: it needs degree >= 6 at m = 5"),
     (["run", "--family", "2,0", "--rect", "2,24", "--checks", "reality"],
      "rect 2,24 is too small for reality: it needs Nx >= 3 at m = 2"),
     (["run", "--family", "3,0", "--rect", "8,2", "--checks", "model0"],
@@ -636,9 +672,11 @@ def test_shape_minima_are_where_the_library_raises(name, m):
     (["check", "--family", "2,1", "--rect", "2,5", "--checks", "roundtrip"],
      "rect 2,5 is too small for roundtrip: it needs Nx >= 3 at m = 2"),
     (["equiv", "--family", "2,1", "--degree", "1", "--verify", "coupled"],
-     "degree 1 is too small for coupled: it needs degree >= 4 at m = 2"),
+     "degree 1 is too small for coupled: it needs degree >= 3 at m = 2"),
     (["autovec", "--family", "2,1", "--degree", "1", "--rect", "4,8"],
      "degree 1 is too small for tangency: it needs degree >= 5 at m = 2"),
+    (["run", "--family", "3,1", "--degree", "3", "--checks", "coupled"],
+     "degree 3 is too small for coupled: it needs degree >= 4 at m = 3"),
 ])
 def test_cli_shape_below_a_check_minimum_is_usage_error(monkeypatch, capsys,
                                                         argv, message):
@@ -739,7 +777,7 @@ def test_cli_equiv_verify_library_error_is_a_failed_check(monkeypatch,
                                                          capsys):
     """A coupled check that runs out of terms is a failed verdict with an
     error field, exit 1, as in run and check."""
-    _starve(monkeypatch, "coupled_map_g")
+    _starve(monkeypatch, "coupled_pairing_residual")
     code = cli.main(["equiv", "--family", "2,1", "--degree", "8",
                      "--verify", "coupled"])
     assert code == 1

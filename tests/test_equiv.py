@@ -3,7 +3,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from conftest import family_hyper
+from conftest import ABEL_MEMBERS, family_hyper
 
 from segreode import (
     QI,
@@ -17,7 +17,7 @@ from segreode import (
     build_chi_tau,
     conjugate_ode,
     coupled_map_g,
-    coupled_residual,
+    coupled_pairing_residual,
     divide,
     formal_solutions,
     ode_from_real_data,
@@ -155,7 +155,52 @@ def test_pullback_m3():
     assert pulled.p == eb.p and pulled.q == eb.q
 
 
+# -- Abel's identity ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [40, 80])
+@pytest.mark.parametrize("m,beta", ABEL_MEMBERS)
+def test_abel_identity_for_the_formal_solutions(m, beta, n):
+    """w^m*(f*u' - f'*u) + 2i*(f*u - 1) = 0 on the common truncation, and
+    u = conj(f) for real beta."""
+    pair = formal_solutions(m, beta, n)
+    f, u = pair.f, pair.u
+    lhs = (f * u.derivative() - f.derivative() * u).shift(m) \
+        + (f * u - TruncSeries1.one(n)).scale(QI(0, 2))
+    assert lhs.trunc == n and lhs.is_zero
+    assert u == f.conj() and u.trunc == f.trunc
+
+
+@pytest.mark.parametrize("m,beta", ABEL_MEMBERS)
+def test_coupled_pairing_holds_to_the_degree(m, beta):
+    """eta^m*tau' = tau^m*chi*conj(chi) to the order f is known, where the
+    quotient lambda of coupled_map_g reaches only the order minus 2m."""
+    gauge = build_chi_tau(formal_solutions(m, beta, 80))
+    residual = coupled_pairing_residual(gauge, m)
+    assert residual.trunc == 80 and residual.is_zero
+    assert coupled_map_g(gauge, m).f.trunc == 80 - 2 * m
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_coupled_pairing_needs_a_degree_above_m(m):
+    """At degree m the pairing reaches no coefficient above the normalized
+    w^m; at m + 1 it reads 2*Re(chi_1) = 0."""
+    with pytest.raises(TruncationStarvation):
+        coupled_pairing_residual(build_chi_tau(formal_solutions(m, 1, m)), m)
+    gauge = build_chi_tau(formal_solutions(m, 1, m + 1))
+    assert coupled_pairing_residual(gauge, m).is_zero
+    bad = GaugeMap(gauge.f + TruncSeries1.monomial(1, 1, m + 1), gauge.g)
+    assert coupled_pairing_residual(bad, m).first_nonzero() == (m + 1, QI(-2))
+
+
 # -- coupled parameter map ------------------------------------------------------------
+
+
+def _coupled_residual(f_map, g_map, m):
+    """Defining-equation residual eta^m*g' - mu^m*f*lambda of the pairing
+    of a variable-side map (f, g) with a parameter-side map (lambda, mu)."""
+    return f_map.g.derivative().shift(m) \
+        - g_map.g.pow_int(m) * f_map.f * g_map.f
 
 
 def test_coupled_identity():
@@ -171,7 +216,7 @@ def test_coupled_map_is_conjugate(beta):
     paired = coupled_map_g(gauge, 2)
     assert paired.f == gauge.f.conj()
     assert paired.g == gauge.g.conj()
-    assert coupled_residual(gauge, paired, 2).is_zero
+    assert _coupled_residual(gauge, paired, 2).is_zero
 
 
 def test_coupled_defining_equation_general_input():
@@ -180,7 +225,17 @@ def test_coupled_defining_equation_general_input():
     gauge = GaugeMap(TruncSeries1.one(20), g)
     paired = coupled_map_g(gauge, 2)
     assert paired.g == g
-    assert coupled_residual(gauge, paired, 2).is_zero
+    assert _coupled_residual(gauge, paired, 2).is_zero
+
+
+def test_coupled_pairing_catches_what_the_quotient_cannot():
+    """With chi_3 changed by 1, lambda = eta^m*tau'/(tau^m*chi) still
+    solves its own defining equation, so that residual stays zero; the
+    pairing's residual changes at w^5 by -(1 + 1) = -2."""
+    gauge = build_chi_tau(formal_solutions(2, 1, 24))
+    bad = GaugeMap(gauge.f + TruncSeries1.monomial(1, 3, 24), gauge.g)
+    assert _coupled_residual(bad, coupled_map_g(bad, 2), 2).is_zero
+    assert coupled_pairing_residual(bad, 2).first_nonzero() == (5, QI(-2))
 
 
 def test_coupled_requires_special_gauge():

@@ -67,11 +67,13 @@ def test_expected_termination_m3():
     (2, 2, 10, 10),         # l = 1
     (4, 1, 200, 201),       # f lives on degrees divisible by 3
     (3, 1, 201, 202),       # f lives on even degrees
+    (30, 1, 200, 232),      # 203 leaves the fit window (25, 203) 7 points
 ])
 def test_termination_order_runs_past_a_polynomial(m, beta, n, order):
-    """max(n, l*(m-1) + 1) for beta resonant at level l, else n rounded up
-    to a multiple of m - 1; f run to that order ends in a zero coefficient
-    exactly when it terminates."""
+    """max(n, l*(m-1) + 1) for beta resonant at level l, else n raised to
+    a multiple of m - 1 where the default fit window holds MIN_FIT_POINTS
+    of them; f run to that order ends in a zero coefficient exactly when it
+    terminates."""
     assert termination_order(m, beta, n) == order
     term = termination_detect(formal_solutions(m, beta, order).f)
     assert term.terminated == expected_termination(m, beta)
@@ -87,14 +89,21 @@ def test_resonance_needs_m_at_least_2(call):
         call()
 
 
-def _divergence_scan(*args):
+def _divergence_scan(*args, code=0):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "divergence_scan.py"), *args],
         capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return proc
+
+
+def test_divergence_scan_rejects_a_negative_order():
+    """A negative --order is a usage error before any row is printed."""
+    proc = _divergence_scan("--order", "-3", "--beta-max", "1", code=2)
+    assert proc.stdout == ""
+    assert "error: --order" in proc.stderr
 
 
 def test_divergence_scan_on_a_polynomial_above_the_order():
