@@ -31,7 +31,13 @@ from .ode import (
     ode_from_real_data,
     pullback_under_gauge,
 )
-from .autovec import build_vector_field, explicit_model, straightening_check, tangency_check
+from .autovec import (
+    VectorFieldRep,
+    build_vector_field,
+    explicit_model,
+    straightening_check,
+    tangency_check,
+)
 from .equiv import (
     build_chi_tau,
     coupled_map_g,
@@ -257,8 +263,8 @@ def _working_order(m: int, rect: tuple, degree: int) -> int:
 
 
 class FamilyContext:
-    """Memoizes the chain ODE -> profile -> defining series -> gauge map for
-    one family member."""
+    """Memoizes the chain ODE -> profile -> defining series -> gauge map ->
+    vector field for one family member."""
 
     def __init__(self, m: int, beta: Fraction | None = None,
                  data: RealData | None = None, degree: int = 40,
@@ -311,6 +317,10 @@ class FamilyContext:
 
     def chi_tau(self) -> GaugeMap:
         return self._memo("chi_tau", lambda: build_chi_tau(self.solutions()))
+
+    def field(self) -> VectorFieldRep:
+        return self._memo("field",
+                          lambda: build_vector_field(self.solutions()))
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +467,7 @@ def check_monodromy(ctx: FamilyContext) -> dict:
 
 
 def check_tangency(ctx: FamilyContext) -> dict:
-    res = tangency_check(build_vector_field(ctx.solutions()), ctx.hyper())
+    res = tangency_check(ctx.field(), ctx.hyper())
     return {
         "pass": res.is_zero,
         "rect": [res.nx, res.ny],
@@ -740,7 +750,7 @@ def cmd_autovec(args) -> int:
     # the field is built from the formal solutions whatever --check selects
     ctx = _context_from_args(args, ["autovec", *names])
     with no_verdict(f"autovec vector field at degree {ctx.degree}"):
-        fieldrep = build_vector_field(ctx.solutions())
+        fieldrep = ctx.field()
     out = {"family": ctx.label(),
            "field": {"A": fieldrep.a.to_json(), "B": fieldrep.b.to_json()}}
     for name in names:
@@ -836,6 +846,10 @@ SHARED_FLAGS = {
 }
 
 
+TOL_HELP = ("numeric monodromy tolerance, both relative and absolute; a "
+            "relative tolerance below 100*eps ~ 2.2e-14 is raised to it")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="segreode",
@@ -876,7 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "family")
     p.add_argument("--numeric", action="store_true")
     p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=1e-10, help=TOL_HELP)
 
     p = command("autovec", cmd_autovec, "infinitesimal automorphism checks",
                 "family degree rect")
@@ -897,7 +911,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--rect", type=str, default=None)
     p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=None,
+                   help=TOL_HELP + " (default 1e-10)")
     p.add_argument("--jobs", type=int, default=None)
 
     return parser

@@ -16,6 +16,7 @@ from segreode import (
     GaugeMap,
     Hypersurface,
     TruncSeries2,
+    build_vector_field,
     cli,
     numeric_monodromy,
 )
@@ -397,10 +398,19 @@ def test_cli_equiv_verify(capsys):
     assert payload["chi"]["coeffs"][0] == "1"
 
 
-def test_cli_autovec(capsys):
+def test_cli_autovec(monkeypatch, capsys):
+    """The field is built once, for the output and the tangency check."""
+    built = []
+
+    def counted(pair):
+        built.append(pair)
+        return build_vector_field(pair)
+
+    monkeypatch.setattr(cli, "build_vector_field", counted)
     code = cli.main(["autovec", "--family", "2,1", "--rect", "4,8",
                      "--degree", "24", "--check", "tangency,lambda"])
     assert code == 0
+    assert len(built) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["tangency"]["pass"] is True
     assert payload["lambda"]["pass"] is True

@@ -1,11 +1,19 @@
 import cmath
+import itertools
 import math
+import os
+import subprocess
+import sys
 import time
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from segreode import cli, monodromy, monodromy_report, numeric_monodromy, residue_analysis
+from segreode._dop853 import dop853
 from segreode.monodromy import DEVIATION_TOL
 
 
@@ -127,3 +135,103 @@ def test_wrong_prediction_still_fails(monkeypatch):
     entry = cli.check_monodromy(cli.FamilyContext(2, beta=Fraction(-4)))
     assert entry["pass"] is False
     assert entry["witness"]["deviation"] > 1.0
+
+
+@pytest.fixture
+def solve_ivp():
+    """SciPy's integrator, the oracle that dop853 repeats step for step."""
+    return pytest.importorskip("scipy.integrate").solve_ivp
+
+
+def _assert_matches_solve_ivp(monkeypatch, solve_ivp, m, beta, radius, tol):
+    """numeric_monodromy's integration, and solve_ivp's DOP853 on the same
+    right-hand side, give the same final state bit for bit and the same
+    evaluation count."""
+    calls = []
+
+    def spy(fun, t0, t_end, y0, tol):
+        y, nfev = dop853(fun, t0, t_end, y0, tol)
+        calls.append((fun, t0, t_end, y0.copy(), y, nfev))
+        return y, nfev
+
+    monkeypatch.setattr(monodromy, "dop853", spy)
+    num = numeric_monodromy(m, beta, radius=radius, tol=tol)
+    (fun, t0, t_end, y0, y, nfev), = calls
+    with warnings.catch_warnings():
+        # solve_ivp warns when it raises rtol to 100 eps
+        warnings.simplefilter("ignore", UserWarning)
+        sol = solve_ivp(fun, (t0, t_end), y0, method="DOP853",
+                        rtol=tol, atol=tol)
+    assert sol.success
+    assert sol.nfev == nfev == num.n_evaluations
+    assert np.array_equal(sol.y[:, -1].view(np.float64), y.view(np.float64))
+
+
+# the acceptance grid, rational and negative beta, m = 4, and beta = 40200,
+# whose f is a polynomial of degree 200
+ORACLE_MEMBERS = [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2),
+                  (2, Fraction(-1, 3)), (3, Fraction(5, 2)), (4, 1), (2, -5),
+                  (2, 40200)]
+
+
+@pytest.mark.parametrize("m,beta", ORACLE_MEMBERS)
+def test_dop853_matches_solve_ivp_on_members(monkeypatch, solve_ivp, m, beta):
+    _assert_matches_solve_ivp(monkeypatch, solve_ivp, m, beta, 1.0, 1e-10)
+
+
+@pytest.mark.parametrize("radius,tol", itertools.product(
+    (0.5, 1.0, 2.0), (1e-8, 1e-10, 1e-12, 1e-15)))
+@pytest.mark.parametrize("m,beta", [(2, Fraction(-1, 3)), (3, Fraction(5, 2)),
+                                    (2, -5)])
+def test_dop853_matches_solve_ivp_over_radius_and_tol(monkeypatch, solve_ivp,
+                                                      m, beta, radius, tol):
+    """tol = 1e-15 is below 100 eps, so both raise rtol to that floor."""
+    _assert_matches_solve_ivp(monkeypatch, solve_ivp, m, beta, radius, tol)
+
+
+def test_dop853_fails_where_solve_ivp_does(solve_ivp):
+    """A right-hand side that turns NaN partway round: solve_ivp stops with
+    its too-small-step status, and dop853 raises RuntimeError."""
+    def rhs(t, y):
+        return np.full_like(y, np.nan) if t > 1.0 else 1j * y
+
+    y0 = np.array([1, 0, 0, 1], dtype=complex)
+    with np.errstate(invalid="ignore"):
+        sol = solve_ivp(rhs, (0.0, monodromy.TWO_PI), y0, method="DOP853",
+                        rtol=1e-10, atol=1e-10)
+        assert not sol.success
+        assert "step size is less than spacing between numbers" in sol.message
+        with pytest.raises(RuntimeError, match="spacing between numbers"):
+            dop853(rhs, 0.0, monodromy.TWO_PI, y0, 1e-10)
+
+
+def test_overflowing_member_fails_the_integration():
+    """beta = 10^307 at radius 0.1 overflows the right-hand side at the
+    start, so the first step is NaN: the integration raises, where
+    solve_ivp loops forever."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(RuntimeError, match="monodromy integration failed"):
+            numeric_monodromy(2, 10 ** 307, radius=0.1)
+
+
+def test_pipeline_runs_without_scipy():
+    """numpy is the only runtime dependency: with scipy unimportable the
+    CLI imports, the monodromy and growth checks pass, and no scipy module
+    is loaded."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from segreode import cli\n"
+        "argv = ['run', '--family', '2,1', '--degree', '16',\n"
+        "        '--rect', '4,8', '--checks', 'monodromy,growth']\n"
+        "assert cli.main(argv) == 0\n"
+        "loaded = [name for name, mod in sys.modules.items()\n"
+        "          if name.startswith('scipy') and mod is not None]\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
