@@ -16,6 +16,7 @@ from segreode import (
     residue_analysis,
     termination_order,
 )
+from segreode.cli import LIBRARY_ERRORS
 
 
 def main() -> int:
@@ -38,11 +39,14 @@ def main() -> int:
     print(header)
     print("-" * len(header))
     for beta in range(args.beta_min, args.beta_max + 1):
-        mono = residue_analysis(args.m, Fraction(beta))
-        # f is run to a degree it reaches, past the degree of a polynomial f
-        # and far enough for the fit
-        order = termination_order(args.m, beta, args.order)
-        term, report = diagnose(formal_solutions(args.m, beta, order).f)
+        try:
+            mono = residue_analysis(args.m, Fraction(beta))
+            # f is run to a degree it reaches, past the degree of a
+            # polynomial f and far enough for the fit
+            order = termination_order(args.m, beta, args.order)
+            term, report = diagnose(formal_solutions(args.m, beta, order).f)
+        except LIBRARY_ERRORS as exc:
+            ap.error(f"beta = {beta}: {exc}")
         assert term.terminated == expected_termination(args.m, beta)
         if report is None:
             growth_str = f"{'-':>8}  {'inf':>10}"

@@ -10,8 +10,9 @@ Example:
 import argparse
 from fractions import Fraction
 
-from segreode import monodromy_report
-from segreode.monodromy import DEVIATION_TOL, check_radius, check_tol
+from segreode import numeric_monodromy, residue_analysis
+from segreode.cli import LIBRARY_ERRORS
+from segreode.monodromy import DEVIATION_TOL, check_contour
 
 
 def main() -> int:
@@ -25,8 +26,7 @@ def main() -> int:
     if min(args.m) < 2:
         ap.error(f"the family needs m >= 2, got --m {min(args.m)}")
     try:
-        check_radius(args.radius)
-        check_tol(args.tol)
+        check_contour(args.radius, args.tol)
     except ValueError as exc:
         ap.error(str(exc))
 
@@ -37,15 +37,17 @@ def main() -> int:
     worst = 0.0
     for m in args.m:
         for beta in range(args.beta_min, args.beta_max + 1):
-            rep = monodromy_report(m, Fraction(beta), numeric=True,
-                                   radius=args.radius, tol=args.tol)
+            try:
+                rep = residue_analysis(m, Fraction(beta))
+                num = numeric_monodromy(m, beta, args.radius, args.tol)
+            except LIBRARY_ERRORS as exc:
+                ap.error(f"m = {m}, beta = {beta}: {exc}")
             lam = ", ".join(f"{l.real:.3g}{l.imag:+.3g}i"
                             for l in rep.residue_eigenvalues)
-            rel = rep.relative_deviation()
-            worst = max(worst, rel)
+            worst = max(worst, num.relative_deviation)
             print(f"{m:>3} {beta:>6}  {str(rep.trivial):>8}  {lam:>24}  "
-                  f"{rep.numeric.deviation:10.2e}  {rel:10.2e}  "
-                  f"{rep.numeric.det_deviation:10.2e}")
+                  f"{num.deviation:10.2e}  {num.relative_deviation:10.2e}  "
+                  f"{num.det_deviation:10.2e}")
     print(f"\nworst relative eigenvalue deviation: {worst:.2e}")
     return 0 if worst < DEVIATION_TOL else 1
 

@@ -56,7 +56,6 @@ from .equiv import (
 from .monodromy import (
     MonodromyReport,
     NumericMonodromy,
-    monodromy_report,
     numeric_monodromy,
     residue_analysis,
 )

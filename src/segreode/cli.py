@@ -10,17 +10,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from multiprocessing import Pool
 
 from .coefficients import QI
 from .growth import diagnose, expected_termination, termination_order
-from .monodromy import DEVIATION_TOL, check_radius, check_tol, monodromy_report
+from .monodromy import (
+    DEVIATION_TOL,
+    check_contour,
+    numeric_monodromy,
+    residue_analysis,
+)
 from .ode import (
     AdmissibleOde,
     GaugeMap,
@@ -47,7 +54,6 @@ from .equiv import (
     verify_map_on_hypersurface,
 )
 from .segre import (
-    RealityError,
     build_rho,
     extract_pq,
     real_normal_form,
@@ -235,8 +241,7 @@ class RunConfig:
         _validate_out(self.out)
         if "monodromy" in self.checks:
             try:
-                check_radius(self.radius)
-                check_tol(self.tol)
+                check_contour(self.radius, self.tol)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
 
@@ -390,20 +395,15 @@ def check_reality(ctx: FamilyContext) -> dict:
 def check_realty(ctx: FamilyContext) -> dict:
     h = ctx.hyper()
     res = realty_identity_check(h)
-    normal_ok = True
     detail = None
     try:
-        nf = real_normal_form(h)
-        if h.rho.nx >= 2 and not nf.hks:
-            normal_ok = False
-            detail = "no normal-form coefficients extracted"
-    except (RealityError, SeriesError) as exc:
-        normal_ok = False
+        real_normal_form(h)
+    except SeriesError as exc:
         detail = str(exc)
     return {
-        "pass": res.is_zero and normal_ok,
+        "pass": res.is_zero and detail is None,
         "rect": [res.nx, res.ny],
-        "normal_form": normal_ok,
+        "normal_form": detail is None,
         "detail": detail,
         "witness": _witness(res),
     }
@@ -450,16 +450,15 @@ def check_selfmap(ctx: FamilyContext) -> dict:
 
 
 def check_monodromy(ctx: FamilyContext) -> dict:
-    report = monodromy_report(ctx.m, ctx.beta, numeric=True,
-                              radius=ctx.radius, tol=ctx.tol)
-    num = report.numeric
-    ok = report.relative_deviation() < DEVIATION_TOL
+    exact = residue_analysis(ctx.m, ctx.beta)
+    num = numeric_monodromy(ctx.m, ctx.beta, ctx.radius, ctx.tol)
+    ok = num.relative_deviation < DEVIATION_TOL
     return {
         "pass": ok,
-        "trivial": report.trivial,
-        "eigenvalue_sum": report.eigenvalue_sum,
-        "eigenvalue_product": str(report.eigenvalue_product),
-        "predicted": [[ev.real, ev.imag] for ev in report.predicted_eigenvalues],
+        "trivial": exact.trivial,
+        "eigenvalue_sum": exact.eigenvalue_sum,
+        "eigenvalue_product": str(exact.eigenvalue_product),
+        "predicted": [[ev.real, ev.imag] for ev in exact.predicted_eigenvalues],
         "numeric_deviation": num.deviation,
         "det_deviation": num.det_deviation,
         "witness": None if ok else {"deviation": num.deviation},
@@ -524,24 +523,23 @@ ALL_CHECKS = tuple(CHECKS)
 # ---------------------------------------------------------------------------
 
 
-def _run_one(payload) -> dict:
-    spec, checks, degree, rect, radius, tol = payload
+def _run_one(cfg: RunConfig, spec) -> dict:
+    """One member's report: spec is an (m, beta) pair or cfg.explicit."""
     if isinstance(spec, tuple):
-        ctx = FamilyContext(spec[0], beta=spec[1], degree=degree, rect=rect,
-                            radius=radius, tol=tol)
+        (m, beta), data = spec, None
     else:
-        data = RealData(spec["m"],
-                        TruncSeries1.from_json(spec["a"]),
+        m, beta = spec["m"], None
+        data = RealData(m, TruncSeries1.from_json(spec["a"]),
                         TruncSeries1.from_json(spec["b"]))
-        ctx = FamilyContext(spec["m"], data=data, degree=degree, rect=rect,
-                            radius=radius, tol=tol)
+    ctx = FamilyContext(m, beta=beta, data=data, degree=cfg.degree,
+                        rect=cfg.rect, radius=cfg.radius, tol=cfg.tol)
     return {"family": ctx.label(),
-            "checks": {name: run_check(name, ctx) for name in checks}}
+            "checks": {name: run_check(name, ctx) for name in cfg.checks}}
 
 
-# errors the library raises on input it cannot work on
-LIBRARY_ERRORS = (SeriesError, RealityError, ValueError, ZeroDivisionError,
-                  RuntimeError)
+# errors the library raises on input it cannot work on: SeriesError and
+# RealityError are ValueErrors, and a float overflow an ArithmeticError
+LIBRARY_ERRORS = (ValueError, ArithmeticError, RuntimeError)
 
 
 def run_check(name: str, ctx: FamilyContext) -> dict:
@@ -574,26 +572,25 @@ def exit_code(entries) -> int:
 
 def run_pipeline(cfg: RunConfig) -> tuple[dict, int]:
     cfg.validate()
-    payloads = []
-    for m, beta in cfg.families:
-        payloads.append(((m, beta), cfg.checks, cfg.degree, cfg.rect,
-                         cfg.radius, cfg.tol))
+    specs = list(cfg.families)
     if cfg.explicit is not None:
-        payloads.append((cfg.explicit, cfg.checks, cfg.degree, cfg.rect,
-                         cfg.radius, cfg.tol))
-    workers = min(cfg.jobs, len(payloads), os.cpu_count() or 1)
+        specs.append(cfg.explicit)
+    run_one = partial(_run_one, cfg)
+    workers = min(cfg.jobs, len(specs), os.cpu_count() or 1)
     if workers > 1:
         with Pool(workers) as pool:
-            runs = pool.map(_run_one, payloads)
+            runs = pool.map(run_one, specs)
     else:
-        runs = [_run_one(p) for p in payloads]
+        runs = [run_one(spec) for spec in specs]
     report = {"version": REPORT_VERSION, "runs": runs}
     return report, exit_code(e for run in runs for e in run["checks"].values())
 
 
 def _round_floats(obj):
+    """obj with each float rounded to 12 significant digits, and a
+    non-finite one, which JSON cannot hold, as None."""
     if isinstance(obj, float):
-        return float(f"{obj:.12g}")
+        return float(f"{obj:.12g}") if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -602,7 +599,8 @@ def _round_floats(obj):
 
 
 def emit(obj, out: str | None):
-    text = json.dumps(_round_floats(obj), indent=2, sort_keys=True)
+    text = json.dumps(_round_floats(obj), indent=2, sort_keys=True,
+                      allow_nan=False)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -715,8 +713,9 @@ def cmd_monodromy(args) -> int:
     if m is None:
         raise ConfigError("monodromy needs --family m,beta")
     with no_verdict():
-        report = monodromy_report(m, beta, numeric=args.numeric,
-                                  radius=args.radius, tol=args.tol)
+        report = residue_analysis(m, beta)
+        num = numeric_monodromy(m, beta, args.radius, args.tol) \
+            if args.numeric else None
     out = {
         "family": [m, str(beta)],
         "trivial": report.trivial,
@@ -730,8 +729,7 @@ def cmd_monodromy(args) -> int:
     }
     if report.integer_eigenvalues is not None:
         out["integer_eigenvalues"] = list(report.integer_eigenvalues)
-    if report.numeric is not None:
-        num = report.numeric
+    if num is not None:
         out["numeric"] = {
             "eigenvalues": [[e.real, e.imag] for e in num.eigenvalues],
             "deviation": num.deviation,

@@ -58,10 +58,12 @@ def formal_solutions(m: int, beta, trunc: int) -> FormalSolutionPair:
 
     def run(two_i: QI):
         coeffs = [QI(1)] + [QI(0)] * trunc
-        for j in range(1, trunc + 1):
+        # f and u live on degrees divisible by m - 1, each coefficient a
+        # multiple of the one before: after a zero (a terminated f) all are
+        for j in range(m - 1, trunc + 1, m - 1):
             k = j - m + 1
-            if k < 0 or coeffs[k].is_zero:
-                continue
+            if coeffs[k].is_zero:
+                break
             coeffs[j] = (QI(k * j) - beta_q) / (two_i * j) * coeffs[k]
         return TruncSeries1(coeffs, 0, trunc)
 

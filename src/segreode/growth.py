@@ -126,7 +126,12 @@ def gevrey_estimate(s: TruncSeries1, window: tuple | None = None) -> GrowthRepor
     top = len(ks) // 4
     rates = sorted(lg / k for k, lg in zip(ks[-top:], logs[-top:]))
     median_rate = rates[len(rates) // 2]
-    radius = math.exp(-median_rate) if median_rate < 700 else 0.0
+    if median_rate >= 700:
+        radius = 0.0
+    elif median_rate <= -700:
+        radius = math.inf
+    else:
+        radius = math.exp(-median_rate)
 
     return GrowthReport(
         gevrey=gevrey,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +28,7 @@ from ._dop853 import dop853
 TWO_PI = 2.0 * math.pi
 
 # Largest accepted numeric eigenvalue deviation, relative to the predicted
-# eigenvalue moduli (see MonodromyReport.relative_deviation).
+# eigenvalue moduli (see NumericMonodromy.relative_deviation).
 DEVIATION_TOL = 1e-6
 
 # Smallest accepted integration radius: closer to the irregular singularity
@@ -36,23 +36,23 @@ DEVIATION_TOL = 1e-6
 MIN_RADIUS = 0.1
 
 
-def check_radius(radius) -> None:
-    """Raise ValueError for a radius numeric_monodromy does not integrate on."""
-    if (isinstance(radius, bool) or not isinstance(radius, numbers.Real)
-            or not math.isfinite(radius)):
+def _finite_real(x) -> bool:
+    return (not isinstance(x, bool) and isinstance(x, numbers.Real)
+            and math.isfinite(x))
+
+
+def check_contour(radius, tol) -> None:
+    """Raise ValueError for a contour numeric_monodromy does not integrate:
+    a radius that is not finite or below MIN_RADIUS, or a tolerance that is
+    not finite and positive (step-size control never settles on NaN)."""
+    if not _finite_real(radius):
         raise ValueError(f"radius needs to be a finite number, got {radius!r}")
     if radius < MIN_RADIUS:
         raise ValueError(
             f"radius {radius} rejected: integrating closer than {MIN_RADIUS} "
             "to the irregular singularity is numerically stiff"
         )
-
-
-def check_tol(tol) -> None:
-    """Raise ValueError for a tolerance numeric_monodromy cannot integrate
-    to; step-size control never settles on a NaN tolerance."""
-    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
-            or not math.isfinite(tol) or tol <= 0):
+    if not _finite_real(tol) or tol <= 0:
         raise ValueError(f"tol needs to be a finite number > 0, got {tol!r}")
 
 
@@ -61,6 +61,11 @@ class NumericMonodromy:
     matrix: tuple
     eigenvalues: tuple
     deviation: float
+    # deviation over max(1, |p0|, |p1|) for the predicted eigenvalues p0, p1:
+    # the integrator's tolerance is relative, and for negative beta the
+    # predicted moduli grow like exp(pi*sqrt(-4*beta - (m-1)^2)), so an
+    # absolute bound would reject accurate integrations
+    relative_deviation: float
     det_deviation: float
     radius: float
     tol: float
@@ -78,18 +83,6 @@ class MonodromyReport:
     predicted_eigenvalues: tuple  # exp(2*pi*i*lambda_j)
     trivial: bool
     integer_eigenvalues: tuple | None = None
-    numeric: NumericMonodromy | None = None
-
-    def relative_deviation(self) -> float:
-        """Numeric eigenvalue deviation over max(1, |p0|, |p1|) for the
-        predicted eigenvalues p0, p1.
-
-        The integrator's tolerance is relative, and for negative beta the
-        predicted moduli grow like exp(pi*sqrt(-4*beta - (m-1)^2)), so an
-        absolute bound would reject accurate integrations.
-        """
-        scale = max(1.0, *(abs(p) for p in self.predicted_eigenvalues))
-        return self.numeric.deviation / scale
 
 
 def residue_analysis(m: int, beta) -> MonodromyReport:
@@ -103,14 +96,13 @@ def residue_analysis(m: int, beta) -> MonodromyReport:
         raise ValueError(f"monodromy analysis needs m >= 2, got {m}")
     beta = Fraction(beta)
     disc = Fraction((m - 1) ** 2) + 4 * beta
-    if disc >= 0:
-        root = math.sqrt(float(disc))
-        lam = (complex((m - 1 + root) / 2.0), complex((m - 1 - root) / 2.0))
-    else:
-        root = math.sqrt(float(-disc))
-        lam = (complex((m - 1) / 2.0, root / 2.0),
-               complex((m - 1) / 2.0, -root / 2.0))
-    predicted = tuple(cmath.exp(2j * math.pi * l) for l in lam)
+    try:
+        root = cmath.sqrt(float(disc))
+        lam = ((m - 1 + root) / 2, (m - 1 - root) / 2)
+        predicted = tuple(cmath.exp(2j * math.pi * l) for l in lam)
+    except OverflowError as exc:
+        raise ValueError(f"monodromy eigenvalues of m = {m}, beta = {beta} "
+                         f"overflow a float: {exc}") from exc
     trivial = False
     integers = None
     if beta.denominator == 1 and disc >= 0:
@@ -161,12 +153,9 @@ def numeric_monodromy(m: int, beta, radius: float = 1.0,
     e^{2/(m-1)}, so the default radius keeps the system well-conditioned;
     radii below MIN_RADIUS are rejected as stiff.
     """
-    if m < 2:
-        raise ValueError(f"monodromy integration needs m >= 2, got {m}")
-    check_radius(radius)
-    check_tol(tol)
-    beta = Fraction(beta)
-    p_coeffs, q_coeffs = _family_polynomials(m, beta)
+    exact = residue_analysis(m, beta)
+    check_contour(radius, tol)
+    p_coeffs, q_coeffs = _family_polynomials(m, Fraction(beta))
 
     def rhs(theta: float, y: np.ndarray) -> np.ndarray:
         w = radius * cmath.exp(1j * theta)
@@ -182,40 +171,34 @@ def numeric_monodromy(m: int, beta, radius: float = 1.0,
         ])
 
     y0 = np.array([1, 0, 0, 1], dtype=complex)
-    try:
-        yf, nfev = dop853(rhs, 0.0, TWO_PI, y0, tol)
-    except RuntimeError as exc:
-        raise RuntimeError(f"monodromy integration failed: {exc}") from exc
-    matrix = np.array([[yf[0], yf[2]], [yf[1], yf[3]]])
-    eigs = np.linalg.eigvals(matrix)
+    # an overflowing member shows as an error below, not as numpy warnings
+    with np.errstate(all="ignore"):
+        try:
+            yf, nfev = dop853(rhs, 0.0, TWO_PI, y0, tol)
+        except (RuntimeError, OverflowError) as exc:
+            raise RuntimeError(f"monodromy integration failed: {exc}") from exc
+        matrix = np.array([[yf[0], yf[2]], [yf[1], yf[3]]])
+        eigs = np.linalg.eigvals(matrix)
+        det = complex(np.linalg.det(matrix))
 
-    exact = residue_analysis(m, beta)
     p0, p1 = exact.predicted_eigenvalues
     e0, e1 = eigs
-    deviation = min(
+    deviation = float(min(
         max(abs(e0 - p0), abs(e1 - p1)),
         max(abs(e0 - p1), abs(e1 - p0)),
-    )
+    ))
     # Liouville-Ostrogradsky: det M = exp of the trace integral, which equals
     # 2*pi*i times the w^{m-1} coefficient of P, here exactly -m.
     det_expected = cmath.exp(2j * math.pi * (-m))
-    det_deviation = abs(complex(np.linalg.det(matrix)) - det_expected)
+    det_deviation = abs(det - det_expected)
     return NumericMonodromy(
         matrix=tuple(tuple(row) for row in matrix),
         eigenvalues=tuple(eigs),
-        deviation=float(deviation),
+        deviation=deviation,
+        relative_deviation=deviation / max(1.0, abs(p0), abs(p1)),
         det_deviation=float(det_deviation),
         radius=radius,
         tol=tol,
         n_evaluations=nfev,
     )
 
-
-def monodromy_report(m: int, beta, numeric: bool = False, radius: float = 1.0,
-                     tol: float = 1e-10) -> MonodromyReport:
-    """Exact analysis, optionally extended with the contour-integration check."""
-    report = residue_analysis(m, beta)
-    if not numeric:
-        return report
-    num = numeric_monodromy(m, beta, radius=radius, tol=tol)
-    return replace(report, numeric=num)

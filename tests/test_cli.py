@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shlex
@@ -210,10 +211,16 @@ def test_cli_growth_bad_window_names_the_window(monkeypatch, capsys, window):
                                         "--b", "1*w^2"]),
     ("hypersurface_from_real_data.py", ["--m", "2", "--a", "1*w^0",
                                         "--b", "1*w^2", "--rect", "2,1"]),
+    # float overflows: in the integration, and in the predicted eigenvalues
+    ("monodromy_grid.py", ["--beta-min", "0", "--beta-max", "0",
+                           "--radius", "1e100"]),
+    ("monodromy_grid.py", ["--beta-min", "-12800", "--beta-max", "-12800"]),
+    ("divergence_scan.py", ["--beta-min", "-12800", "--beta-max", "-12800",
+                            "--order", "40"]),
 ])
 def test_scripts_reject_bad_input_with_exit_2(script, args):
-    """An input a script cannot use is an argparse usage error: exit 2 with
-    an error line, no traceback."""
+    """An input a script cannot use, or one the library rejects, is an
+    argparse usage error: exit 2 with an error line, no traceback."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))))
@@ -724,7 +731,8 @@ def _forbid_work(monkeypatch):
         raise AssertionError("work started on a rejected configuration")
 
     for name in ("solve_psi", "beta_data", "beta_family", "formal_solutions",
-                 "ode_from_real_data", "monodromy_report"):
+                 "ode_from_real_data", "residue_analysis",
+                 "numeric_monodromy"):
         monkeypatch.setattr(cli, name, no_work)
 
 
@@ -1034,3 +1042,95 @@ def test_cli_reality_on_rect_below_beta_degree(capsys):
     assert code == 0
     entry = json.loads(capsys.readouterr().out)["runs"][0]["checks"]["reality"]
     assert entry["pass"] is True and entry["recovered_data"] is True
+
+
+def _segreode(*argv, cwd=None):
+    """``segreode argv`` in a fresh interpreter, so that numpy warnings and
+    tracebacks reach its stderr as they reach a user's."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-m", "segreode", *argv],
+                          capture_output=True, text=True, env=env, cwd=cwd,
+                          timeout=300)
+
+
+def _strict_json(text):
+    """json.loads as an RFC 8259 parser: NaN and Infinity are rejected."""
+    def reject(constant):
+        raise ValueError(f"non-finite JSON number {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv", [
+    # |p| = e^{pi*sqrt(4|beta| - 1)} overflows a float below beta ~ -12760
+    ["monodromy", "--family", "2,-12800"],
+    ["monodromy", "--family", "2,1e310"],
+    ["monodromy", "--family", "2,1", "--numeric", "--radius", "1e100"],
+    ["monodromy", "--family", "2,1e300", "--numeric"],
+])
+def test_cli_float_overflow_is_one_error_line(argv):
+    """A member or contour that overflows a float is a usage error: exit 2
+    with exactly one error line, no traceback and no numpy warning."""
+    proc = _segreode(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: monodromy ") \
+        and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--family", "2,-12800"],
+     "monodromy eigenvalues of m = 2, beta = -12800 overflow a float"),
+    (["--family", "2,1", "--radius", "1e100"],
+     "monodromy integration failed"),
+])
+def test_cli_run_float_overflow_fails_the_check(argv, error):
+    """In run, the overflow is the monodromy check's error, and the rest of
+    the report stands."""
+    proc = _segreode("run", *argv, "--checks", "growth,monodromy")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""
+    checks = _strict_json(proc.stdout)["runs"][0]["checks"]
+    assert checks["growth"]["pass"] is True
+    assert checks["monodromy"]["pass"] is False
+    assert checks["monodromy"]["error"].startswith(error)
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["run", "--family", "2,-10000", "--checks", "monodromy"],
+     ("runs", 0, "checks", "monodromy", "det_deviation")),
+    (["monodromy", "--family", "2,-10000", "--numeric"],
+     ("numeric", "det_deviation")),
+])
+def test_cli_overflowing_deviation_is_null_in_strict_json(argv, path):
+    """For beta = -10000 the monodromy matrix's determinant overflows: the
+    command writes no numpy warning, and the infinite deviation as null."""
+    proc = _segreode(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    value = _strict_json(proc.stdout)
+    for key in path:
+        value = value[key]
+    assert value is None
+
+
+def test_cli_growth_of_a_fast_decaying_series_has_null_radius(tmp_path):
+    """c_k = 10^(-310k): the Cauchy-Hadamard radius exp(310k*log(10)/k)
+    overflows a float; growth reports it as null, an infinite radius."""
+    coeffs = {0: QI(1)}
+    coeffs.update((k, QI(1, 0, 10 ** (310 * k))) for k in range(1, 13))
+    series = TruncSeries1.from_terms(coeffs, 12)
+    (tmp_path / "f.json").write_text(json.dumps(series.to_json()))
+    proc = _segreode("growth", "--series", "f.json", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    out = _strict_json(proc.stdout)
+    assert out["terminated"] is False and out["radius"] is None
+
+
+def test_round_floats_maps_non_finite_to_none():
+    assert cli._round_floats({"a": [math.inf, -math.inf, math.nan, 0.1 + 0.2],
+                              "b": (1, "x")}) == \
+        {"a": [None, None, None, 0.3], "b": [1, "x"]}

@@ -138,6 +138,13 @@ def test_gevrey_geometric_radius():
     assert abs(report.radius - 0.5) < 1e-9
 
 
+def test_gevrey_radius_of_a_fast_decaying_series_is_infinite():
+    """c_k = 10^(-310k): exp(-median log|c_k|/k) overflows a float, so the
+    radius is inf, as it is 0.0 for a median rate of 700 and above."""
+    s = _series_from([1] + [QI(1, 0, 10 ** (310 * k)) for k in range(1, 13)])
+    assert gevrey_estimate(s).radius == math.inf
+
+
 def test_gevrey_divergent_solution_series():
     f = formal_solutions(2, 1, 200).f
     report = gevrey_estimate(f, window=(32, 180))

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from segreode import cli, monodromy, monodromy_report, numeric_monodromy, residue_analysis
+from segreode import cli, monodromy, numeric_monodromy, residue_analysis
 from segreode._dop853 import dop853
 from segreode.monodromy import DEVIATION_TOL
 
@@ -107,13 +107,57 @@ def test_radius_rejection():
         numeric_monodromy(2, 1, radius=0.05)
 
 
+@pytest.mark.parametrize("radius, tol, message", [
+    (0.05, math.nan, "radius 0.05 rejected"),
+    (math.inf, 1e-10, "radius needs to be a finite number"),
+    (True, 1e-10, "radius needs to be a finite number"),
+    (1.0, 0.0, "tol needs to be a finite number > 0"),
+    (1.0, "1e-10", "tol needs to be a finite number > 0"),
+])
+def test_check_contour_names_the_radius_before_the_tol(radius, tol, message):
+    with pytest.raises(ValueError, match=message):
+        monodromy.check_contour(radius, tol)
+    with pytest.raises(ValueError, match=message):
+        numeric_monodromy(2, 1, radius, tol)
+
+
+def test_numeric_monodromy_checks_m_through_residue_analysis():
+    with pytest.raises(ValueError, match="needs m >= 2, got 1"):
+        numeric_monodromy(1, 0)
+
+
+@pytest.mark.parametrize("beta", [-12800, 10 ** 310], ids=["-12800", "1e310"])
+def test_overflowing_prediction_is_a_value_error(beta):
+    """For m = 2, |p| = e^{pi*sqrt(4|beta| - 1)} overflows a float below
+    beta ~ -12760, and 4*beta itself past ~ 4.5e307."""
+    with pytest.raises(ValueError, match=f"m = 2, beta = {beta} overflow"):
+        residue_analysis(2, beta)
+    assert not residue_analysis(2, -12700).trivial
+
+
+def test_overflowing_contour_fails_the_integration():
+    """w^m overflows on |w| = 1e100: the integration fails with an error,
+    not an OverflowError."""
+    with pytest.raises(RuntimeError, match="monodromy integration failed"):
+        numeric_monodromy(2, 1, radius=1e100)
+
+
+def test_relative_deviation_is_over_the_predicted_moduli():
+    num = numeric_monodromy(2, -5)
+    scale = max(abs(p) for p in residue_analysis(2, -5).predicted_eigenvalues)
+    assert num.relative_deviation == num.deviation / scale
+
+
 def test_monodromy_report_combined():
-    report = monodromy_report(2, 1, numeric=True, tol=1e-8)
-    assert report.numeric is not None
+    """The exact classification and the contour integration of one member
+    agree: beta = 1 is nontrivial, with golden-ratio residue eigenvalues."""
+    report = residue_analysis(2, 1)
+    num = numeric_monodromy(2, 1, tol=1e-8)
     assert not report.trivial
     predicted = sorted(report.predicted_eigenvalues, key=lambda z: z.real)
     golden = (1 + math.sqrt(5)) / 2
     assert abs(predicted[0] - cmath.exp(2j * math.pi * golden)) < 1e-9
+    assert num.deviation < 1e-6
 
 
 @pytest.mark.parametrize("beta", [-4, -5])
@@ -121,9 +165,11 @@ def test_large_predicted_eigenvalues_pass_relative_tolerance(beta):
     """For m = 2 and beta <= -4 one eigenvalue has modulus above 1e5, so the
     integrator's relative tolerance shows up as an absolute deviation above
     1e-6; relative to the moduli it is tiny."""
-    report = monodromy_report(2, beta, numeric=True)
+    report = residue_analysis(2, beta)
+    num = numeric_monodromy(2, beta)
     assert max(abs(p) for p in report.predicted_eigenvalues) > 1e5
-    assert report.relative_deviation() < DEVIATION_TOL
+    assert num.deviation > DEVIATION_TOL
+    assert num.relative_deviation < DEVIATION_TOL
     ctx = cli.FamilyContext(2, beta=Fraction(beta))
     assert cli.check_monodromy(ctx)["pass"] is True
 
