@@ -452,7 +452,7 @@ def check_selfmap(ctx: FamilyContext) -> dict:
 def check_monodromy(ctx: FamilyContext) -> dict:
     exact = residue_analysis(ctx.m, ctx.beta)
     num = numeric_monodromy(ctx.m, ctx.beta, ctx.radius, ctx.tol)
-    ok = num.relative_deviation < DEVIATION_TOL
+    ok = num.relative_deviation < DEVIATION_TOL and math.isfinite(num.det_deviation)
     return {
         "pass": ok,
         "trivial": exact.trivial,
@@ -461,7 +461,8 @@ def check_monodromy(ctx: FamilyContext) -> dict:
         "predicted": [[ev.real, ev.imag] for ev in exact.predicted_eigenvalues],
         "numeric_deviation": num.deviation,
         "det_deviation": num.det_deviation,
-        "witness": None if ok else {"deviation": num.deviation},
+        "witness": None if ok else {"deviation": num.deviation,
+                                    "det_deviation": num.det_deviation},
     }
 
 

@@ -156,26 +156,29 @@ def solve_psi(e: AdmissibleOde, sign: int = +1,
             f"ODE coefficients known to order {e.trunc}; rectangle "
             f"({nx}, {ny}) needs order >= {nx + ny}"
         )
-    psi = _settle(lambda y: _profile_rhs(e, sign, y),
-                  TruncSeries2.var_x(nx, ny), 2,
-                  lambda rhs, k: [c * Fraction(1, k * (k - 1))
-                                  for c in rhs[k - 2]])
+    psi = _settle(lambda y: _profile_rhs(e, sign, y).shift_x(2),
+                  TruncSeries2.var_x(nx, ny), 2, lambda k: k * (k - 1))
     return SegreFamily(e.m, sign, psi)
 
 
-def _settle(step, start: TruncSeries2, first: int = 1, row=None):
+def _settle(step, start: TruncSeries2, first: int = 1, div=None):
     """The series u on the rectangle of ``start`` whose rows below ``first``
-    are those of ``start`` and whose row k is ``row(step(u), k)``, or row k
-    of step(u): ``step`` runs once, on an online u, and row k of step(u) may
-    read only rows < k of u.  A fixed point (``row`` None) is confirmed by
-    one eager sweep, whose result it returns, or :class:`SeriesError`."""
+    are those of ``start`` and whose row k is row k of step(u), divided by
+    ``div(k)`` when given: ``step`` runs once, on an online u, and row k of
+    step(u) may read only rows < k of u.  A fixed point (``div`` None) is
+    confirmed by one eager sweep, whose result it returns, or
+    :class:`SeriesError`."""
     nx, ny = start.rect
-    u = OnlineSeries2(nx, ny, lambda k: start[k] if k < first
-                      else image[k] if row is None else row(image, k))
+
+    def row(k):
+        d, nums = (start if k < first else image)._row(k)
+        return d * (div(k) if div and k >= first else 1), nums
+
+    u = OnlineSeries2(nx, ny, row)
     image = step(u)
     cur = u.to_series()
     image = None  # u reads image: free that cycle now, not at the next gc
-    if row is not None:
+    if div is not None:
         return cur
     full = step(cur)
     if full != cur:

@@ -6,49 +6,44 @@ Conventions
   Degrees above ``trunc`` are *unknown*, never assumed zero; every operation
   propagates the guaranteed truncation pessimistically (min rules), so the
   ``trunc`` field of a result is always a sound guarantee.
-* A :class:`TruncSeries2` stores a dense coefficient rectangle for
-  ``x^j * y^k`` with ``0 <= j <= nx``, ``0 <= k <= ny`` and has no pole part.
+* A :class:`TruncSeries2` holds the cells of ``x^j * y^k``, ``0 <= j <= nx``,
+  ``0 <= k <= ny``, and has no pole part.  It stores them as Gaussian-integer
+  numerator rows over one positive denominator, the layout of FLINT's
+  ``fmpq_poly``: row j keeps its nonzero cells as (k, re, im), and
+  gcd(den, every re and im) = 1.  ``rows``, ``coefficient`` and the other
+  queries build the reduced cells from the numerators when asked.
 * Every cell is a Gaussian rational :class:`segreode.coefficients.QI`;
   floats and complex numbers are rejected.
 * Values are immutable; all operations are pure functions and safe to share
   across threads.
 
-Every series product runs through one kernel, :func:`_conv`: it puts each
-operand's cells inside the output rectangle over one common denominator and
-convolves the nonzero Gaussian-integer numerators row pair by row pair.  A
-univariate product is its one-row case, which keeps exact arithmetic fast
-enough for the rectangle sizes used elsewhere in the package.  The kernels
-emit the shared ``ZERO`` for every cell whose sum is zero, so the zero cells
-of a sparse series build no ``QI``.
+Every series product runs through one kernel, :func:`_conv`, which convolves
+numerator rows over Gaussian integers; a univariate product is its one-row
+case.  The bivariate operations are integer loops over numerator rows, each
+with at most one content-gcd reduction, so no ``QI`` is built until a cell
+is read.
 
 Univariate division, exp, log and fractional powers run the classical O(n^2)
 coefficient recurrences (Knuth, TAOCP vol. 2, section 4.7) through one online
 kernel, :func:`_recurrence`: the quotient q_k = (a_k - sum u_j q_{k-j}) / u_0,
 k*E_k = sum j*f_j*E_{k-j} for E = exp(f), log(u) as the integral of u'/u, and
 Miller's power recurrence k*P_k = sum ((alpha+1)*j - k)*u_j*P_{k-j} for
-P = u^alpha.
-
-Bivariate exp, log and fractional powers run the same recurrences row by row
-in x through :func:`_row_recurrence`, whose cells are the x-rows, each a
-y-polynomial mod y^(ny+1): row 0 is the univariate exp, log or power of
-f(0, y), then k*E_k = sum j*f_j*E_{k-j}, L_k = (u_k - sum (1 - j/k)*u_j*L_{k-j})
-/ u_0 and Miller's rule with the products taken between rows.  No bivariate
-product is formed; the factor 1/u_0 is a one-row :func:`_conv` per row,
-fed each row's integer sums.
+P = u^alpha.  Bivariate exp, log and fractional powers run the same
+recurrences row by row in x (:func:`_row_recurrence`), with the products
+taken between rows: row k is one weighted output row of :func:`_conv`.
 
 An :class:`OnlineSeries2` computes each x-row once, from rows <= k of its
-inputs (relaxed evaluation): a product's row k is one output row of
-:func:`_conv`, and exp resumes :func:`_row_recurrence`.  The row-local
-operations (:class:`_Rows2`) and the Taylor shift, Horner in delta = g - y
-(:func:`_horner`), are written once for eager and online series.
+inputs (relaxed evaluation), and keeps it once, as a numerator row.  The
+row-local operations (:class:`_Rows2`) and the Taylor shift, Horner in
+delta = g - y (:func:`_horner`), are written once for eager and online series.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, count
-from typing import Iterable, Sequence, Union
+from itertools import chain
+from typing import Sequence, Union
 
 from .coefficients import ONE, QI, ZERO, coeff_from_json, coeff_str
 
@@ -86,72 +81,110 @@ def _as_cell(value: Scalar) -> QI:
 # ---------------------------------------------------------------------------
 
 
-def _lcm_den(cells: Iterable[QI]) -> int:
-    lcm = 1
-    for c in cells:
-        d = c.d
-        if d != 1:
-            lcm = lcm // math.gcd(lcm, d) * d
-    return lcm
+def _numerators(cells, n: int):
+    """Cells 0..n as a numerator row: their common denominator and the
+    nonzero (l, re, im) over it."""
+    cells = cells[: n + 1]
+    den = math.lcm(*[c.d for c in cells])
+    return den, [(l, c.a * (m := den // c.d), c.b * m)
+                 for l, c in enumerate(cells) if c.a or c.b]
 
 
-def _numerators(rows, nx: int, ny: int):
-    """Rows 0..nx of ``rows``, cut at column ny, over their common
-    denominator: that denominator and, per row, the nonzero (l, re, im)."""
-    rows = [row[: ny + 1] for row in rows[: nx + 1]]
-    den = _lcm_den(chain.from_iterable(rows))
-    return den, [[(l, c.a * (m := den // c.d), c.b * m)
-                  for l, c in enumerate(row) if c.a or c.b] for row in rows]
+def _product(a, b, n: int):
+    """The cells 0..n of the product of two univariate cell arrays, each
+    put over one common denominator, so the convolution runs over Gaussian
+    integers."""
+    return _cells(*_conv([_numerators(a, n)], [_numerators(b, n)], 0, n)[0], n)
 
 
-def _product(rows_a, rows_b, nx: int, ny: int):
-    """Cells of the product of two cell arrays on the rectangle (nx, ny), as
-    nx + 1 rows of ny + 1 cells; a univariate product is the one-row case.
-    Each operand's cells inside the rectangle are put over one common
-    denominator, so the convolution runs over Gaussian integers."""
-    da, sa = _numerators(rows_a, nx, ny)
-    db, sb = _numerators(rows_b, nx, ny)
-    return _conv(sa, sb, nx, ny, da * db)
-
-
-def _conv(sa, sb, nx: int, ny: int, den: int, lo: int = 0):
-    """The one product kernel: rows of nonzero (l, re, im) Gaussian-integer
-    numerators in, the reduced cells of their product over ``den`` out on
-    the x-rows lo..nx of the rectangle (nx, ny), with the shared ZERO for
-    every cell whose sum is zero."""
-    acc_r = [[0] * (ny + 1) for _ in range(lo, nx + 1)]
-    acc_i = [[0] * (ny + 1) for _ in range(lo, nx + 1)]
-    for ja, row_a in enumerate(sa):
-        if not row_a:
-            continue
-        for jb in range(max(0, lo - ja), min(len(sb), nx + 1 - ja)):
-            row_b = sb[jb]
-            tr = acc_r[ja + jb - lo]
-            ti = acc_i[ja + jb - lo]
+def _conv(sa, sb, nx: int, ny: int, lo: int = 0, weight=None):
+    """The one product kernel: numerator rows (d, nums) in, those of the
+    product out on the x-rows lo..nx of the rectangle (nx, ny).  Row k sums
+    the products of the nonzero rows i of sa and k - i of sb, times
+    ``weight(i)`` if given (weight 0 leaves the pair out), over the lcm of
+    the pairs' denominators."""
+    out = []
+    for k in range(lo, nx + 1):
+        pairs = [(i, sa[i], sb[k - i])
+                 for i in range(max(0, k + 1 - len(sb)), min(k + 1, len(sa)))
+                 if sa[i][1] and sb[k - i][1] and (not weight or weight(i))]
+        den = math.lcm(*[da * db for _, (da, _), (db, _) in pairs])
+        acc_r = [0] * (ny + 1)
+        acc_i = [0] * (ny + 1)
+        for i, (da, row_a), (db, row_b) in pairs:
+            f = den // (da * db) * (weight(i) if weight else 1)
             for la, ar, ai in row_a:
+                if la > ny:
+                    break
+                if f != 1:
+                    ar, ai = ar * f, ai * f
                 top = ny - la
                 for lb, br, bi in row_b:
                     if lb > top:
                         break
-                    k = la + lb
-                    tr[k] += ar * br - ai * bi
-                    ti[k] += ar * bi + ai * br
-    return [[QI(r, i, den) if r or i else ZERO for r, i in zip(rr, ri)]
-            for rr, ri in zip(acc_r, acc_i)]
+                    l = la + lb
+                    acc_r[l] += ar * br - ai * bi
+                    acc_i[l] += ar * bi + ai * br
+        out.append((den, _sparse(acc_r, acc_i)))
+    return out
 
 
-def _append_row(store: list, den: int, cells) -> int:
-    """Append the nonzero (l, re, im) numerators of ``cells`` to ``store``,
-    whose rows are over the common denominator ``den``; returns that
-    denominator, grown (and ``store`` rescaled) when ``cells`` need it."""
-    d = _lcm_den(cells)
-    if den % d:
-        grow = d // math.gcd(den, d)
-        den *= grow
-        store[:] = [[(l, r * grow, i * grow) for l, r, i in row] for row in store]
-    store.append([(l, c.a * (m := den // c.d), c.b * m)
-                  for l, c in enumerate(cells) if c.a or c.b])
-    return den
+def _sum(row_a, row_b, ny: int, sign: int = 1):
+    """The numerator row a + sign*b, cut at column ny."""
+    (da, ra), (db, rb) = row_a, row_b
+    if not (ra and rb):  # no sums: one side is zero
+        return (da, _cut(ra, ny)) if ra else (db, _cut(
+            rb if sign > 0 else _over(rb, -1), ny))
+    den = math.lcm(da, db)
+    acc_r = [0] * (ny + 1)
+    acc_i = [0] * (ny + 1)
+    for nums, m in ((ra, den // da), (rb, sign * den // db)):
+        for l, r, i in _cut(nums, ny):
+            acc_r[l] += r * m
+            acc_i[l] += i * m
+    return den, _sparse(acc_r, acc_i)
+
+
+def _sparse(acc_r, acc_i):
+    return [(l, acc_r[l], acc_i[l]) for l in range(len(acc_r))
+            if acc_r[l] or acc_i[l]]
+
+
+def _cells(d: int, nums, ny: int) -> list:
+    """The reduced cells 0..ny of the numerator row ``nums`` over d."""
+    cells = [ZERO] * (ny + 1)
+    for l, r, i in nums:
+        cells[l] = QI(r, i, d)
+    return cells
+
+
+def _over(nums, m: int, g: int = 1):
+    """The numerators times m, divided exactly by g."""
+    return [(l, r * m // g, i * m // g) for l, r, i in nums]
+
+
+def _cut(nums, ny: int):
+    """The numerators without the cells beyond column ny."""
+    return [c for c in nums if c[0] <= ny] if nums and nums[-1][0] > ny else nums
+
+
+def _gather(rows):
+    """Numerator rows (d, nums) over one denominator, the lcm of theirs,
+    divided by the content of all cells: (den, [nums])."""
+    den = math.lcm(*[d for d, _ in rows])
+    nums = [ns if d == den else _over(ns, den // d) for d, ns in rows]
+    g = den
+    for _, r, i in chain.from_iterable(nums):
+        g = math.gcd(g, r, i)
+        if g == 1:
+            return den, nums
+    return den // g, [_over(ns, 1, g) for ns in nums]
+
+
+def _reduced(row):
+    """The numerator row divided by its content."""
+    d, (nums,) = _gather([row])
+    return d, nums
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +222,7 @@ def _power_sum(acc, base, kmax: int, coeff):
 def _horner(top: int, coeff, base, nx: int, ny: int):
     """sum_{j=0..top} C_j * base^j on the rectangle (nx, ny) by Horner,
     H_j = C_j + H_{j+1} * base, as online sums and products, where
-    ``coeff(j)`` maps i to the cells of row i of C_j.  base has x-order
+    ``coeff(j)`` maps i to row i of C_j as a numerator row.  base has x-order
     vx >= 1, so row k of H_{j+1} * base reads rows <= k - vx of H_{j+1}:
     H_j is computed on the rows up to nx - j*vx only."""
     acc = OnlineSeries2(nx, ny, coeff(top), False)
@@ -235,7 +268,7 @@ def _recurrence(w: Sequence[QI], n: int, c0: QI, a: int, b: int, q: int = 1,
     over the common denominator of w_1 .. w_n and c_0 .. c_{k-1} over their
     running common denominator, so each step builds one reduced QI.
     """
-    dw, (row,) = _numerators((w[1: n + 1],), 0, n)
+    dw, row = _numerators(w[1: n + 1], n)
     ws = [(l + 1, b * (l + 1), wr, wi) for l, wr, wi in row]
     out = []
     nums = []  # (re, im) numerators of c_0 .. c_{k-1} over dc
@@ -270,64 +303,36 @@ def _recurrence(w: Sequence[QI], n: int, c0: QI, a: int, b: int, q: int = 1,
     return out
 
 
-def _row_recurrence(w, ny: int, c0: Sequence[QI], a: int, b: int,
-                    q: int = 1, t=None, mu: Sequence[QI] | None = None):
-    """Yield the x-rows c_0, c_1, ... of a bivariate series, each a
-    y-polynomial mod y^(ny+1), defined online by the x-rows of ``w``:
+def _row_recurrence(w, c0: Sequence[QI], a: int, b: int, q: int = 1,
+                    t=None, mu: Sequence[QI] | None = None):
+    """The bivariate series of the kind of ``w`` whose x-rows c_0, c_1, ...
+    (y-polynomials mod y^(ny+1)) follow online from the x-rows of ``w``:
 
         c_k = mu * (t_k + (a*k*s0 + b*s1) / (q*k))   for k >= 1,
         s0 = sum_{j=1..k} w_j * c_{k-j},   s1 = sum_{j=1..k} j * w_j * c_{k-j},
 
-    the twin of :func:`_recurrence` with y-polynomial cells; mu = 1 when
-    None and t_k = 0 when ``t`` is None.  Row k reads rows <= k of ``w`` and
-    ``t``, so it runs as far as its caller asks, eager or online.  The sums
-    run over Gaussian integers, w_1 .. w_k and c_0 .. c_{k-1} each over
-    their running common denominator; a one-row :func:`_conv` multiplies
-    them by mu, put over its denominator once, and without mu the cells
-    come straight from the sums, so each cell is reduced to a QI once.
-    """
-    dm, ms = (1, None) if mu is None else _numerators((mu,), 0, ny)
-    ws, nums = [], []  # nonzero (l, re, im) of w_1 .. w_k over dw, c_0 .. over dc
-    dw = dc = 1
-    cells = list(c0)
-    for k in count():
-        if k:
-            dw = _append_row(ws, dw, w[k][: ny + 1])
-            ak = a * k
-            acc_r = [0] * (ny + 1)
-            acc_i = [0] * (ny + 1)
-            for j, row in enumerate(ws, 1):
-                wt = ak + b * j
-                if not (wt and row):
-                    continue
-                prev = nums[k - j]
-                for l1, wr, wi in row:
-                    wr *= wt
-                    wi *= wt
-                    top = ny - l1
-                    for l2, cr, ci in prev:
-                        if l2 > top:
-                            break
-                        acc_r[l1 + l2] += wr * cr - wi * ci
-                        acc_i[l1 + l2] += wr * ci + wi * cr
-            den = q * k * dw * dc
-            if t is not None:
-                dt, (t_row,) = _numerators((t[k],), 0, ny)
-                acc_r = [r * dt for r in acc_r]
-                acc_i = [i * dt for i in acc_i]
-                for l, tr, ti in t_row:
-                    acc_r[l] += tr * den
-                    acc_i[l] += ti * den
-                den *= dt
-            if ms is None:
-                cells = [QI(r, i, den) if r or i else ZERO
-                         for r, i in zip(acc_r, acc_i)]
-            else:
-                row = [(l, r, i) for l, (r, i) in enumerate(zip(acc_r, acc_i))
-                       if r or i]
-                cells = _conv((row,), ms, 0, ny, den * dm)[0]
-        yield cells
-        dc = _append_row(nums, dc, cells)
+    the twin of :func:`_recurrence`; mu = 1 when None and t_k = 0 when ``t``
+    is None.  Row k reads rows <= k of ``w`` and ``t``, eager or online; the
+    sums are one weighted row of :func:`_conv`, and each row is reduced once."""
+    ny = w.ny
+    ms = None if mu is None else [_numerators(mu, ny)]
+    ws, cs = [(1, [])], []  # rows w_0 = 0, w_1 .. w_k and c_0 .. c_{k-1}
+
+    def row(k):  # called for k = 0, 1, ... in order
+        if not k:
+            cs.append(_numerators(c0, ny))
+            return cs[0]
+        ws.append(w._row(k))
+        den, nums = _conv(ws, cs, k, ny, k, lambda j: a * k + b * j)[0]
+        out = (den * q * k, nums)
+        if t is not None:
+            out = _sum(out, t._row(k), ny)
+        if ms is not None:
+            out = _conv([out], ms, 0, ny)[0]
+        cs.append(_reduced(out))
+        return cs[k]
+
+    return w._new(w.nx, ny, row, True)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +536,7 @@ class TruncSeries1:
         pole = self.pole + other.pole
         if trunc < -pole:
             raise TruncationStarvation("product truncation exhausted")
-        cells = _product((self.coeffs,), (other.coeffs,), 0, trunc + pole)[0]
+        cells = _product(self.coeffs, other.coeffs, trunc + pole)
         return TruncSeries1(cells, pole, trunc)
 
     __rmul__ = __mul__
@@ -622,8 +627,9 @@ class TruncSeries1:
 
 class _Rows2:
     """Row-local operations, written once for :class:`TruncSeries2` and
-    :class:`OnlineSeries2`: ``s[k]`` is row k, and ``_new(nx, ny, cells)``
-    makes a series of the same kind whose row k is ``cells(k)``."""
+    :class:`OnlineSeries2`: ``s._row(k)`` is row k as a numerator row (d,
+    nums), its nonzero (l, re, im) by rising l over d > 0; ``s[k]`` is row k
+    as cells; ``_new(nx, ny, rows)`` makes a series of the same kind."""
 
     __slots__ = ()
 
@@ -631,18 +637,26 @@ class _Rows2:
     def rect(self):
         return (self.nx, self.ny)
 
+    def __getitem__(self, k: int) -> list:
+        return _cells(*self._row(k), self.ny)
+
+    def _rowwise(self, fn, rect=None, shift: int = 0):
+        """The series on ``rect`` whose row k is fn(k, *row k + shift)."""
+        return self._new(*(rect or self.rect),
+                         lambda k: fn(k, *self._row(k + shift)))
+
     def restrict(self, nx: int, ny: int):
         if nx > self.nx or ny > self.ny:
             raise TruncationStarvation(
                 f"cannot extend rectangle {self.rect} to ({nx}, {ny})")
-        return self._new(nx, ny, lambda k: list(self[k][: ny + 1]))
+        return self._rowwise(lambda k, d, ns: (d, _cut(ns, ny)), (nx, ny))
 
     def shift_x(self, j: int):
         """Multiply by x^j (j >= 0); cells pushed past nx are dropped."""
         if j < 0:
             raise SeriesError("negative x-shift is not defined on power series")
-        return self._new(self.nx, self.ny, lambda k: self[k - j] if k >= j
-                         else [ZERO] * (self.ny + 1))
+        return self._new(self.nx, self.ny, lambda k: self._row(k - j) if k >= j
+                         else (1, []))
 
     def shift_y(self, j: int):
         """Multiply by y^j; j < 0 requires exact divisibility and shrinks ny."""
@@ -650,130 +664,138 @@ class _Rows2:
         if ny < 0:
             raise TruncationStarvation("y-shift empties the rectangle")
 
-        def row(k):
-            r = self[k]
-            if j >= 0:
-                return ([ZERO] * j + list(r))[: ny + 1]
-            for l in range(-j):
-                if not r[l].is_zero:
-                    raise SeriesError(f"series is not divisible by y^{-j} "
-                                      f"(cell ({k}, {l}) nonzero)")
-            return list(r[-j:])
+        def row(k, d, nums):
+            if nums and nums[0][0] < -j:
+                raise SeriesError(f"series is not divisible by y^{-j} "
+                                  f"(cell ({k}, {nums[0][0]}) nonzero)")
+            return d, _cut([(l + j, r, i) for l, r, i in nums], ny)
 
-        return self._new(self.nx, ny, row)
+        return self._rowwise(row, (self.nx, ny))
 
-    def _zip(self, other, sub: bool):
+    def _zip(self, other, sign: int):
         if not isinstance(other, _Rows2):
             return NotImplemented
         new = (other if isinstance(other, OnlineSeries2) else self)._new
-        return new(min(self.nx, other.nx), min(self.ny, other.ny), lambda k: [
-            a - b if sub else a + b for a, b in zip(self[k], other[k])])
+        ny = min(self.ny, other.ny)
+        return new(min(self.nx, other.nx), ny,
+                   lambda k: _sum(self._row(k), other._row(k), ny, sign))
 
     def __add__(self, other):
-        return self._zip(other, False)
+        return self._zip(other, 1)
 
     def __sub__(self, other):
-        return self._zip(other, True)
+        return self._zip(other, -1)
 
     def scale(self, value: Scalar):
         c = _as_cell(value)
-        return self._new(self.nx, self.ny, lambda k: [c * x for x in self[k]])
+        ca, cb = c.a, c.b
+        return self._rowwise(lambda k, d, ns: (d * c.d, [
+            (l, r * ca - i * cb, r * cb + i * ca) for l, r, i in ns] if c else []))
 
     def pow_int(self, n: int):
         if n < 0:
             raise SeriesError("negative powers of bivariate series are not defined")
-        one = TruncSeries2.one(self.nx, self.ny).__getitem__
+        one = TruncSeries2.one(self.nx, self.ny)._row
         return _pow_int(self._new(self.nx, self.ny, one), self, n)
 
     def derivative_x(self):
         if self.nx < 1:
             raise TruncationStarvation("cannot x-differentiate with nx = 0")
-        return self._new(self.nx - 1, self.ny,
-                         lambda k: [c * (k + 1) for c in self[k + 1]])
+        return self._rowwise(lambda k, d, ns: (d, _over(ns, k + 1)),
+                             (self.nx - 1, self.ny), 1)
 
     def derivative_y(self):
         if self.ny < 1:
             raise TruncationStarvation("cannot y-differentiate with ny = 0")
-        return self._new(self.nx, self.ny - 1, lambda k: [
-            c * l for l, c in enumerate(self[k]) if l])
+        return self._rowwise(lambda k, d, ns: (d, [
+            (l - 1, r * l, i * l) for l, r, i in ns if l]), (self.nx, self.ny - 1))
 
     def conj(self):
-        return self._new(self.nx, self.ny, lambda k: [c.conj() for c in self[k]])
+        return self._rowwise(lambda k, d, ns: (d, [(l, r, -i) for l, r, i in ns]))
 
     def __neg__(self):
-        return self._new(self.nx, self.ny, lambda k: [-c for c in self[k]])
+        return self._rowwise(lambda k, d, ns: (d, _over(ns, -1)))
 
     def exp(self):
         """E = exp(f) row by row in x: E_0 = exp(f(0, y)) and
         k*E_k = sum_{j=1..k} j*f_j*E_{k-j}."""
-        row0 = TruncSeries1(list(self[0]), 0, self.ny)
+        row0 = TruncSeries1(self[0], 0, self.ny)
         if not row0.coeffs[0].is_zero:
             raise SeriesError("exp requires zero constant term")
-        rows = _row_recurrence(self, self.ny, row0.exp().coeffs, 0, 1)
-        return self._new(self.nx, self.ny, lambda k: next(rows), True)
+        return _row_recurrence(self, row0.exp().coeffs, 0, 1)
 
 
 class TruncSeries2(_Rows2):
-    """Bivariate truncated power series on the rectangle (nx, ny), no poles."""
+    """Bivariate truncated power series on the rectangle (nx, ny), no poles:
+    numerator rows ``nums`` over ``den``, and ``rows``, their cells."""
 
-    __slots__ = ("nx", "ny", "rows")
+    __slots__ = ("nx", "ny", "den", "nums")
 
     def __init__(self, rows: Sequence[Sequence], nx: int | None = None,
                  ny: int | None = None):
-        if nx is None:
-            nx = len(rows) - 1
-        if ny is None:
-            ny = len(rows[0]) - 1 if rows else 0
+        nx = len(rows) - 1 if nx is None else nx
+        ny = (len(rows[0]) - 1 if rows else 0) if ny is None else ny
+        if min(nx, ny) >= 0 and (len(rows) != nx + 1
+                                 or any(len(r) != ny + 1 for r in rows)):
+            raise SeriesError("rectangle shape mismatch")
+        self._set(nx, ny, *_gather([_numerators([
+            c if isinstance(c, QI) else _as_cell(c) for c in r], ny)
+            for r in rows[: nx + 1]]))
+
+    def _set(self, nx: int, ny: int, den: int, nums):
         if nx < 0 or ny < 0:
             raise TruncationStarvation(f"rectangle ({nx}, {ny}) is empty")
-        if len(rows) != nx + 1 or any(len(r) != ny + 1 for r in rows):
-            raise SeriesError("rectangle shape mismatch")
-        conv = [tuple([c if isinstance(c, QI) else _as_cell(c) for c in r])
-                for r in rows]
-        object.__setattr__(self, "nx", nx)
-        object.__setattr__(self, "ny", ny)
-        object.__setattr__(self, "rows", tuple(conv))
+        for name, value in zip(self.__slots__, (nx, ny, den, tuple(nums))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *_):
         raise AttributeError("series are immutable")
 
-    def __getitem__(self, k: int):
-        return self.rows[k]
+    def _row(self, k: int):
+        return self.den, self.nums[k]
 
-    def _new(self, nx: int, ny: int, cells, memo: bool = False):
-        return TruncSeries2([cells(k) for k in range(nx + 1)], nx, ny)
+    @property
+    def rows(self) -> tuple:
+        return tuple(tuple(self[k]) for k in range(self.nx + 1))
+
+    @staticmethod
+    def _new(nx: int, ny: int, rows, memo: bool = False):
+        """The series whose row k is the numerator row rows(k)."""
+        out = object.__new__(TruncSeries2)
+        out._set(nx, ny, *_gather([rows(k) for k in range(nx + 1)]))
+        return out
 
     # -- constructors -----------------------------------------------------------
 
     @classmethod
     def zero(cls, nx: int, ny: int) -> "TruncSeries2":
-        return cls([[ZERO] * (ny + 1) for _ in range(nx + 1)], nx, ny)
+        return cls._term(ZERO, 0, 0, nx, ny)
 
     @classmethod
     def constant(cls, value: Scalar, nx: int, ny: int):
-        rows = [[ZERO] * (ny + 1) for _ in range(nx + 1)]
-        rows[0][0] = _as_cell(value)
-        return cls(rows, nx, ny)
+        return cls._term(value, 0, 0, nx, ny)
 
     @classmethod
     def one(cls, nx: int, ny: int) -> "TruncSeries2":
-        return cls.constant(1, nx, ny)
+        return cls._term(ONE, 0, 0, nx, ny)
 
     @classmethod
     def var_x(cls, nx: int, ny: int) -> "TruncSeries2":
-        rows = [[ZERO] * (ny + 1) for _ in range(nx + 1)]
         if nx < 1:
             raise TruncationStarvation("nx < 1 cannot hold x")
-        rows[1][0] = ONE
-        return cls(rows, nx, ny)
+        return cls._term(ONE, 1, 0, nx, ny)
 
     @classmethod
     def var_y(cls, nx: int, ny: int) -> "TruncSeries2":
-        rows = [[ZERO] * (ny + 1) for _ in range(nx + 1)]
         if ny < 1:
             raise TruncationStarvation("ny < 1 cannot hold y")
-        rows[0][1] = ONE
-        return cls(rows, nx, ny)
+        return cls._term(ONE, 0, 1, nx, ny)
+
+    @staticmethod
+    def _term(value: Scalar, j: int, l: int, nx: int, ny: int):
+        c = _as_cell(value)
+        return TruncSeries2._new(nx, ny, lambda k: (
+            c.d, [(l, c.a, c.b)] if k == j and c else []))
 
     @classmethod
     def from_rows(cls, rows_map: dict, nx: int, ny: int):
@@ -786,10 +808,8 @@ class TruncSeries2(_Rows2):
                 raise SeriesError("row series must be pole-free")
             if s.trunc < ny:
                 raise TruncationStarvation(
-                    f"row {j} known only to order {s.trunc} < ny {ny}"
-                )
-            for k in range(ny + 1):
-                rows[j][k] = s.coefficient(k)
+                    f"row {j} known only to order {s.trunc} < ny {ny}")
+            rows[j] = s.coeffs[: ny + 1]
         return cls(rows, nx, ny)
 
     @classmethod
@@ -808,60 +828,42 @@ class TruncSeries2(_Rows2):
     def coefficient(self, j: int, k: int) -> QI:
         if j > self.nx or k > self.ny:
             raise TruncationStarvation(
-                f"cell ({j}, {k}) is beyond the rectangle {self.rect}"
-            )
-        if j < 0 or k < 0:
-            return ZERO
-        return self.rows[j][k]
+                f"cell ({j}, {k}) is beyond the rectangle {self.rect}")
+        return self[j][k] if j >= 0 and k >= 0 else ZERO
 
     def row(self, j: int) -> TruncSeries1:
         """The coefficient series of x^j, as a univariate series in y."""
         if j > self.nx:
             raise TruncationStarvation(f"row {j} beyond nx {self.nx}")
-        return TruncSeries1(list(self.rows[j]), 0, self.ny)
+        return TruncSeries1(self[j], 0, self.ny)
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for row in self.rows for c in row)
+        return not any(self.nums)
 
     def first_nonzero(self):
         """((j, k), coefficient) minimizing total degree then x-degree."""
-        best = None
-        for j, row in enumerate(self.rows):
-            for k, c in enumerate(row):
-                if not c.is_zero:
-                    key = (j + k, j)
-                    if best is None or key < best[0]:
-                        best = (key, (j, k), c)
-        if best is None:
+        key = min(((j + nums[0][0], j) for j, nums in enumerate(self.nums)
+                   if nums), default=None)
+        if key is None:
             return None
-        return best[1], best[2]
+        l, r, i = self.nums[key[1]][0]
+        return (key[1], l), QI(r, i, self.den)
 
     def y_order(self) -> int | None:
-        best = None
-        for row in self.rows:
-            for k, c in enumerate(row):
-                if not c.is_zero:
-                    best = k if best is None else min(best, k)
-                    break
-        return best
+        return min((nums[0][0] for nums in self.nums if nums), default=None)
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries2):
             return NotImplemented
-        nx = min(self.nx, other.nx)
-        ny = min(self.ny, other.ny)
-        return all(
-            self.rows[j][k] == other.rows[j][k]
-            for j in range(nx + 1)
-            for k in range(ny + 1)
-        )
+        nx, ny = min(self.nx, other.nx), min(self.ny, other.ny)
+        return all(_cut(_over(ra, other.den), ny) == _cut(_over(rb, self.den), ny)
+                   for ra, rb in zip(self.nums[: nx + 1], other.nums))
 
     __hash__ = None
 
     def __repr__(self):
-        nz = sum(1 for row in self.rows for c in row if not c.is_zero)
-        return f"<series2 rect={self.rect} nonzero_cells={nz}>"
+        return f"<series2 rect={self.rect} nonzero_cells={sum(map(len, self.nums))}>"
 
     # -- ring ops; the row-local operations are those of _Rows2 ----------------
 
@@ -871,7 +873,9 @@ class TruncSeries2(_Rows2):
         if not isinstance(other, TruncSeries2):
             return self.scale(other)
         nx, ny = min(self.nx, other.nx), min(self.ny, other.ny)
-        return TruncSeries2(_product(self.rows, other.rows, nx, ny), nx, ny)
+        rows = _conv([self._row(k) for k in range(nx + 1)],
+                     [other._row(k) for k in range(nx + 1)], nx, ny)
+        return self._new(nx, ny, rows.__getitem__)
 
     __rmul__ = __mul__
 
@@ -883,9 +887,8 @@ class TruncSeries2(_Rows2):
         """L = log(u) row by row in x: L_0 = log(u(0, y)) and
         L_k = (u_k - sum_{j=1..k} (1 - j/k)*u_j*L_{k-j}) / u_0."""
         u0 = self._unit_row0()
-        rows = _row_recurrence(self, self.ny, u0.log().coeffs, -1, 1,
-                               t=self.rows, mu=u0.inverse().coeffs)
-        return self._new(self.nx, self.ny, lambda k: next(rows))
+        return _row_recurrence(self, u0.log().coeffs, -1, 1, t=self,
+                               mu=u0.inverse().coeffs)
 
     def pow_frac(self, alpha) -> "TruncSeries2":
         """Principal formal branch u^alpha = exp(alpha*log(u)); needs
@@ -894,12 +897,11 @@ class TruncSeries2(_Rows2):
         alpha = Fraction(alpha)
         u0 = self._unit_row0()
         p, q = alpha.numerator, alpha.denominator
-        rows = _row_recurrence(self, self.ny, u0.pow_frac(alpha).coeffs,
-                               -q, p + q, q, mu=u0.inverse().coeffs)
-        return self._new(self.nx, self.ny, lambda k: next(rows))
+        return _row_recurrence(self, u0.pow_frac(alpha).coeffs, -q, p + q, q,
+                               mu=u0.inverse().coeffs)
 
     def _unit_row0(self) -> TruncSeries1:
-        if self.rows[0][0] != ONE:
+        if self.coefficient(0, 0) != ONE:
             raise SeriesError("log requires constant term exactly 1")
         return self.row(0)
 
@@ -911,9 +913,8 @@ class TruncSeries2(_Rows2):
 
         With g = y + delta, delta of x-order >= 1, this is the Taylor shift
         f(x, y + delta) = sum_{k <= nx} delta^k * D_k f with
-        (D_k f)_{j,l} = C(l+k, k) * f_{j,l+k}, evaluated by :func:`_horner`
-        in delta: at most nx bivariate products, each on the rows it can
-        reach.
+        (D_k f)_{j,l} = C(l+k, k) * f_{j,l+k} over f's denominator, evaluated
+        by :func:`_horner` in delta: at most nx bivariate products.
 
         With g of y-order >= 1 the full common rectangle carries over.  When
         delta has y^0 terms, terms beyond the outer truncation can reach low
@@ -922,7 +923,8 @@ class TruncSeries2(_Rows2):
         order 1 unless g.ny = 0.  An :class:`OnlineSeries2` g gives an
         online result on the uncapped rectangle.
         """
-        if any(c != (ONE if l == 1 else ZERO) for l, c in enumerate(g[0])):
+        d, nums = g._row(0)
+        if nums != ([(1, d, 0)] if g.ny else []):
             raise SeriesError("substitute_y needs g(0, y) = y")
         online = isinstance(g, OnlineSeries2)
         nx = min(self.nx, g.nx)
@@ -930,19 +932,18 @@ class TruncSeries2(_Rows2):
         if not online and g.y_order() == 0:
             ny = _capped_ny(g, nx, ny, self.ny)
         g = _online(g)
-        delta = g._new(g.nx, g.ny, lambda k: g[k] if k else [ZERO] * (g.ny + 1))
+        delta = g._new(g.nx, g.ny, lambda k: g._row(k) if k else (1, []))
+        f, den = self.nums[: nx + 1], self.den
         # no D_j f with j > top has a nonzero cell on rows <= nx - j
-        top = max((min(l, nx - i) for i, row in enumerate(self.rows[: nx + 1])
-                   for l, c in enumerate(row) if c), default=0)
+        top = max((min(c[0], nx - i) for i, row in enumerate(f) for c in row),
+                  default=0)
 
         def shifted(j):
             # cells f_{i,l+j} beyond the outer truncation meet delta^j, of
             # y-order >= j (total order >= j when delta has y^0 terms), so
             # they land outside the rectangle and count as zero
-            pad = [ZERO] * (ny + j - min(ny + j, self.ny))
-            return lambda i: [c * math.comb(l + j, j) if c.a or c.b else ZERO
-                              for l, c in enumerate(self.rows[i][j: j + ny + 1])
-                              ] + pad
+            return lambda i: (den, [(l - j, r * (b := math.comb(l, j)), im * b)
+                                    for l, r, im in f[i] if j <= l <= ny + j])
 
         out = _horner(top, shifted, delta, nx, ny)
         return out if online else out.to_series()
@@ -950,10 +951,8 @@ class TruncSeries2(_Rows2):
     # -- serialization -----------------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "trunc": [self.nx, self.ny],
-            "coeffs": [[coeff_str(c) for c in row] for row in self.rows],
-        }
+        return {"trunc": [self.nx, self.ny],
+                "coeffs": [[coeff_str(c) for c in row] for row in self.rows]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "TruncSeries2":
@@ -970,22 +969,21 @@ class TruncSeries2(_Rows2):
 class OnlineSeries2(_Rows2):
     """A bivariate series on the rectangle (nx, ny) computed one x-row at a
     time (relaxed evaluation with the naive product; van der Hoeven, "Relax,
-    but don't be too lazy", J. Symb. Comp. 34, 2002): ``s[k]`` computes row
-    k from rows <= k of the inputs, once and in order, and raises
-    :class:`SeriesError` if row k is read while it is being computed.  Its
-    operations give the eager cells and rectangles, but ``substitute_y`` by
-    a g with y^0 terms leaves out the cap that depends on every row of g."""
+    but don't be too lazy", J. Symb. Comp. 34, 2002): ``s._row(k)`` computes
+    row k from rows <= k of the inputs, once and in order, and keeps it (a
+    row-local series, memo False, keeps rows only when a product reads them);
+    reading row k while it is being computed raises :class:`SeriesError`.
+    Its operations give the eager cells and rectangles, but ``substitute_y``
+    by a g with y^0 terms leaves out the cap that depends on every row of g."""
 
-    __slots__ = ("nx", "ny", "_rows", "_nums", "_den", "_make", "_busy")
+    __slots__ = ("nx", "ny", "_rows", "_make", "_memo", "_busy")
 
     def __init__(self, nx: int, ny: int, make, memo: bool = True):
-        self.nx, self.ny, self._make, self._busy = nx, ny, make, False
-        self._rows, self._nums, self._den = [] if memo else None, [], 1
+        self.nx, self.ny, self._make, self._memo = nx, ny, make, memo
+        self._rows, self._busy = [], False
 
-    def __getitem__(self, k: int):
+    def _stored(self, k: int):
         rows = self._rows
-        if rows is None:  # row-local: its inputs keep the rows
-            return self._make(k)
         while len(rows) <= k:
             if self._busy:
                 raise SeriesError(f"row {len(rows)} of an online series is "
@@ -995,20 +993,14 @@ class OnlineSeries2(_Rows2):
             self._busy = False
         return rows[k]
 
-    def _num(self, k: int):
-        """The nonzero (l, re, im) of row k over ``_den``, the running common
-        denominator of the rows put over it so far."""
-        nums = self._nums
-        while len(nums) <= k:
-            self._den = _append_row(nums, self._den, self[len(nums)])
-        return nums[k]
+    def _row(self, k: int):
+        return self._stored(k) if self._memo else self._make(k)
 
     def to_series(self) -> TruncSeries2:
-        return TruncSeries2([self[k] for k in range(self.nx + 1)],
-                            self.nx, self.ny)
+        return TruncSeries2._new(self.nx, self.ny, self._row)
 
-    def _new(self, nx: int, ny: int, cells, memo: bool = False):
-        return OnlineSeries2(nx, ny, cells, memo)
+    def _new(self, nx: int, ny: int, rows, memo: bool = False):
+        return OnlineSeries2(nx, ny, rows, memo)
 
     def __mul__(self, other):
         """Row k is sum_i a_i * b_{k-i} by :func:`_conv`.  The lower row of
@@ -1020,11 +1012,14 @@ class OnlineSeries2(_Rows2):
         ny = min(self.ny, o.ny)
 
         def row(k):
+            sa, sb = self._rows, o._rows
             for i in range(k + 1):
+                if i < len(sa) and k - i < len(sb):
+                    continue  # both rows of the pair are stored
                 lo, hi = ((self, i), (o, k - i))[:: 1 if 2 * i <= k else -1]
-                if lo[0]._num(lo[1]):
-                    hi[0]._num(hi[1])
-            return _conv(self._nums, o._nums, k, ny, self._den * o._den, k)[0]
+                if lo[0]._stored(lo[1])[1]:
+                    hi[0]._stored(hi[1])
+            return _reduced(_conv(sa, sb, k, ny, k)[0])
 
         return OnlineSeries2(min(self.nx, o.nx), ny, row)
 
@@ -1033,7 +1028,7 @@ class OnlineSeries2(_Rows2):
 
 def _online(s) -> OnlineSeries2:
     return s if isinstance(s, OnlineSeries2) else OnlineSeries2(
-        s.nx, s.ny, s.__getitem__, False)
+        s.nx, s.ny, s._row, False)
 
 
 # ---------------------------------------------------------------------------
@@ -1100,7 +1095,8 @@ def _compose_1_1(outer: TruncSeries1, inner: TruncSeries1) -> TruncSeries1:
 def _compose_1_2(outer: TruncSeries1, inner):
     if outer.pole > 0:
         raise SeriesError("pole-part composition with a bivariate inner series")
-    if not inner[0][0].is_zero:
+    nums = inner._row(0)[1]
+    if nums and nums[0][0] == 0:
         raise SeriesError("inner series must have zero constant term")
     nx = inner.nx
     # an online g must have g(0, y) = y, which makes its total order 1

@@ -1106,14 +1106,21 @@ def test_cli_run_float_overflow_fails_the_check(argv, error):
 ])
 def test_cli_overflowing_deviation_is_null_in_strict_json(argv, path):
     """For beta = -10000 the monodromy matrix's determinant overflows: the
-    command writes no numpy warning, and the infinite deviation as null."""
+    command writes no numpy warning, and the infinite deviation as null;
+    in run the monodromy check fails on it (exit 1), and its witness names
+    the determinant."""
+    code = 1 if argv[0] == "run" else 0
     proc = _segreode(*argv)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     assert proc.stderr == ""
     value = _strict_json(proc.stdout)
     for key in path:
         value = value[key]
     assert value is None
+    if code:
+        check = _strict_json(proc.stdout)["runs"][0]["checks"]["monodromy"]
+        assert check["pass"] is False
+        assert check["witness"]["det_deviation"] is None
 
 
 def test_cli_growth_of_a_fast_decaying_series_has_null_radius(tmp_path):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -123,6 +124,30 @@ def test_divergence_scan_on_f_of_order_4():
     assert [row[:3] for row in rows] == [["0", "trivial", "True"],
                                          ["1", "nontrivial", "False"],
                                          ["2", "nontrivial", "False"]]
+
+
+@pytest.mark.parametrize("m, beta, n", [
+    (2, "1", 80), (2, "-1/3", 80), (3, "5/2", 80), (4, "1", 81),
+    (2, "40200", 210), (3, "24", 60),
+])
+def test_f_is_the_2F0_closed_form(m, beta, n):
+    """f(w) = F(c*w^(m-1)) with F = 2F0(1 - mu1, 1 - mu2; ; z), mu1 and mu2
+    the roots of mu^2 - mu - beta/(m-1)^2 and c = (m-1)/(2i): the
+    coefficient at w^(j(m-1)) is c^j * prod_{k=1..j} (k^2 - k - beta/(m-1)^2)/k,
+    exactly, and f is zero off the multiples of m - 1.  (2, 40200) and
+    (3, 24) terminate, at degrees 200 and 4, where a factor vanishes."""
+    beta = Fraction(beta)
+    f = formal_solutions(m, beta, n).f
+    c = QI(0, 1 - m, 2)  # (m - 1)/(2i)
+    term = QI(1)
+    for degree in range(n + 1):
+        j, rest = divmod(degree, m - 1)
+        if rest:
+            assert f.coefficient(degree).is_zero
+            continue
+        if j:
+            term = term * c * QI.of(j * j - j - beta / (m - 1) ** 2) / j
+        assert f.coefficient(degree) == term
 
 
 def test_gevrey_inverse_factorial():

@@ -111,10 +111,7 @@ def test_qi_zero_operands_keep_exact_values(a, b, swap):
         assert math.gcd(c.a, c.b, c.d) == 1 and c.d > 0
 
 
-def test_sparse_product_builds_no_zero_cells(monkeypatch):
-    """rho of (2,1) is sparse; rho*rho builds at most one QI per nonzero
-    cell of the product, none for its zero cells."""
-    rho = family_hyper(2, "1", 8, 24).rho
+def _counting_qi(monkeypatch):
     built = []
     init = QI.__init__
 
@@ -123,31 +120,38 @@ def test_sparse_product_builds_no_zero_cells(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(QI, "__init__", counting_init)
+    return built
+
+
+def test_sparse_product_builds_no_zero_cells(monkeypatch):
+    """rho of (2,1) is sparse; rho*rho stores only the nonzero cells of the
+    product, as integer numerators, and builds no QI; reading its cells
+    builds one QI per nonzero cell, none for its zero cells."""
+    rho = family_hyper(2, "1", 8, 24).rho
+    built = _counting_qi(monkeypatch)
     square = rho * rho
+    assert not built
+    cells = [c for row in square.rows for c in row]
     monkeypatch.undo()
-    assert len(built) <= sum(1 for row in square.rows for c in row if c)
+    nonzero = sum(1 for c in cells if c)
+    assert len(built) == nonzero == sum(map(len, square.nums))
+    assert nonzero < len(cells)
 
 
 def test_conj_and_neg_build_no_qi_for_real_or_zero_cells(monkeypatch):
-    """rho of (2,1) is sparse with i-multiple cells; its conjugate builds
-    one QI per nonreal cell and its negation one per nonzero cell, and both
-    give the cells of the arithmetic definitions."""
+    """rho of (2,1) is sparse with i-multiple cells; its conjugate and its
+    negation build no QI, keep rho's denominator and give the cells of the
+    arithmetic definitions; on QI, a real value is its own conjugate and
+    zero its own negation."""
     rho = family_hyper(2, "1", 8, 24).rho
     cells = [c for row in rho.rows for c in row]
-    built = []
-    init = QI.__init__
-
-    def counting_init(self, *args):
-        built.append(args)
-        init(self, *args)
-
     half, zero = QI(3, 0, 2), QI(0, 0, 5)
-    monkeypatch.setattr(QI, "__init__", counting_init)
+    built = _counting_qi(monkeypatch)
     conj, neg = rho.conj(), -rho
     real = (half.conj(), ZERO.conj(), -ZERO, -zero)
     monkeypatch.undo()
-    assert len(built) == (sum(1 for c in cells if c.b)
-                          + sum(1 for c in cells if c))
+    assert not built
+    assert conj.den == neg.den == rho.den
     assert real[0] is half and all(z is ZERO for z in real[1:])
     assert [c for row in conj.rows for c in row] == [
         QI(c.a, -c.b, c.d) for c in cells]
@@ -805,6 +809,131 @@ def test_derivative_y_claim_is_sound(data, a):
     _assert_sound2(small, _extended2(data.draw, a).derivative_y())
 
 
+# -- the numerator-row layout against a cell-wise QI oracle -------------------
+
+# cells with denominators up to 50, so the common denominators grow large
+wide_qi = st.builds(QI, st.integers(-60, 60), st.integers(-60, 60),
+                    st.integers(1, 50))
+
+
+@st.composite
+def layout_series(draw, max_nx=3, max_ny=5):
+    """A series on a random rectangle, dense or sparse, with cell
+    denominators up to 50."""
+    nx, ny = draw(st.integers(0, max_nx)), draw(st.integers(0, max_ny))
+    cell = draw(st.sampled_from([wide_qi, st.one_of(st.just(ZERO), wide_qi),
+                                 st.one_of(st.just(ZERO), st.just(ZERO),
+                                           st.just(ZERO), wide_qi)]))
+    return TruncSeries2([[draw(cell) for _ in range(ny + 1)]
+                         for _ in range(nx + 1)], nx, ny)
+
+
+def _grid(s):
+    return [list(row) for row in s.rows]
+
+
+def _grid_mul(ga, gb, nx, ny):
+    out = [[ZERO] * (ny + 1) for _ in range(nx + 1)]
+    for j1 in range(nx + 1):
+        for l1 in range(ny + 1):
+            for j2 in range(nx + 1 - j1):
+                for l2 in range(ny + 1 - l1):
+                    out[j1 + j2][l1 + l2] += ga[j1][l1] * gb[j2][l2]
+    return out
+
+
+def _grid_power_sum(g, nx, ny, coeff):
+    """sum_{k=0..nx+ny} coeff(k) * g^k cell by cell, for g(0, 0) = 0."""
+    power = [[ONE if j == l == 0 else ZERO for l in range(ny + 1)]
+             for j in range(nx + 1)]
+    out = [[coeff(0) * c for c in row] for row in power]
+    for k in range(1, nx + ny + 1):
+        power = _grid_mul(power, g, nx, ny)
+        out = [[o + coeff(k) * c for o, c in zip(ro, rp)]
+               for ro, rp in zip(out, power)]
+    return out
+
+
+def _grid_exp(g, nx, ny):
+    return _grid_power_sum(g, nx, ny, lambda k: QI(1, 0, math.factorial(k)))
+
+
+def _grid_log1p(g, nx, ny):
+    return _grid_power_sum(g, nx, ny, lambda k: QI((-1) ** (k + 1), 0, k)
+                           if k else ZERO)
+
+
+def _assert_layout(s):
+    """den > 0, gcd(den, every numerator) = 1, and each row holds only its
+    nonzero cells, by rising column, inside the rectangle."""
+    assert s.den > 0 and len(s.nums) == s.nx + 1
+    flat = [x for row in s.nums for _, r, i in row for x in (r, i)]
+    assert math.gcd(s.den, *flat) == 1
+    for row in s.nums:
+        cols = [l for l, _, _ in row]
+        assert cols == sorted(set(cols)) and all(0 <= l <= s.ny for l in cols)
+        assert all(r or i for _, r, i in row)
+
+
+def _layout_cases(a, b, c, j):
+    """(operation on a and b, cell-wise QI oracle cells, rectangle)."""
+    nx, ny = min(a.nx, b.nx), min(a.ny, b.ny)
+    ga, gb = _grid(a), _grid(b)
+    zip2 = lambda op: [[op(ga[k][l], gb[k][l]) for l in range(ny + 1)]
+                       for k in range(nx + 1)]
+    k0 = TruncSeries2.constant(a.coefficient(0, 0), *a.rect)
+    k1 = k0 - TruncSeries2.one(*a.rect)
+    gf = _grid(a - k0)
+    log = _grid_log1p(gf, *a.rect)
+    half = [[x * QI(-1, 0, 2) for x in row] for row in log]
+    cases = [
+        (lambda a, b: a + b, zip2(lambda x, y: x + y), (nx, ny)),
+        (lambda a, b: a - b, zip2(lambda x, y: x - y), (nx, ny)),
+        (lambda a, b: a * b, _grid_mul(ga, gb, nx, ny), (nx, ny)),
+        (lambda a, b: a.pow_int(2), _grid_mul(ga, ga, *a.rect), a.rect),
+        (lambda a, b: a.scale(c), [[c * x for x in r] for r in ga], a.rect),
+        (lambda a, b: a.conj(), [[x.conj() for x in r] for r in ga], a.rect),
+        (lambda a, b: -a, [[-x for x in r] for r in ga], a.rect),
+        (lambda a, b: a.shift_x(j),
+         ([[ZERO] * (a.ny + 1)] * j + ga)[: a.nx + 1], a.rect),
+        (lambda a, b: a.shift_y(j),
+         [([ZERO] * j + r)[: a.ny + 1] for r in ga], a.rect),
+        (lambda a, b: a.restrict(nx, ny), [r[: ny + 1] for r in ga[: nx + 1]],
+         (nx, ny)),
+        (lambda a, b: (a - k0).exp(), _grid_exp(gf, *a.rect), a.rect),
+        (lambda a, b: _online(a - k1).to_series().log(), log, a.rect),
+        (lambda a, b: _online(a - k1).to_series().pow_frac(Fraction(-1, 2)),
+         _grid_exp(half, *a.rect), a.rect),
+    ]
+    if a.nx:
+        cases.append((lambda a, b: a.derivative_x(),
+                      [[x * k for x in ga[k]] for k in range(1, a.nx + 1)],
+                      (a.nx - 1, a.ny)))
+    if a.ny:
+        cases += [(lambda a, b: a.derivative_y(),
+                   [[x * l for l, x in enumerate(r) if l] for r in ga],
+                   (a.nx, a.ny - 1)),
+                  (lambda a, b: a.shift_y(1).shift_y(-1),
+                   [r[: a.ny] for r in ga], (a.nx, a.ny - 1))]
+    return cases
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout_series(), layout_series(), wide_qi, st.integers(0, 2))
+def test_layout_matches_cellwise_oracle(a, b, c, j):
+    """Every bivariate operation, eager and online, gives the oracle's
+    reduced cells and stores them in the numerator-row layout."""
+    for op, cells, rect in _layout_cases(a, b, c, j):
+        for got in (op(a, b), op(_online(a), _online(b))):
+            if isinstance(got, OnlineSeries2):
+                got = got.to_series()
+            _assert_layout(got)
+            assert got.rect == rect
+            assert [list(r) for r in got.rows] == cells
+            assert all(math.gcd(x.a, x.b, x.d) == 1 and x.d > 0
+                       for row in got.rows for x in row)
+
+
 # -- composition -------------------------------------------------------------
 
 
@@ -1027,10 +1156,10 @@ def _compose2_oracle(outer, first, second):
                 if not c.is_zero), default=0)
     spowers = [TruncSeries1.one(ny)]
     spowers.extend(_powers(second.truncate(ny), cols))
-    sums = [list(sum((p.scale(c) for c, p in zip(row, spowers) if c),
-                     TruncSeries1.zero(ny)).coeffs) for row in rows]
-    zero = [ZERO] * (ny + 1)
-    return _horner(top, lambda j: lambda i: zero if i else sums[j],
+    sums = [TruncSeries2([sum((p.scale(c) for c, p in zip(row, spowers) if c),
+                              TruncSeries1.zero(ny)).coeffs], 0, ny)._row(0)
+            for row in rows]
+    return _horner(top, lambda j: lambda i: (1, []) if i else sums[j],
                    _online(first), nx, ny).to_series()
 
 
@@ -1157,21 +1286,21 @@ def _substitute_y_oracle(f, g):
     return acc
 
 
-def _rows(draw, nx, ny, density):
-    cell = st.one_of(st.just(ZERO), qi_values) if density else st.just(ZERO)
+def _rows(draw, nx, ny, density, cell=qi_values):
+    cell = st.one_of(st.just(ZERO), cell) if density else st.just(ZERO)
     return [[draw(cell) for _ in range(ny + 1)] for _ in range(nx + 1)]
 
 
 @st.composite
-def substitution_pairs(draw, max_nx=4, max_ny=6):
+def substitution_pairs(draw, max_nx=4, max_ny=6, cell=qi_values):
     """(f, g) with g(0, y) = y; delta = g - y has x-order 1 or 2 and has y^0
-    terms or not."""
+    terms or not; nonzero cells are drawn from ``cell``."""
     f_nx, g_nx = (draw(st.sampled_from(range(1, max_nx + 1))) for _ in "fg")
     f_ny, g_ny = (draw(st.sampled_from(range(1, max_ny + 1))) for _ in "fg")
     x_order = draw(st.integers(1, 2))
     y0_terms = draw(st.booleans())
-    f = TruncSeries2(_rows(draw, f_nx, f_ny, True), f_nx, f_ny)
-    rows = _rows(draw, g_nx, g_ny, True)
+    f = TruncSeries2(_rows(draw, f_nx, f_ny, True, cell), f_nx, f_ny)
+    rows = _rows(draw, g_nx, g_ny, True, cell)
     rows[0] = [ONE if l == 1 else ZERO for l in range(g_ny + 1)]
     rows[1: x_order] = [[ZERO] * (g_ny + 1) for _ in rows[1: x_order]]
     if not y0_terms:
@@ -1193,6 +1322,20 @@ def test_substitute_y_matches_power_table_oracle(pair):
     expect = _substitute_y_oracle(f, g)
     assert got.rect == expect.rect
     assert got.rows == expect.rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(substitution_pairs(cell=wide_qi))
+def test_substitute_y_layout_matches_power_table_oracle(pair):
+    """substitute_y by an eager and an online g, on denominators up to 50,
+    gives the cells of _substitute_y_oracle in the numerator-row layout."""
+    f, g = pair
+    if g.y_order() == 0 and min(f.nx, g.nx) > f.ny:
+        return
+    want = _substitute_y_oracle(f, g)
+    for got in (f.substitute_y(g), f.substitute_y(_online(g)).to_series()):
+        _assert_layout(got)
+        assert got.restrict(*want.rect).rows == want.rows
 
 
 def test_substitute_y_matches_oracle_on_family_rho():
@@ -1267,14 +1410,14 @@ def test_online_product_skips_the_partner_of_a_zero_row():
     of u itself is read only by a factor whose row 0 is nonzero."""
     x = TruncSeries2.var_x(3, 2)
     reads = []
-    u = OnlineSeries2(3, 2, lambda k: reads.append(k) or list(x[k]))
+    u = OnlineSeries2(3, 2, lambda k: reads.append(k) or x._row(k))
     for p in (_online(x) * u, u * x):
         assert p[2] == [ONE, ZERO, ZERO] and max(reads) == 1
     assert (u * TruncSeries2.one(3, 2))[2] == list(x[2]) and max(reads) == 2
 
 
 def test_online_row_read_while_computed_raises():
-    u = OnlineSeries2(2, 1, lambda k: list(u[k]))
+    u = OnlineSeries2(2, 1, lambda k: u._row(k))
     with pytest.raises(SeriesError, match="read while it is being computed"):
         u[0]
 
