@@ -33,14 +33,17 @@ class VectorFieldRep:
 
 def build_vector_field(pair) -> VectorFieldRep:
     """w^m*dw pulled back through the gauge map (chi, tau) of the formal
-    solutions (f, u): a = -chi'*tau^m/(chi*tau') = w^m*f'*u and
-    b = tau^m/tau' = w^m*f*u by Abel's identity (:mod:`segreode.equiv`),
-    claimed to the orders the quotients reach, n - 1 and n + m - 1."""
-    m, f, u = pair.m, pair.f, pair.u
-    n = f.trunc
-    b = (f * u).shift(m).truncate(n + m - 1)
-    a = (f.derivative() * u).shift(m).truncate(n - 1)
-    return VectorFieldRep(a, b)
+    solutions: a = -chi'*tau^m/(chi*tau') = w^m*f'*u and
+    b = tau^m/tau' = w^m*h with h = f*u.  Abel's identity
+    (:mod:`segreode.equiv`) gives a = (w^m*h' + 2i*(h - 1))/2, so both are
+    read from h with no product, claimed to the orders the quotients reach,
+    n - 1 and n + m - 1."""
+    m, h, n = pair.m, pair.h, pair.f.trunc
+    b = h.shift(m).truncate(n + m - 1)
+    h = h.truncate(n)
+    a = h.derivative().shift(m).scale(QI(1, 0, 2)) \
+        + (h - TruncSeries1.one(n)).scale(QI(0, 1))
+    return VectorFieldRep(a.truncate(n - 1), b)
 
 
 def tangency_check(field: VectorFieldRep, h: Hypersurface) -> TruncSeries2:

@@ -153,7 +153,7 @@ SHAPE_MINIMA = {
     # tangency_check composes A = w^m*f'*u, known to degree - 1, with rho
     "tangency": lambda m, nx, ny: {"Ny": m, "degree": nx + 1},
     "model0": lambda m, nx, ny: {"Ny": m},
-    # build_vector_field differentiates f
+    # build_vector_field truncates A to degree - 1
     "autovec": lambda m, nx, ny: {"degree": 1},
 }
 

@@ -6,19 +6,21 @@ For z'' = (2i/w^m - m/w) z' + (beta/w^2) z the fundamental pair is
 
     { f(w),  g(w) * w^{1-m} * exp(2i/(1-m) * w^{1-m}) },   g = w^{m-1} * u,
 
-with f(0) = u(0) = 1.  Both power-series halves satisfy the one-step
-recursion (with 2i replaced by -2i for u)
+with f(0) = u(0) = 1.  f follows the one-step recursion
 
     2i*j*f_j = ((j-m+1)*j - beta) * f_{j-m+1},
 
 so f is supported on degrees divisible by m-1 and terminates exactly when
-beta = l*(l+1)*(m-1)^2 for an integer l >= 0.  The exponential and w^{1-m}
-factors never enter a series slot; u carries all series content of g.
+beta = l*(l+1)*(m-1)^2 for an integer l >= 0.  u runs it with -2i, so
+u = conj(f) for real beta; it carries all series content of g.
 
-Abel's identity for the pair (Liouville-Ostrogradsky; Ince, ODE, ch. V) is
-w^m*(f*u' - f'*u) + 2i*(f*u - 1) = 0, with u = conj(f) for real beta.  So
-the gauge map (chi, tau) has tau^m/tau' = w^m*f*u: the automorphism field is
-two products of the pair, and coupled is eta^m*tau' = tau^m*chi*conj(chi).
+h = f*u is the 3F0(1-mu1, 1-mu2, 1/2;; -(m-1)^2*w^{2(m-1)}), mu1 + mu2 = 1,
+mu1*mu2 = -beta/(m-1)^2, a Bailey-type product of two 2F0 (W. N. Bailey,
+Proc. London Math. Soc. (2) 28, 1928) with low-height coefficients.  Abel's
+identity (Liouville-Ostrogradsky; Ince, ODE, ch. V) is
+w^m*(f*u' - f'*u) + 2i*(h - 1) = 0: log(u/f) has derivative
+2i*(1/h - 1)/w^m, the gauge map (chi, tau) has tau^m/tau' = w^m*h, and
+coupled is eta^m*tau' = tau^m*chi*conj(chi).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .autovec import model_rho
-from .coefficients import QI
+from .coefficients import ONE, QI, ZERO
 from .ode import AdmissibleOde, GaugeMap, beta_data, pullback_under_gauge
 from .segre import Hypersurface
 from .series import (
@@ -42,32 +44,38 @@ from .series import (
 
 @dataclass(frozen=True)
 class FormalSolutionPair:
-    """Power-series halves (f, u) of the fundamental system; g = w^{m-1}*u."""
+    """Halves (f, u) of the fundamental system, g = w^{m-1}*u, and h = f*u."""
 
     m: int
     beta: QI
     f: TruncSeries1
     u: TruncSeries1
+    h: TruncSeries1
 
 
 def formal_solutions(m: int, beta, trunc: int) -> FormalSolutionPair:
-    """Run the coefficient recursion for f and u up to the given order."""
+    """Run the coefficient recursion for f to the given order, take u as its
+    conjugate, and h = f*u from its 3F0 form to order trunc + m: the
+    coefficient at w^{2n(m-1)} is the product over k < n of
+    (beta - (m-1)^2*k*(k+1))*(2k+1)/(2k+2)."""
     if m < 2:
         raise ValueError(f"the family needs m >= 2, got {m}")
     beta_q = beta_data(m, beta, 2 * m - 2).b.coefficient(2 * m - 2)
-
-    def run(two_i: QI):
-        coeffs = [QI(1)] + [QI(0)] * trunc
-        # f and u live on degrees divisible by m - 1, each coefficient a
-        # multiple of the one before: after a zero (a terminated f) all are
-        for j in range(m - 1, trunc + 1, m - 1):
-            k = j - m + 1
-            if coeffs[k].is_zero:
-                break
-            coeffs[j] = (QI(k * j) - beta_q) / (two_i * j) * coeffs[k]
-        return TruncSeries1(coeffs, 0, trunc)
-
-    return FormalSolutionPair(m, beta_q, run(QI(0, 2)), run(QI(0, -2)))
+    f = [ONE] + [ZERO] * trunc
+    # f lives on degrees divisible by m - 1, each coefficient a multiple of
+    # the one before: after a zero (a terminated f) all are
+    for j in range(m - 1, trunc + 1, m - 1):
+        k = j - m + 1
+        if f[k].is_zero:
+            break
+        f[j] = (QI(k * j) - beta_q) / QI(0, 2 * j) * f[k]
+    h, step = [ONE] + [ZERO] * (trunc + m), 2 * m - 2
+    for k, j in enumerate(range(step, trunc + m + 1, step)):
+        h[j] = (beta_q - (m - 1) ** 2 * k * (k + 1)) \
+            * QI(2 * k + 1, 0, 2 * k + 2) * h[j - step]
+    f = TruncSeries1(f, 0, trunc)
+    return FormalSolutionPair(m, beta_q, f, f.conj(),
+                              TruncSeries1(h, 0, trunc + m))
 
 
 def build_chi_tau(pair: FormalSolutionPair) -> GaugeMap:
@@ -77,16 +85,17 @@ def build_chi_tau(pair: FormalSolutionPair) -> GaugeMap:
         chi = 1/f,
         tau = w * (1 + ((1-m)/2i) * w^{m-1} * log(u/f))^{1/(1-m)}.
 
-    The normalization u(0) = 1 pins the residual scaling freedom of the
+    log(u/f) integrates 2i*(1/h - 1)/w^m by Abel's identity, so tau takes
+    one inverse of the low-height h, and its coefficients are real.  The
+    normalization u(0) = 1 pins the residual scaling freedom of the
     fundamental pair, so the map is unique in this gauge.
     """
-    m = pair.m
-    n = pair.f.trunc
+    m, n = pair.m, pair.f.trunc
     chi = divide(TruncSeries1.one(n), pair.f)
-    lg = divide(pair.u, pair.f).log()
-    scale = QI(0, m - 1, 2)  # (1-m)/(2i)
-    inner = TruncSeries1.one(lg.trunc + m - 1) \
-        + lg.scale(scale).shift(m - 1)
+    dl = (pair.h.inverse() - TruncSeries1.one(n + m)).shift(-m)
+    # the inner series 1 + (1-m)*w^{m-1}*integral(dl), to order n + m - 1
+    inner = TruncSeries1([ONE] + [ZERO] * (m - 1) + [
+        c * QI(1 - m, 0, k) for k, c in enumerate(dl.coeffs[:n], 1)])
     tau = inner.pow_frac(Fraction(1, 1 - m)).shift(1)
     gm = GaugeMap(chi, tau)
     if not gm.is_special(m):
@@ -116,7 +125,7 @@ def coupled_pairing_residual(gauge: GaugeMap, m: int) -> TruncSeries1:
     """The pairing of :func:`coupled_map_g` at mu = tau, lambda = conj(chi):
     eta^m*tau' - tau^m*chi*conj(chi), known above the normalized w^m."""
     chi, tau = gauge.f, gauge.g
-    rhs = tau.pow_int(m) * chi * chi.conj()
+    rhs = tau.pow_int(m) * (chi * chi.conj())
     if rhs.trunc <= m:
         raise TruncationStarvation(f"coupled pairing stops at w^{rhs.trunc}")
     return tau.derivative().shift(m) - rhs
@@ -172,28 +181,36 @@ class ProbeReport:
     verified_order: int  # residuals vanish to this coefficient order
 
 
+def stage_matrix(e: AdmissibleOde, d: int) -> tuple:
+    """Stage d's linear part (a11, a12, a21, a22): the changes of P and Q at
+    w^{d-1+m} from f = 1 + w^d (a11, a21) and g = w + w^{d+m} (a12, a22).
+    The pullback's first variation at the identity, f = 1 + phi and
+    g = w + psi, is d(alpha^) = (alpha*psi)' + psi'' - 2*phi' and
+    d(gamma^) = alpha*phi' + gamma'*psi + 2*gamma*psi' - phi''; at that
+    degree only P(0), Q(0) and, for m = 1, psi'' and phi'' enter."""
+    p0, q0 = e.p.coefficient(0), e.q.coefficient(0)
+    a12 = a21 = p0 * d
+    if e.m == 1:
+        a12, a21 = a12 + d * (d + 1), a21 - d * (d - 1)
+    return QI(-2 * d), a12, a21, q0 * (2 * d)
+
+
 def self_map_probe(e: AdmissibleOde, degree: int) -> ProbeReport:
     """Solve pullback(e, (f, g)) = e for a special gauge (f, g) degree by
     degree.
 
     At stage d the new unknowns are f_d and g_{d+m}; the residual coefficients
-    of P at w^{d-1+m} and of Q at w^{d-1+m} are affine in them (nonlinear
-    corrections and later unknowns only reach higher orders).  The identity
-    solves every stage, so the affine part vanishes and the rank of the 2x2
-    linear part either pins both unknowns or leaves free directions.  Its
-    entry a11, the change of P from f_d = 1, is -2d at every stage, as
-    P^ = P - 2w^m*f'/f under f = 1 + w^d; so a stage is rigid iff its
-    determinant is nonzero, and otherwise has dimension 1 with free
-    direction g.  An a11 other than -2d raises :class:`SeriesError`.
+    of P and Q at w^{d-1+m} are affine in them (nonlinear corrections and
+    later unknowns only reach higher orders).  The identity solves every
+    stage, so the affine part vanishes and the rank of the linear part,
+    :func:`stage_matrix`, pins both unknowns or leaves free directions.  A
+    stage is rigid iff its determinant (for m >= 2, -d^2*(P(0)^2 + 4*Q(0)))
+    is nonzero; otherwise, as a11 = -2d is not, it has dimension 1 with free
+    direction g.
 
-    The identity's residual is pulled back once, at the working order, and
-    must vanish to the verified order degree + m - 1; otherwise the pullback
-    is broken and :class:`SeriesError` is raised.  A stage reads only one
-    coefficient.  A pullback through a gauge known to order T >= 2m + 1
-    claims order T - 1 (below 2m + 1 the w^{-2m} pole part of gamma(g)
-    starves it), so the two perturbed pullbacks of stage d run at
-    T = max(d + m, 2m + 1); a claim that fell short would raise
-    :class:`TruncationStarvation`.
+    The identity is pulled back once, at the working order degree + 2m + 8,
+    and its residual must vanish to the verified order degree + m - 1;
+    otherwise the pullback is broken and :class:`SeriesError` is raised.
     """
     m = e.m
     work = degree + 2 * m + 8
@@ -203,37 +220,17 @@ def self_map_probe(e: AdmissibleOde, degree: int) -> ProbeReport:
             f"got {e.trunc}"
         )
     e = AdmissibleOde(m, e.p.truncate(work), e.q.truncate(work))
-
-    def residual_pair(trunc: int, ft: dict, gt: dict):
-        gauge = GaugeMap(TruncSeries1.from_terms({0: QI(1), **ft}, trunc),
-                         TruncSeries1.from_terms({1: QI(1), **gt}, trunc))
-        pulled = pullback_under_gauge(e, gauge, m)
-        return pulled.p - e.p.truncate(pulled.p.trunc), \
-            pulled.q - e.q.truncate(pulled.q.trunc)
-
-    rp, rq = residual_pair(work, {}, {})
+    pulled = pullback_under_gauge(e, GaugeMap.identity(work), m)
     verified = degree + m - 1
-    for low in range(verified + 1):
-        if not (rp.coefficient(low).is_zero and rq.coefficient(low).is_zero):
-            raise SeriesError(
-                f"probe invariant broken: the identity's residual at order "
-                f"{low} should be zero"
-            )
-
+    low = min((r.order() for r in (pulled.p - e.p.truncate(pulled.p.trunc),
+                                   pulled.q - e.q.truncate(pulled.q.trunc))
+               if not r.is_zero), default=verified + 1)
+    if low <= verified:
+        raise SeriesError(f"probe invariant broken: the identity's residual "
+                          f"at order {low} should be zero")
     stages = []
     for d in range(1, degree + 1):
-        crit = d - 1 + m
-        order = max(d + m, 2 * m + 1)
-        rp1, rq1 = residual_pair(order, {d: QI(1)}, {})
-        rp2, rq2 = residual_pair(order, {}, {d + m: QI(1)})
-        a11 = rp1.coefficient(crit)
-        if a11 != QI(-2 * d):
-            raise SeriesError(
-                f"probe invariant broken: f_{d} = 1 changes P at order {crit} "
-                f"by {a11}, not {-2 * d}"
-            )
-        det = a11 * rq2.coefficient(crit) \
-            - rp2.coefficient(crit) * rq1.coefficient(crit)
-        stages.append(ProbeStage(d, 1 if det.is_zero else 0))
+        a11, a12, a21, a22 = stage_matrix(e, d)
+        stages.append(ProbeStage(d, int((a11 * a22 - a12 * a21).is_zero)))
     rigid = all(st.dimension == 0 for st in stages)
     return ProbeReport(tuple(stages), rigid, verified)

@@ -34,11 +34,34 @@ def _field_through_gauge(pair):
                           divide(tau_m, tau_p))
 
 
+def _field_by_products(pair):
+    """The field as the two products a = w^m*f'*u and b = w^m*f*u of the
+    formal solutions, truncated where the quotients through (chi, tau)
+    reach."""
+    m, f, u = pair.m, pair.f, pair.u
+    n = f.trunc
+    return VectorFieldRep((f.derivative() * u).shift(m).truncate(n - 1),
+                          (f * u).shift(m).truncate(n + m - 1))
+
+
+@pytest.mark.parametrize("n", [40, 160])
+@pytest.mark.parametrize("m,beta", ABEL_MEMBERS)
+def test_field_equals_the_products_of_the_formal_solutions(m, beta, n):
+    """The field read from h = f*u is the two products w^m*f'*u and
+    w^m*f*u, coefficient for coefficient and truncation for truncation."""
+    pair = formal_solutions(m, beta, n)
+    field = build_vector_field(pair)
+    oracle = _field_by_products(pair)
+    assert (field.a.trunc, field.b.trunc) == (oracle.a.trunc, oracle.b.trunc) \
+        == (n - 1, n + m - 1)
+    assert field.a == oracle.a and field.b == oracle.b
+
+
 @pytest.mark.parametrize("n", [40, 80])
 @pytest.mark.parametrize("m,beta", ABEL_MEMBERS)
 def test_field_equals_the_pullback_through_the_gauge(m, beta, n):
-    """The two products w^m*f'*u and w^m*f*u are the quotients through
-    (chi, tau), coefficient for coefficient and truncation for truncation."""
+    """The field read from h is the quotients through (chi, tau),
+    coefficient for coefficient and truncation for truncation."""
     pair = formal_solutions(m, beta, n)
     field = build_vector_field(pair)
     oracle = _field_through_gauge(pair)

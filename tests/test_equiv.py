@@ -45,10 +45,38 @@ def test_solution_terminates_beta2():
     assert pair.f == TruncSeries1.from_terms({0: 1, 1: QI(0, 1)}, 30)
 
 
+def _u_by_recursion(m, beta, trunc):
+    """u from its own recursion, f's with -2i for 2i:
+    -2i*j*u_j = ((j-m+1)*j - beta) * u_{j-m+1}."""
+    beta = QI.of(Fraction(beta))
+    coeffs = [QI(1)] + [QI(0)] * trunc
+    for j in range(m - 1, trunc + 1, m - 1):
+        k = j - m + 1
+        coeffs[j] = (QI(k * j) - beta) / QI(0, -2 * j) * coeffs[k]
+    return TruncSeries1(coeffs, 0, trunc)
+
+
 def test_u_is_conjugate_for_real_beta():
-    for beta in (1, 3, Fraction(5, 2)):
-        pair = formal_solutions(2, beta, 20)
-        assert pair.u == pair.f.conj()
+    for m, beta in ((2, 1), (2, 3), (2, Fraction(5, 2)), (3, Fraction(5, 2)),
+                    (4, 1)):
+        pair = formal_solutions(m, beta, 20)
+        assert pair.u == _u_by_recursion(m, beta, 20) == pair.f.conj()
+        assert pair.u.trunc == 20
+
+
+@pytest.mark.parametrize("m,beta,n", [
+    (2, 1, 80), (2, Fraction(-1, 3), 80), (3, Fraction(5, 2), 80), (4, 1, 81),
+    (3, 24, 60), (2, 40200, 210), (5, Fraction(7, 3), 120), (2, 0, 40)])
+def test_h_is_the_3F0_product_of_f_and_u(m, beta, n):
+    """h = f*u exactly, to the order trunc + m it is known to, and h is
+    zero off the multiples of 2(m - 1)."""
+    pair = formal_solutions(m, beta, n)
+    assert pair.h.trunc == n + m
+    longer = formal_solutions(m, beta, n + m)
+    product = longer.f * _u_by_recursion(m, beta, n + m)
+    assert product.trunc == n + m and product == pair.h
+    assert pair.f * pair.u == pair.h
+    assert all(c.is_zero for deg, c in pair.h.items() if deg % (2 * m - 2))
 
 
 def solution_residuals(pair):
@@ -129,6 +157,27 @@ def test_tau_quadratic_term_vanishes():
         gm = build_chi_tau(formal_solutions(2, beta, 24))
         assert gm.g.coefficient(2).is_zero
         assert gm.is_special(2)
+
+
+def _tau_by_quotient(pair):
+    """tau = w*(1 + ((1-m)/2i)*w^{m-1}*log(u/f))^{1/(1-m)} by division and
+    log, the construction tau had before it was read from h."""
+    m = pair.m
+    lg = divide(pair.u, pair.f).log()
+    inner = TruncSeries1.one(lg.trunc + m - 1) \
+        + lg.scale(QI(0, m - 1, 2)).shift(m - 1)
+    return inner.pow_frac(Fraction(1, 1 - m)).shift(1)
+
+
+@pytest.mark.parametrize("n", [40, 160])
+@pytest.mark.parametrize("m,beta", ABEL_MEMBERS)
+def test_tau_equals_the_quotient_construction(m, beta, n):
+    """tau from one inverse of h equals tau from log(u/f), coefficient for
+    coefficient and truncation for truncation."""
+    tau = build_chi_tau(formal_solutions(m, beta, n)).g
+    oracle = _tau_by_quotient(formal_solutions(m, beta, n))
+    assert tau.trunc == oracle.trunc == n + m
+    assert tau == oracle
 
 
 def test_chi_is_reciprocal_of_f():
@@ -497,40 +546,54 @@ def test_probe_raises_when_the_identity_leaves_a_residual(monkeypatch):
         self_map_probe(beta_family(2, 1, 40), 12)
 
 
-def test_probe_raises_when_a11_leaves_minus_2d(monkeypatch):
-    """f_d = 1 changes P at w^{d-1+m} by -2d, as P^ = P - 2w^m*f'/f; a
-    pullback that moves that entry breaks the invariant the rank reading
-    relies on, although the identity still leaves no residual."""
-    pullback = equiv.pullback_under_gauge
+def _perturbed_stage_matrix(e, d):
+    """Stage d's (a11, a12, a21, a22) from two perturbed pullbacks, f_d = 1
+    and g_{d+m} = 1, read at w^{d-1+m}.  A pullback through a gauge known
+    to order T >= 2m + 1 claims order T - 1 (below 2m + 1 the w^{-2m} pole
+    part of gamma(g) starves it), so both run at T = max(d + m, 2m + 1)."""
+    m = e.m
+    order = max(d + m, 2 * m + 1)
+    crit = d - 1 + m
 
-    def perturbed(target, gauge, m):
-        pulled = pullback(target, gauge, m)
-        if gauge.f.coefficient(1).is_zero:
-            return pulled
-        bump = TruncSeries1.monomial(QI(1, 0, 3), m, pulled.p.trunc)
-        return AdmissibleOde(m, pulled.p + bump, pulled.q)
+    def change(ft, gt):
+        gauge = GaugeMap(TruncSeries1.from_terms({0: QI(1), **ft}, order),
+                         TruncSeries1.from_terms({1: QI(1), **gt}, order))
+        pulled = pullback_under_gauge(e, gauge, m)
+        return (pulled.p - e.p.truncate(pulled.p.trunc)).coefficient(crit), \
+            (pulled.q - e.q.truncate(pulled.q.trunc)).coefficient(crit)
 
-    monkeypatch.setattr(equiv, "pullback_under_gauge", perturbed)
-    with pytest.raises(SeriesError, match="f_1 = 1 changes P at order 2 "
-                                          "by -5/3, not -2"):
-        self_map_probe(beta_family(2, 1, 40), 12)
+    (a11, a21), (a12, a22) = change({d: QI(1)}, {}), change({}, {d + m: QI(1)})
+    return a11, a12, a21, a22
 
 
-def test_rigid_probe_pulls_back_twice_per_stage_and_the_settled_gauge_once(
-        monkeypatch):
-    """Stage d pulls back f_d = 1 and g_{d+m} = 1 at order max(d + m, 2m + 1);
-    the identity is pulled back once, at the working order degree + 2m + 8,
-    for every stage and the verified order."""
-    orders = []
+def test_probe_stage_entries_match_perturbed_pullbacks():
+    """The closed-form stage entries, a11 = -2d, a12 = a21 = d*P(0) and
+    a22 = 2d*Q(0), with d(d + 1) added to a12 and d(d - 1) taken from a21
+    for m = 1, are what the perturbed pullbacks give, on every probe case
+    and on (4,1)."""
+    cases = list(_probe_cases()) + [
+        ("deep-4,1", lambda: beta_family(4, 1, 40), 12)]
+    for name, make, degree in cases:
+        e = make()
+        for d in range(1, degree + 1):
+            assert equiv.stage_matrix(e, d) == _perturbed_stage_matrix(e, d), \
+                (name, d)
+
+
+def test_rigid_probe_pulls_back_the_identity_once(monkeypatch):
+    """The stages read P(0) and Q(0), so the probe pulls back only the
+    identity, once, at the working order degree + 2m + 8: the check on the
+    pullback machinery."""
+    gauges = []
     pullback = equiv.pullback_under_gauge
 
     def counting(target, gauge, m):
-        orders.append(gauge.f.trunc)
+        gauges.append(gauge)
         return pullback(target, gauge, m)
 
     monkeypatch.setattr(equiv, "pullback_under_gauge", counting)
     report = self_map_probe(beta_family(2, 1, 40), 12)
     assert report.rigid
-    assert len(orders) == 2 * 12 + 1
-    assert orders == [12 + 4 + 8] + [max(d + 2, 5) for d in range(1, 13)
-                                     for _ in range(2)]
+    assert [(g.f.trunc, g.g.trunc) for g in gauges] == [(12 + 4 + 8,) * 2]
+    assert gauges[0].f == TruncSeries1.one(24)
+    assert gauges[0].g == TruncSeries1.var(24)
