@@ -42,12 +42,9 @@ def termination_detect(s: TruncSeries1) -> TerminationReport:
     one zero coefficient at the truncation order decides it, so a series
     supported on an arithmetic progression is run to a degree it reaches
     (:func:`termination_order`)."""
-    last = None
-    for deg, c in s.items():
-        if not c.is_zero:
-            last = deg
-    if last is None:
+    if not s.nums:
         return TerminationReport(True, None)
+    last = s.nums[-1][0] - s.pole
     return TerminationReport(last < s.trunc, last)
 
 

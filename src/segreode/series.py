@@ -2,26 +2,26 @@
 
 Conventions
 -----------
-* A :class:`TruncSeries1` stores coefficients for degrees ``-pole .. trunc``.
+* A :class:`TruncSeries1` holds the coefficients of degrees ``-pole ..
+  trunc``; ``pole`` is 0 or the degree -pole coefficient is nonzero.
   Degrees above ``trunc`` are *unknown*, never assumed zero; every operation
   propagates the guaranteed truncation pessimistically (min rules), so the
   ``trunc`` field of a result is always a sound guarantee.
 * A :class:`TruncSeries2` holds the cells of ``x^j * y^k``, ``0 <= j <= nx``,
-  ``0 <= k <= ny``, and has no pole part.  It stores them as Gaussian-integer
-  numerator rows over one positive denominator, the layout of FLINT's
-  ``fmpq_poly``: row j keeps its nonzero cells as (k, re, im), and
-  gcd(den, every re and im) = 1.  ``rows``, ``coefficient`` and the other
-  queries build the reduced cells from the numerators when asked.
-* Every cell is a Gaussian rational :class:`segreode.coefficients.QI`;
-  floats and complex numbers are rejected.
+  ``0 <= k <= ny``, and has no pole part.
+* Both store Gaussian-integer numerator rows over one positive denominator
+  ``den``, the layout of FLINT's ``fmpq_poly``: a row keeps its nonzero
+  cells as (l, re, im) by rising l, and gcd(den, every re and im) = 1.  The
+  univariate row's cell l has degree l - pole; bivariate row j holds x^j.
+* The queries (``coeffs``, ``rows``, ``coefficient``, ``first_nonzero``, ...)
+  return reduced Gaussian rationals :class:`segreode.coefficients.QI`, built
+  from the numerators when asked; floats and complex numbers are rejected.
 * Values are immutable; all operations are pure functions and safe to share
   across threads.
 
-Every series product runs through one kernel, :func:`_conv`, which convolves
-numerator rows over Gaussian integers; a univariate product is its one-row
-case.  The bivariate operations are integer loops over numerator rows, each
-with at most one content-gcd reduction, so no ``QI`` is built until a cell
-is read.
+Every operation works on numerator rows over Gaussian integers, so no ``QI``
+is built until a cell is read, and every series product runs through one
+kernel, :func:`_conv`, a univariate product being its one-row case.
 
 Univariate division, exp, log and fractional powers run the classical O(n^2)
 coefficient recurrences (Knuth, TAOCP vol. 2, section 4.7) through one online
@@ -41,6 +41,7 @@ delta = g - y (:func:`_horner`), are written once for eager and online series.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain
 from typing import Sequence, Union
@@ -84,17 +85,10 @@ def _as_cell(value: Scalar) -> QI:
 def _numerators(cells, n: int):
     """Cells 0..n as a numerator row: their common denominator and the
     nonzero (l, re, im) over it."""
-    cells = cells[: n + 1]
+    cells = [c if isinstance(c, QI) else _as_cell(c) for c in cells[: n + 1]]
     den = math.lcm(*[c.d for c in cells])
     return den, [(l, c.a * (m := den // c.d), c.b * m)
                  for l, c in enumerate(cells) if c.a or c.b]
-
-
-def _product(a, b, n: int):
-    """The cells 0..n of the product of two univariate cell arrays, each
-    put over one common denominator, so the convolution runs over Gaussian
-    integers."""
-    return _cells(*_conv([_numerators(a, n)], [_numerators(b, n)], 0, n)[0], n)
 
 
 def _conv(sa, sb, nx: int, ny: int, lo: int = 0, weight=None):
@@ -163,6 +157,19 @@ def _over(nums, m: int, g: int = 1):
     return [(l, r * m // g, i * m // g) for l, r, i in nums]
 
 
+def _offset(nums, k: int):
+    """The numerators moved k columns up."""
+    return [(l + k, r, i) for l, r, i in nums] if k else nums
+
+
+def _scaled(d: int, nums, c):
+    """The numerator row (d, nums) times the Gaussian rational
+    c = (re, im, den)."""
+    ca, cb, cd = c
+    return d * cd, [(l, r * ca - i * cb, r * cb + i * ca)
+                    for l, r, i in nums] if ca or cb else []
+
+
 def _cut(nums, ny: int):
     """The numerators without the cells beyond column ny."""
     return [c for c in nums if c[0] <= ny] if nums and nums[-1][0] > ny else nums
@@ -206,16 +213,13 @@ def _powers(base, kmax: int):
         yield power
 
 
-def _power_sum(acc, base, kmax: int, coeff):
-    """acc + sum_{k=1..kmax} coeff(k) * base^k, skipping zero coefficients;
-    powering stops at the last nonzero coefficient.  Univariate composition
-    (:func:`_compose_1_1`) is its only caller."""
-    coeffs = [coeff(k) for k in range(1, kmax + 1)]
-    while coeffs and coeffs[-1].is_zero:
-        coeffs.pop()
-    for c, power in zip(coeffs, _powers(base, len(coeffs))):
-        if not c.is_zero:
-            acc = acc + power.scale(c)
+def _power_sum(acc, base, coeffs: dict):
+    """acc + sum_k coeffs[k] * base^k over the keys k >= 1 of ``coeffs``,
+    Gaussian rationals (re, im, den); powering stops at the largest key.
+    Univariate composition (:func:`_compose_1_1`) is its only caller."""
+    for k, power in enumerate(_powers(base, max(coeffs, default=0)), 1):
+        if k in coeffs:
+            acc = acc + power._times(coeffs[k])
     return acc
 
 
@@ -245,35 +249,41 @@ def _capped_ny(g, nx: int, ny: int, trunc: int, v: int | None = None) -> int:
     return ny
 
 
-def _pow_int(result, base, n: int):
-    """result * base^n by binary powering, n >= 0."""
-    while n:
+def _pow_int(base, n: int):
+    """base^n by binary powering, n >= 1, on the truncation of the product
+    base * ... * base."""
+    result = None
+    while True:
         if n & 1:
-            result = result * base
+            result = base if result is None else result * base
         n >>= 1
-        if n:
-            base = base * base
-    return result
+        if not n:
+            return result
+        base = base * base
 
 
-def _recurrence(w: Sequence[QI], n: int, c0: QI, a: int, b: int, q: int = 1,
-                t: Sequence[QI] | None = None, mu: QI = ONE):
-    """Cells c_0 .. c_n of a series defined online by the cells of ``w``:
+def _recurrence(w, n: int, c0, a: int, b: int, q: int = 1, t=(1, ()),
+                mu=(1, 0, 1)):
+    """The numerator row of the cells c_0 .. c_n of a series defined online
+    by the numerator row ``w``:
 
         c_k = mu * (t_k + (a*k*s0 + b*s1) / (q*k))   for k >= 1,
         s0 = sum_{j=1..k} w_j * c_{k-j},   s1 = sum_{j=1..k} j * w_j * c_{k-j},
 
-    with integers a, b and q != 0, and t_k = 0 when ``t`` is None; only
-    w_1 .. w_n are read.  The combined sum runs over Gaussian integers: w_j
-    over the common denominator of w_1 .. w_n and c_0 .. c_{k-1} over their
-    running common denominator, so each step builds one reduced QI.
+    with integers a, b and q > 0, Gaussian rationals c0 and mu given as
+    (re, im, den > 0), and t_k the cells of the numerator row ``t`` (zero by
+    default); only w_1 .. w_n are read.  The combined sum runs over Gaussian integers:
+    w_j over the common denominator of w_1 .. w_n and c_0 .. c_{k-1} over
+    their running common denominator, so each step reduces its cell with one
+    gcd.
     """
-    dw, row = _numerators(w[1: n + 1], n)
-    ws = [(l + 1, b * (l + 1), wr, wi) for l, wr, wi in row]
-    out = []
-    nums = []  # (re, im) numerators of c_0 .. c_{k-1} over dc
+    dw, nums = _reduced((w[0], [c for c in w[1] if 0 < c[0] <= n]))
+    ws = [(l, b * l, wr, wi) for l, wr, wi in nums]
+    dt, ts = t[0], {l: (r, i) for l, r, i in t[1]}
+    mr, mi, md = mu
+    cs = []  # (re, im) numerators of c_0 .. c_{k-1} over dc
     dc = 1
-    cell = c0
+    r, i, den = c0
     for k in range(n + 1):
         if k:
             ak = a * k
@@ -281,47 +291,44 @@ def _recurrence(w: Sequence[QI], n: int, c0: QI, a: int, b: int, q: int = 1,
             for j, bj, wr, wi in ws:
                 if j > k:
                     break
-                cr, ci = nums[k - j]
+                cr, ci = cs[k - j]
                 wt = ak + bj
                 r += wt * (wr * cr - wi * ci)
                 i += wt * (wr * ci + wi * cr)
             den = q * k * dw * dc
-            tk = t[k] if t is not None else ZERO
-            if not tk.is_zero:
-                r, i = r * tk.d + tk.a * den, i * tk.d + tk.b * den
-                den *= tk.d
-            cell = (QI(r * mu.a - i * mu.b, r * mu.b + i * mu.a, den * mu.d)
-                    if r or i else ZERO)
-        out.append(cell)
-        d = cell.d
+            if k in ts:
+                tr, ti = ts[k]
+                r, i, den = r * dt + tr * den, i * dt + ti * den, den * dt
+            r, i, den = r * mr - i * mi, r * mi + i * mr, den * md
+        g = math.gcd(r, i, den)
+        d = den // g
         if dc % d:
             grow = d // math.gcd(dc, d)
             dc *= grow
-            nums = [(cr * grow, ci * grow) for cr, ci in nums]
+            cs = [(cr * grow, ci * grow) for cr, ci in cs]
         m = dc // d
-        nums.append((cell.a * m, cell.b * m))
-    return out
+        cs.append((r // g * m, i // g * m))
+    return dc, [(l, r, i) for l, (r, i) in enumerate(cs) if r or i]
 
 
-def _row_recurrence(w, c0: Sequence[QI], a: int, b: int, q: int = 1,
-                    t=None, mu: Sequence[QI] | None = None):
+def _row_recurrence(w, c0, a: int, b: int, q: int = 1, t=None, mu=None):
     """The bivariate series of the kind of ``w`` whose x-rows c_0, c_1, ...
     (y-polynomials mod y^(ny+1)) follow online from the x-rows of ``w``:
 
         c_k = mu * (t_k + (a*k*s0 + b*s1) / (q*k))   for k >= 1,
         s0 = sum_{j=1..k} w_j * c_{k-j},   s1 = sum_{j=1..k} j * w_j * c_{k-j},
 
-    the twin of :func:`_recurrence`; mu = 1 when None and t_k = 0 when ``t``
-    is None.  Row k reads rows <= k of ``w`` and ``t``, eager or online; the
-    sums are one weighted row of :func:`_conv`, and each row is reduced once."""
+    the twin of :func:`_recurrence`; c_0 = c0 and mu are numerator rows to
+    column ny, mu = 1 when None, and t_k = 0 when ``t`` is None.  Row k
+    reads rows <= k of ``w`` and ``t``, eager or online; the sums are one
+    weighted row of :func:`_conv`, and each row is reduced once."""
     ny = w.ny
-    ms = None if mu is None else [_numerators(mu, ny)]
-    ws, cs = [(1, [])], []  # rows w_0 = 0, w_1 .. w_k and c_0 .. c_{k-1}
+    ms = None if mu is None else [mu]
+    ws, cs = [(1, [])], [c0]  # rows w_0 = 0, w_1 .. w_k and c_0 .. c_{k-1}
 
     def row(k):  # called for k = 0, 1, ... in order
         if not k:
-            cs.append(_numerators(c0, ny))
-            return cs[0]
+            return c0
         ws.append(w._row(k))
         den, nums = _conv(ws, cs, k, ny, k, lambda j: a * k + b * j)[0]
         out = (den * q * k, nums)
@@ -341,9 +348,11 @@ def _row_recurrence(w, c0: Sequence[QI], a: int, b: int, q: int = 1,
 
 
 class TruncSeries1:
-    """Univariate truncated Laurent series: degrees ``-pole .. trunc``."""
+    """Univariate truncated Laurent series: degrees ``-pole .. trunc``, as
+    the numerator row ``nums`` over ``den``, whose cell l is the coefficient
+    of degree l - pole."""
 
-    __slots__ = ("pole", "trunc", "coeffs")
+    __slots__ = ("pole", "trunc", "den", "nums")
 
     def __init__(self, coeffs: Sequence, pole: int = 0, trunc: int | None = None):
         if trunc is None:
@@ -352,37 +361,49 @@ class TruncSeries1:
             raise SeriesError(
                 f"coefficient list length {len(coeffs)} != trunc {trunc} + pole {pole} + 1"
             )
+        self._set(pole, trunc, *_numerators(coeffs, trunc + pole))
+
+    def _set(self, pole: int, trunc: int, den: int, nums):
         if trunc < 0:
             raise TruncationStarvation(f"truncation order {trunc} < 0")
-        cells = [c if isinstance(c, QI) else _as_cell(c) for c in coeffs]
-        # strip structural zeros below the first nonzero to normalize the pole
-        while pole > 0 and cells[0].is_zero:
-            cells.pop(0)
-            pole -= 1
+        # drop structural zeros below the first nonzero cell to normalize the pole
+        lead = min(pole, nums[0][0] if nums else pole)
+        if lead > 0:
+            pole -= lead
+            nums = _offset(nums, -lead)
         if pole > POLE_CAP:
             raise PoleOverflow(f"pole order {pole} exceeds cap {POLE_CAP}")
-        object.__setattr__(self, "pole", pole)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "coeffs", tuple(cells))
+        for name, value in zip(self.__slots__, (pole, trunc, den, tuple(nums))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *_):
         raise AttributeError("series are immutable")
+
+    @staticmethod
+    def _new(pole: int, trunc: int, row) -> "TruncSeries1":
+        """The series whose cells are the numerator row ``row``."""
+        out = object.__new__(TruncSeries1)
+        out._set(pole, trunc, *_reduced(row))
+        return out
+
+    @property
+    def _row(self):
+        return self.den, self.nums
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, trunc: int) -> "TruncSeries1":
-        return cls([ZERO] * (trunc + 1), 0, trunc)
+        return cls.constant(ZERO, trunc)
 
     @classmethod
     def constant(cls, value: Scalar, trunc: int) -> "TruncSeries1":
-        cells = [ZERO] * (trunc + 1)
-        cells[0] = _as_cell(value)
-        return cls(cells, 0, trunc)
+        c = _as_cell(value)
+        return cls._new(0, trunc, (c.d, [(0, c.a, c.b)] if c else []))
 
     @classmethod
     def one(cls, trunc: int) -> "TruncSeries1":
-        return cls.constant(1, trunc)
+        return cls.constant(ONE, trunc)
 
     @classmethod
     def var(cls, trunc: int) -> "TruncSeries1":
@@ -390,12 +411,7 @@ class TruncSeries1:
 
     @classmethod
     def monomial(cls, value: Scalar, degree: int, trunc: int) -> "TruncSeries1":
-        pole = max(0, -degree)
-        if degree > trunc:
-            raise TruncationStarvation(f"monomial degree {degree} above trunc {trunc}")
-        cells = [ZERO] * (trunc + pole + 1)
-        cells[degree + pole] = _as_cell(value)
-        return cls(cells, pole, trunc)
+        return cls.from_terms({degree: value}, trunc)
 
     @classmethod
     def from_terms(cls, terms: dict, trunc: int) -> "TruncSeries1":
@@ -407,7 +423,12 @@ class TruncSeries1:
             cells[deg + pole] = _as_cell(val)
         return cls(cells, pole, trunc)
 
-    # -- queries ----------------------------------------------------------
+    # -- queries: with to_json, the only methods that build cells ----------
+
+    @property
+    def coeffs(self) -> tuple:
+        """The reduced cells of degrees -pole .. trunc."""
+        return tuple(_cells(self.den, self.nums, self.trunc + self.pole))
 
     def coefficient(self, degree: int) -> QI:
         """Coefficient at ``degree``; degrees above trunc are unknown."""
@@ -415,35 +436,32 @@ class TruncSeries1:
             raise TruncationStarvation(
                 f"coefficient of degree {degree} is beyond truncation {self.trunc}"
             )
-        if degree < -self.pole:
+        l = degree + self.pole
+        j = bisect_left(self.nums, (l,))
+        if j == len(self.nums) or self.nums[j][0] != l:
             return ZERO
-        return self.coeffs[degree + self.pole]
+        return QI(*self.nums[j][1:], self.den)
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
+        return not self.nums
 
     def order(self) -> int | None:
         """Degree of the lowest nonzero stored coefficient, or None."""
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero:
-                return i - self.pole
-        return None
+        return self.nums[0][0] - self.pole if self.nums else None
 
     def first_nonzero(self):
         """(degree, coefficient) of the lowest nonzero term, or None."""
-        v = self.order()
-        if v is None:
-            return None
-        return v, self.coefficient(v)
+        return next(self._terms(self.nums), None)
 
     def first_nonreal(self):
         """(degree, coefficient) of the lowest coefficient with a nonzero
         imaginary part, or None."""
-        for deg, c in self.items():
-            if not c.is_real:
-                return deg, c
-        return None
+        return next(self._terms(c for c in self.nums if c[2]), None)
+
+    def _terms(self, nums):
+        """(degree, coefficient) of each of the stored numerators ``nums``."""
+        return ((l - self.pole, QI(r, i, self.den)) for l, r, i in nums)
 
     def items(self):
         for i, c in enumerate(self.coeffs):
@@ -453,28 +471,21 @@ class TruncSeries1:
         """Equality of all coefficients up to the common truncation."""
         if not isinstance(other, TruncSeries1):
             return NotImplemented
-        hi = min(self.trunc, other.trunc)
-        lo = -max(self.pole, other.pole)
-        if hi < lo:
-            return True
-        for k in range(lo, hi + 1):
-            if self.coefficient(k) != other.coefficient(k):
-                return False
-        return True
+        pole = max(self.pole, other.pole)
+        top = min(self.trunc, other.trunc) + pole
+        ra, rb = (_cut(_offset(s.nums, pole - s.pole), top)
+                  for s in (self, other))
+        return _over(ra, other.den) == _over(rb, self.den)
 
     __hash__ = None
 
     def __repr__(self):
-        shown = []
-        for deg, c in self.items():
-            if not c.is_zero:
-                shown.append(f"({c})*w^{deg}" if deg else f"({c})")
-            if len(shown) >= 6:
-                break
+        shown = [f"({c})*w^{deg}" if deg else f"({c})"
+                 for deg, c in self._terms(self.nums[:6])]
         body = " + ".join(shown) if shown else "0"
         return f"<series {body} + O(w^{self.trunc + 1})>"
 
-    # -- structural ops ---------------------------------------------------
+    # -- structural ops: index and sign maps on the numerator row ----------
 
     def truncate(self, trunc: int) -> "TruncSeries1":
         if trunc > self.trunc:
@@ -483,51 +494,48 @@ class TruncSeries1:
             )
         if trunc == self.trunc:
             return self
-        return TruncSeries1(list(self.coeffs[: trunc + self.pole + 1]),
-                            self.pole, trunc)
+        return TruncSeries1._new(self.pole, trunc,
+                                 (self.den, _cut(self.nums, trunc + self.pole)))
 
     def shift(self, k: int) -> "TruncSeries1":
         """Multiply by w^k (exact, k of either sign)."""
-        if self.pole - k >= 0:
-            return TruncSeries1(list(self.coeffs), self.pole - k, self.trunc + k)
-        pad = [ZERO] * (k - self.pole)
-        return TruncSeries1(pad + list(self.coeffs), 0, self.trunc + k)
+        pole = max(self.pole - k, 0)
+        return TruncSeries1._new(pole, self.trunc + k, (
+            self.den, _offset(self.nums, pole - self.pole + k)))
 
     def conj(self) -> "TruncSeries1":
-        return TruncSeries1([c.conj() for c in self.coeffs], self.pole, self.trunc)
+        return TruncSeries1._new(self.pole, self.trunc, (
+            self.den, [(l, r, -i) for l, r, i in self.nums]))
 
     # -- ring ops ----------------------------------------------------------
 
-    def _aligned(self, other):
+    def _zip(self, other, sign: int):
+        """self + sign*other on the rows aligned to the larger pole."""
+        if not isinstance(other, TruncSeries1):
+            return NotImplemented
         pole = max(self.pole, other.pole)
         trunc = min(self.trunc, other.trunc)
-
-        def cells(s):
-            out = [ZERO] * (pole - s.pole)
-            out.extend(s.coeffs[: trunc + s.pole + 1])
-            out.extend([ZERO] * (trunc + pole + 1 - len(out)))
-            return out
-
-        return cells(self), cells(other), pole, trunc
+        ra, rb = ((s.den, _offset(s.nums, pole - s.pole)) for s in (self, other))
+        return TruncSeries1._new(pole, trunc, _sum(ra, rb, trunc + pole, sign))
 
     def __add__(self, other):
-        if not isinstance(other, TruncSeries1):
-            return NotImplemented
-        ca, cb, pole, trunc = self._aligned(other)
-        return TruncSeries1([x + y for x, y in zip(ca, cb)], pole, trunc)
+        return self._zip(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, TruncSeries1):
-            return NotImplemented
-        ca, cb, pole, trunc = self._aligned(other)
-        return TruncSeries1([x - y for x, y in zip(ca, cb)], pole, trunc)
+        return self._zip(other, -1)
 
     def __neg__(self):
-        return TruncSeries1([-c for c in self.coeffs], self.pole, self.trunc)
+        return TruncSeries1._new(self.pole, self.trunc,
+                                 (self.den, _over(self.nums, -1)))
 
     def scale(self, value: Scalar) -> "TruncSeries1":
         c = _as_cell(value)
-        return TruncSeries1([c * x for x in self.coeffs], self.pole, self.trunc)
+        return self._times((c.a, c.b, c.d))
+
+    def _times(self, c) -> "TruncSeries1":
+        """The series times the Gaussian rational c = (re, im, den)."""
+        return TruncSeries1._new(self.pole, self.trunc,
+                                 _scaled(self.den, self.nums, c))
 
     def __mul__(self, other):
         if not isinstance(other, TruncSeries1):
@@ -536,15 +544,15 @@ class TruncSeries1:
         pole = self.pole + other.pole
         if trunc < -pole:
             raise TruncationStarvation("product truncation exhausted")
-        cells = _product(self.coeffs, other.coeffs, trunc + pole)
-        return TruncSeries1(cells, pole, trunc)
+        return TruncSeries1._new(pole, trunc, _conv(
+            [self._row], [other._row], 0, trunc + pole)[0])
 
     __rmul__ = __mul__
 
     def pow_int(self, n: int) -> "TruncSeries1":
         if n < 0:
             return self.inverse().pow_int(-n)
-        return _pow_int(TruncSeries1.one(self.trunc), self, n)
+        return _pow_int(self, n) if n else TruncSeries1.one(self.trunc)
 
     # -- division ------------------------------------------------------------
 
@@ -561,33 +569,26 @@ class TruncSeries1:
     def derivative(self) -> "TruncSeries1":
         if self.trunc < 1 and self.pole == 0:
             raise TruncationStarvation("cannot differentiate a trunc-0 series")
-        pole = self.pole + 1 if self.pole > 0 else 0
-        trunc = self.trunc - 1
-        cells = [ZERO] * (trunc + pole + 1)
-        for deg, c in self.items():
-            if deg == 0 or c.is_zero:
-                continue
-            tgt = deg - 1
-            if -pole <= tgt <= trunc:
-                cells[tgt + pole] = c * deg
-        return TruncSeries1(cells, pole, trunc)
+        p = self.pole
+        pole = p + 1 if p > 0 else 0
+        return TruncSeries1._new(pole, self.trunc - 1, (self.den, [
+            (l + pole - p - 1, r * (l - p), i * (l - p))
+            for l, r, i in self.nums if l != p]))
 
     # -- transcendental -------------------------------------------------------
 
     def exp(self) -> "TruncSeries1":
         """E = exp(f) by E' = f'*E: k*E_k = sum_{j=1..k} j*f_j*E_{k-j}."""
-        if self.pole > 0 or not self.coefficient(0).is_zero:
+        if self.pole > 0 or self.order() == 0:
             raise SeriesError("exp requires a pole-free series with zero constant term")
-        cells = _recurrence(self.coeffs, self.trunc, ONE, 0, 1)
-        return TruncSeries1(cells, 0, self.trunc)
+        return TruncSeries1._new(0, self.trunc, _recurrence(
+            self._row, self.trunc, (1, 0, 1), 0, 1))
 
     def log(self) -> "TruncSeries1":
         """L = log(u) by u*L' = u':
         L_k = u_k - sum_{j=1..k} (1 - j/k)*u_j*L_{k-j}."""
-        self._require_unit()
-        cells = _recurrence(self.coeffs, self.trunc, ZERO, -1, 1,
-                            t=self.coeffs)
-        return TruncSeries1(cells, 0, self.trunc)
+        return TruncSeries1._new(0, self.trunc, _recurrence(
+            self._unit()._row, self.trunc, (0, 0, 1), -1, 1, t=self._row))
 
     def pow_frac(self, alpha) -> "TruncSeries1":
         """Principal formal branch u^alpha = exp(alpha*log(u)); needs u(0) = 1.
@@ -596,14 +597,15 @@ class TruncSeries1:
         k*P_k = sum_{j=1..k} ((alpha+1)*j - k)*u_j*P_{k-j}.
         """
         alpha = Fraction(alpha)
-        self._require_unit()
         p, q = alpha.numerator, alpha.denominator
-        cells = _recurrence(self.coeffs, self.trunc, ONE, -q, p + q, q)
-        return TruncSeries1(cells, 0, self.trunc)
+        return TruncSeries1._new(0, self.trunc, _recurrence(
+            self._unit()._row, self.trunc, (1, 0, 1), -q, p + q, q))
 
-    def _require_unit(self):
-        if self.pole > 0 or self.coefficient(0) != ONE:
+    def _unit(self) -> "TruncSeries1":
+        """The series itself, which must have constant term exactly 1."""
+        if self.pole > 0 or self.nums[:1] != ((0, self.den, 0),):
             raise SeriesError("log requires constant term exactly 1")
+        return self
 
     # -- serialization ----------------------------------------------------------
 
@@ -629,7 +631,8 @@ class _Rows2:
     """Row-local operations, written once for :class:`TruncSeries2` and
     :class:`OnlineSeries2`: ``s._row(k)`` is row k as a numerator row (d,
     nums), its nonzero (l, re, im) by rising l over d > 0; ``s[k]`` is row k
-    as cells; ``_new(nx, ny, rows)`` makes a series of the same kind."""
+    as cells and ``s.row(k)`` as a univariate series in y; ``_new(nx, ny,
+    rows)`` makes a series of the same kind."""
 
     __slots__ = ()
 
@@ -639,6 +642,12 @@ class _Rows2:
 
     def __getitem__(self, k: int) -> list:
         return _cells(*self._row(k), self.ny)
+
+    def row(self, j: int) -> TruncSeries1:
+        """The coefficient series of x^j, as a univariate series in y."""
+        if j > self.nx:
+            raise TruncationStarvation(f"row {j} beyond nx {self.nx}")
+        return TruncSeries1._new(0, self.ny, self._row(j))
 
     def _rowwise(self, fn, rect=None, shift: int = 0):
         """The series on ``rect`` whose row k is fn(k, *row k + shift)."""
@@ -668,7 +677,7 @@ class _Rows2:
             if nums and nums[0][0] < -j:
                 raise SeriesError(f"series is not divisible by y^{-j} "
                                   f"(cell ({k}, {nums[0][0]}) nonzero)")
-            return d, _cut([(l + j, r, i) for l, r, i in nums], ny)
+            return d, _cut(_offset(nums, j), ny)
 
         return self._rowwise(row, (self.nx, ny))
 
@@ -688,15 +697,13 @@ class _Rows2:
 
     def scale(self, value: Scalar):
         c = _as_cell(value)
-        ca, cb = c.a, c.b
-        return self._rowwise(lambda k, d, ns: (d * c.d, [
-            (l, r * ca - i * cb, r * cb + i * ca) for l, r, i in ns] if c else []))
+        return self._rowwise(lambda k, d, ns: _scaled(d, ns, (c.a, c.b, c.d)))
 
     def pow_int(self, n: int):
         if n < 0:
             raise SeriesError("negative powers of bivariate series are not defined")
-        one = TruncSeries2.one(self.nx, self.ny)._row
-        return _pow_int(self._new(self.nx, self.ny, one), self, n)
+        return _pow_int(self, n) if n else self._new(
+            self.nx, self.ny, TruncSeries2.one(self.nx, self.ny)._row)
 
     def derivative_x(self):
         if self.nx < 1:
@@ -719,10 +726,10 @@ class _Rows2:
     def exp(self):
         """E = exp(f) row by row in x: E_0 = exp(f(0, y)) and
         k*E_k = sum_{j=1..k} j*f_j*E_{k-j}."""
-        row0 = TruncSeries1(self[0], 0, self.ny)
-        if not row0.coeffs[0].is_zero:
+        row0 = self.row(0)
+        if row0.order() == 0:
             raise SeriesError("exp requires zero constant term")
-        return _row_recurrence(self, row0.exp().coeffs, 0, 1)
+        return _row_recurrence(self, row0.exp()._row, 0, 1)
 
 
 class TruncSeries2(_Rows2):
@@ -738,9 +745,7 @@ class TruncSeries2(_Rows2):
         if min(nx, ny) >= 0 and (len(rows) != nx + 1
                                  or any(len(r) != ny + 1 for r in rows)):
             raise SeriesError("rectangle shape mismatch")
-        self._set(nx, ny, *_gather([_numerators([
-            c if isinstance(c, QI) else _as_cell(c) for c in r], ny)
-            for r in rows[: nx + 1]]))
+        self._set(nx, ny, *_gather([_numerators(r, ny) for r in rows[: nx + 1]]))
 
     def _set(self, nx: int, ny: int, den: int, nums):
         if nx < 0 or ny < 0:
@@ -800,7 +805,7 @@ class TruncSeries2(_Rows2):
     @classmethod
     def from_rows(cls, rows_map: dict, nx: int, ny: int):
         """Build from a {x_degree: TruncSeries1-in-y} mapping."""
-        rows = [[ZERO] * (ny + 1) for _ in range(nx + 1)]
+        rows = {}
         for j, s in rows_map.items():
             if j > nx:
                 raise TruncationStarvation(f"row {j} above nx {nx}")
@@ -809,8 +814,8 @@ class TruncSeries2(_Rows2):
             if s.trunc < ny:
                 raise TruncationStarvation(
                     f"row {j} known only to order {s.trunc} < ny {ny}")
-            rows[j] = s.coeffs[: ny + 1]
-        return cls(rows, nx, ny)
+            rows[j] = s.den, [c for c in s.nums if c[0] <= ny]
+        return cls._new(nx, ny, lambda k: rows.get(k, (1, [])))
 
     @classmethod
     def embed_y(cls, s: TruncSeries1, nx: int, ny: int | None = None):
@@ -830,12 +835,6 @@ class TruncSeries2(_Rows2):
             raise TruncationStarvation(
                 f"cell ({j}, {k}) is beyond the rectangle {self.rect}")
         return self[j][k] if j >= 0 and k >= 0 else ZERO
-
-    def row(self, j: int) -> TruncSeries1:
-        """The coefficient series of x^j, as a univariate series in y."""
-        if j > self.nx:
-            raise TruncationStarvation(f"row {j} beyond nx {self.nx}")
-        return TruncSeries1(self[j], 0, self.ny)
 
     @property
     def is_zero(self) -> bool:
@@ -886,24 +885,19 @@ class TruncSeries2(_Rows2):
     def log(self) -> "TruncSeries2":
         """L = log(u) row by row in x: L_0 = log(u(0, y)) and
         L_k = (u_k - sum_{j=1..k} (1 - j/k)*u_j*L_{k-j}) / u_0."""
-        u0 = self._unit_row0()
-        return _row_recurrence(self, u0.log().coeffs, -1, 1, t=self,
-                               mu=u0.inverse().coeffs)
+        u0 = self.row(0)._unit()
+        return _row_recurrence(self, u0.log()._row, -1, 1, t=self,
+                               mu=u0.inverse()._row)
 
     def pow_frac(self, alpha) -> "TruncSeries2":
         """Principal formal branch u^alpha = exp(alpha*log(u)); needs
         u(0, 0) = 1.  P_0 = u(0, y)^alpha and Miller's recurrence
         k*P_k = sum_{j=1..k} ((alpha+1)*j - k)*u_j*P_{k-j} / u_0."""
         alpha = Fraction(alpha)
-        u0 = self._unit_row0()
+        u0 = self.row(0)._unit()
         p, q = alpha.numerator, alpha.denominator
-        return _row_recurrence(self, u0.pow_frac(alpha).coeffs, -q, p + q, q,
-                               mu=u0.inverse().coeffs)
-
-    def _unit_row0(self) -> TruncSeries1:
-        if self.coefficient(0, 0) != ONE:
-            raise SeriesError("log requires constant term exactly 1")
-        return self.row(0)
+        return _row_recurrence(self, u0.pow_frac(alpha)._row, -q, p + q, q,
+                               mu=u0.inverse()._row)
 
     # -- substitution ---------------------------------------------------------------
 
@@ -924,7 +918,7 @@ class TruncSeries2(_Rows2):
         online result on the uncapped rectangle.
         """
         d, nums = g._row(0)
-        if nums != ([(1, d, 0)] if g.ny else []):
+        if list(nums) != ([(1, d, 0)] if g.ny else []):
             raise SeriesError("substitute_y needs g(0, y) = y")
         online = isinstance(g, OnlineSeries2)
         nx = min(self.nx, g.nx)
@@ -1048,11 +1042,14 @@ def divide(a: TruncSeries1, b: TruncSeries1) -> TruncSeries1:
         raise ZeroDivisionError("division by a series that is zero up to truncation")
     unit = b.shift(-v)
     trunc = min(a.trunc, unit.trunc - a.pole)
-    num = a.coeffs
-    inv0 = ONE / unit.coeffs[0]
-    cells = _recurrence(unit.coeffs, trunc + a.pole, num[0] * inv0, -1, 0,
-                        t=num, mu=inv0)
-    return TruncSeries1(cells, a.pole, trunc).shift(-v)
+    # mu = 1/u_0 = d/(r + i*1j) and c0 = a_0/u_0, as (re, im, den)
+    d, (_, r, i) = unit.den, unit.nums[0]
+    md, ((_, mr, mi),) = _reduced((r * r + i * i, [(0, d * r, -d * i)]))
+    ar, ai = a.nums[0][1:] if a.nums and not a.nums[0][0] else (0, 0)
+    c0 = (mr * ar - mi * ai, mr * ai + mi * ar, md * a.den)
+    row = _recurrence(unit._row, trunc + a.pole, c0, -1, 0, t=a._row,
+                      mu=(mr, mi, md))
+    return TruncSeries1._new(a.pole, trunc, row).shift(-v)
 
 
 def compose(outer: TruncSeries1, inner):
@@ -1073,9 +1070,9 @@ def compose(outer: TruncSeries1, inner):
 def _compose_1_1(outer: TruncSeries1, inner: TruncSeries1) -> TruncSeries1:
     if inner.pole != 0:
         raise SeriesError("inner series of a composition cannot have a pole")
-    if not inner.coefficient(0).is_zero:
-        raise SeriesError("inner series must have zero constant term")
     v = inner.order()
+    if v == 0:
+        raise SeriesError("inner series must have zero constant term")
     if v is None:
         v = inner.trunc + 1
     if outer.pole > 0 and v != 1:
@@ -1084,12 +1081,13 @@ def _compose_1_1(outer: TruncSeries1, inner: TruncSeries1) -> TruncSeries1:
         )
     cap = (outer.trunc + 1) * v - 1
     n = inner.trunc
-    acc = _power_sum(TruncSeries1.constant(outer.coefficient(0), n), inner,
-                     outer.trunc, outer.coefficient)
+    cells = {l - outer.pole: (r, i, outer.den) for l, r, i in outer.nums}
+    acc = _power_sum(TruncSeries1.one(n)._times(cells.get(0, (0, 0, 1))),
+                     inner, cells)
     if outer.pole > 0:
-        acc = _power_sum(acc, divide(TruncSeries1.one(n), inner), outer.pole,
-                         lambda k: outer.coefficient(-k))
-    return acc if acc.trunc <= cap else acc.truncate(min(acc.trunc, cap))
+        acc = _power_sum(acc, divide(TruncSeries1.one(n), inner),
+                         {-k: c for k, c in cells.items() if k < 0})
+    return acc.truncate(min(acc.trunc, cap))
 
 
 def _compose_1_2(outer: TruncSeries1, inner):
@@ -1102,4 +1100,6 @@ def _compose_1_2(outer: TruncSeries1, inner):
     # an online g must have g(0, y) = y, which makes its total order 1
     ny = _capped_ny(inner, nx, inner.ny, outer.trunc,
                     1 if isinstance(inner, OnlineSeries2) else None)
+    # the Taylor shift reads no column of outer above nx + ny
+    outer = outer.truncate(min(outer.trunc, nx + ny))
     return TruncSeries2.embed_y(outer, nx).substitute_y(inner).restrict(nx, ny)

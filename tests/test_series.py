@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -543,6 +545,29 @@ def test_pow_int_claim_is_sound(data, n):
     _assert_sound(small, _extended(data.draw, a).pow_int(n))
 
 
+# w^-1 + 1 + 3w^2 known to w^5, and a pole-free series known to w^6
+_POWER_BASES1 = (TruncSeries1.from_terms({-1: 1, 0: 1, 2: 3}, 5),
+                 TruncSeries1.from_terms({0: QI(1, 2), 1: QI(0, -1, 3), 4: 2}, 6))
+_POWER_BASE2 = TruncSeries2([[QI(1), QI(0, 2), ZERO], [QI(-1, 1, 3), ZERO, QI(5)]],
+                            1, 2)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_pow_int_is_the_left_to_right_product(n):
+    """pow_int(n) has the cells, pole and truncation (the rectangle) of
+    s * s * ... * s with n factors, and of one for n = 0, on a pole series,
+    a pole-free one and an eager and an online bivariate series."""
+    for s in _POWER_BASES1:
+        _same_cells(s.pow_int(n), functools.reduce(operator.mul, [s] * n)
+                    if n else TruncSeries1.one(s.trunc))
+    for s in (_POWER_BASE2, _online(_POWER_BASE2)):
+        got = s.pow_int(n)
+        expect = (functools.reduce(operator.mul, [s] * n) if n
+                  else TruncSeries2.one(*s.rect))
+        assert isinstance(got, type(s))
+        _same_rect_cells(_online(got).to_series(), _online(expect).to_series())
+
+
 @given(st.data(), laurent1())
 def test_derivative_claim_is_sound(data, a):
     try:
@@ -932,6 +957,136 @@ def test_layout_matches_cellwise_oracle(a, b, c, j):
             assert [list(r) for r in got.rows] == cells
             assert all(math.gcd(x.a, x.b, x.d) == 1 and x.d > 0
                        for row in got.rows for x in row)
+
+
+@st.composite
+def layout_series1(draw, max_pole=3, head=None, min_pole=0):
+    """A Laurent series with pole min_pole..max_pole, trunc 0..8 (1..8 for a
+    positive min_pole), dense or sparse, with cell denominators up to 50 and
+    first stored cell drawn from ``head`` when given."""
+    pole = draw(st.integers(min_pole, max_pole))
+    trunc = draw(st.integers(1 if min_pole else 0, 8))
+    cell = draw(st.sampled_from([wide_qi, st.one_of(st.just(ZERO), wide_qi),
+                                 st.one_of(st.just(ZERO), st.just(ZERO),
+                                           st.just(ZERO), wide_qi)]))
+    cells = [draw(cell) for _ in range(trunc + pole + 1)]
+    if head is not None:
+        cells[0] = draw(head)
+    return TruncSeries1(cells, pole, trunc)
+
+
+def _normalized1(cells, pole, trunc):
+    """(cells, pole, trunc) with the zero cells below the first nonzero one
+    dropped while the pole is positive; no series has a negative trunc."""
+    if trunc < 0:
+        raise TruncationStarvation(f"truncation order {trunc} < 0")
+    while pole > 0 and cells[0].is_zero:
+        cells, pole = cells[1:], pole - 1
+    return list(cells), pole, trunc
+
+
+def _window1(s, pole, trunc):
+    return [s.coefficient(d) for d in range(-pole, trunc + 1)]
+
+
+def _zip1_oracle(a, b, op):
+    pole, trunc = max(a.pole, b.pole), min(a.trunc, b.trunc)
+    return _normalized1([op(x, y) for x, y in zip(_window1(a, pole, trunc),
+                                                  _window1(b, pole, trunc))],
+                        pole, trunc)
+
+
+def _compose1_oracle(outer, inner):
+    """sum_k outer_k * inner^k for a pole-free outer, by cell-wise products,
+    on the truncation min(inner.trunc, (outer.trunc + 1) * v - 1), v the
+    order of inner."""
+    n = inner.trunc
+    v = inner.order() or n + 1
+    top = min(n, (outer.trunc + 1) * v - 1)
+    power = [ONE] + [ZERO] * n
+    acc = [outer.coefficient(0) * x for x in power]
+    for k in range(1, outer.trunc + 1):
+        power = [sum((power[j] * inner.coefficient(l - j) for j in range(l + 1)),
+                     ZERO) for l in range(n + 1)]
+        acc = [x + outer.coefficient(k) * y for x, y in zip(acc, power)]
+    return acc[: top + 1], 0, top
+
+
+def _series1(s):
+    return list(s.coeffs), s.pole, s.trunc
+
+
+def _layout1_cases(a, b, p, u, f, o, c, k, alpha):
+    """(operation, its cell-wise oracle) on a and b, a pole series p, a unit
+    u, a series f with zero constant term and a pole-free series o."""
+    t = min(k, a.trunc)
+    shifted = max(a.pole - k, 0)
+    return [
+        (lambda: a + b, lambda: _zip1_oracle(a, b, operator.add)),
+        (lambda: a - b, lambda: _zip1_oracle(a, b, operator.sub)),
+        (lambda: a * b, lambda: _normalized1(*_mul1_oracle(a, b))),
+        (lambda: a.scale(c), lambda: _normalized1(
+            [c * x for x in a.coeffs], a.pole, a.trunc)),
+        (lambda: a.conj(), lambda: ([x.conj() for x in a.coeffs], a.pole,
+                                    a.trunc)),
+        (lambda: -a, lambda: ([-x for x in a.coeffs], a.pole, a.trunc)),
+        (lambda: a.shift(k), lambda: _normalized1(
+            _window1(a, shifted + k, a.trunc), shifted, a.trunc + k)),
+        (lambda: a.shift(-k), lambda: _normalized1(
+            _window1(a, a.pole, a.trunc), a.pole + k, a.trunc - k)),
+        (lambda: a.truncate(t), lambda: _normalized1(
+            _window1(a, a.pole, t), a.pole, t)),
+        (lambda: p.derivative(), lambda: (
+            [(d + 1) * p.coefficient(d + 1) for d in range(-p.pole - 1, p.trunc)],
+            p.pole + 1, p.trunc - 1)),
+        (lambda: divide(a, b), lambda: _series1(_divide_oracle(a, b))),
+        (lambda: b.inverse(), lambda: _series1(
+            _divide_oracle(TruncSeries1.one(b.trunc + b.pole), b))),
+        (lambda: f.exp(), lambda: _series1(_exp_oracle(f))),
+        (lambda: u.log(), lambda: _series1(_log_oracle(u))),
+        (lambda: u.pow_frac(alpha), lambda: _series1(_pow_frac_oracle(u, alpha))),
+        (lambda: compose(o, f), lambda: _compose1_oracle(o, f)),
+    ]
+
+
+def _assert_layout1(s):
+    """den > 0, gcd(den, every numerator) = 1, only nonzero cells by rising
+    index inside 0..trunc + pole, and the pole normalized."""
+    assert s.den > 0
+    assert math.gcd(s.den, *[x for _, r, i in s.nums for x in (r, i)]) == 1
+    ls = [l for l, _, _ in s.nums]
+    assert ls == sorted(set(ls)) and all(0 <= l <= s.trunc + s.pole for l in ls)
+    assert all(r or i for _, r, i in s.nums)
+    assert s.pole == 0 or ls[:1] == [0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout_series1(), layout_series1(head=wide_qi.filter(bool)),
+       layout_series1(head=wide_qi.filter(bool), min_pole=1),
+       layout_series1(max_pole=0, head=st.just(ONE)),
+       layout_series1(max_pole=0, head=st.just(ZERO)),
+       layout_series1(max_pole=0), wide_qi, st.integers(0, 4), ALPHAS)
+def test_layout1_matches_cellwise_oracle(a, b, p, u, f, o, c, k, alpha):
+    """Every univariate operation gives the cell-wise oracle's reduced
+    cells, pole and truncation, stores them in the numerator-row layout, and
+    builds no QI until a cell is read."""
+    ops, expect = [], []
+    for op, oracle in _layout1_cases(a, b, p, u, f, o, c, k, alpha):
+        try:
+            want = oracle()
+        except SeriesError as exc:
+            with pytest.raises(type(exc)):
+                op()
+            continue
+        ops.append(op)
+        expect.append(want)
+    with pytest.MonkeyPatch.context() as mp:
+        built = _counting_qi(mp)
+        results = [op() for op in ops]
+        assert not built
+    for got, (cells, pole, trunc) in zip(results, expect):
+        _assert_layout1(got)
+        assert (list(got.coeffs), got.pole, got.trunc) == (cells, pole, trunc)
 
 
 # -- composition -------------------------------------------------------------
