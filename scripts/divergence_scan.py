@@ -12,7 +12,7 @@ from fractions import Fraction
 from segreode import (
     diagnose,
     expected_termination,
-    formal_solutions,
+    formal_f,
     residue_analysis,
     termination_order,
 )
@@ -44,7 +44,7 @@ def main() -> int:
             # f is run to a degree it reaches, past the degree of a
             # polynomial f and far enough for the fit
             order = termination_order(args.m, beta, args.order)
-            term, report = diagnose(formal_solutions(args.m, beta, order).f)
+            term, report = diagnose(formal_f(args.m, beta, order))
         except LIBRARY_ERRORS as exc:
             ap.error(f"beta = {beta}: {exc}")
         assert term.terminated == expected_termination(args.m, beta)

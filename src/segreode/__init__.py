@@ -49,6 +49,7 @@ from .equiv import (
     build_chi_tau,
     coupled_map_g,
     coupled_pairing_residual,
+    formal_f,
     formal_solutions,
     self_map_probe,
     verify_map_on_hypersurface,

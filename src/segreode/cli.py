@@ -49,6 +49,7 @@ from .equiv import (
     build_chi_tau,
     coupled_map_g,
     coupled_pairing_residual,
+    formal_f,
     formal_solutions,
     self_map_probe,
     verify_map_on_hypersurface,
@@ -158,14 +159,18 @@ SHAPE_MINIMA = {
 }
 
 
+def _validate_degree(degree) -> None:
+    if not _is_int(degree) or degree < 0:
+        raise ConfigError(f"degree needs to be an integer >= 0, got {degree!r}")
+
+
 def validate_shape(rect, degree, checks, m: int) -> None:
     """Reject a rectangle or degree that no stage, or one of ``checks`` on
     a member of order up to ``m``, can work on, before any work."""
     if (not isinstance(rect, (list, tuple)) or len(rect) != 2
             or not all(_is_int(n) for n in rect) or min(rect) < 1):
         raise ConfigError(f"rectangle needs Nx, Ny >= 1, got {rect!r}")
-    if not _is_int(degree) or degree < 0:
-        raise ConfigError(f"degree needs to be an integer >= 0, got {degree!r}")
+    _validate_degree(degree)
     nx, ny = rect
     have = {"degree": degree, "Nx": nx, "Ny": ny}
     for name in [c for c in checks if c in SHAPE_MINIMA]:
@@ -485,8 +490,7 @@ def check_model0(ctx: FamilyContext) -> dict:
 def check_growth(ctx: FamilyContext) -> dict:
     expected = expected_termination(ctx.m, ctx.beta)
     n = termination_order(ctx.m, ctx.beta, max(200, ctx.degree))
-    pair = formal_solutions(ctx.m, ctx.beta, n)
-    term, report = diagnose(pair.f)
+    term, report = diagnose(formal_f(ctx.m, ctx.beta, n))
     out = {
         "pass": term.terminated == expected,
         "terminated": term.terminated,
@@ -763,6 +767,7 @@ def cmd_autovec(args) -> int:
 
 
 def cmd_growth(args) -> int:
+    _validate_degree(args.degree)
     window = None
     if args.window:
         parts = args.window.split(",")
@@ -783,7 +788,7 @@ def cmd_growth(args) -> int:
         m, beta = member
         with no_verdict():
             n = termination_order(m, beta, max(200, args.degree))
-            series = formal_solutions(m, beta, n).f
+            series = formal_f(m, beta, n)
         label = [m, str(beta)]
     else:
         raise ConfigError("growth needs --series FILE or --family m,beta")
@@ -827,26 +832,25 @@ def cmd_run(args) -> int:
     return code
 
 
-# flags of the one-member commands: the member, by --family or explicit data,
-# and the orders it is built to; each command takes only those it reads
+# each flag that several commands take, as add_argument keywords, declared
+# once; each command takes only the flags it reads
 SHARED_FLAGS = {
-    "family": (("--family",), dict(action="append", default=[],
-                                   metavar="m,beta", help="family member")),
-    "m": (("--m",), dict(type=int, default=None,
-                         help="order for explicit data")),
-    "a": (("--a",), dict(type=str, default=None,
-                         help="polynomial for a, e.g. '1*w^0+1/2*w^2'")),
-    "b": (("--b",), dict(type=str, default=None,
-                         help="polynomial for b, e.g. '1*w^2'")),
-    "degree": (("--degree",), dict(
-        type=int, default=40, help="univariate truncation order (default 40)")),
-    "rect": (("--rect",), dict(
-        type=str, default="8,24", help="bivariate rectangle Nx,Ny (default 8,24)")),
+    "family": dict(action="append", default=[], metavar="m,beta",
+                   help="family member (repeatable for run)"),
+    "m": dict(type=int, default=None, help="order for explicit data"),
+    "a": dict(type=str, default=None,
+              help="polynomial for a, e.g. '1*w^0+1/2*w^2'"),
+    "b": dict(type=str, default=None, help="polynomial for b, e.g. '1*w^2'"),
+    "degree": dict(type=int, default=40,
+                   help="univariate truncation order (default 40)"),
+    "rect": dict(type=str, default="8,24",
+                 help="bivariate rectangle Nx,Ny (default 8,24)"),
+    "checks": dict(type=str, default=None),
+    "radius": dict(type=float, default=1.0),
+    "tol": dict(type=float, default=1e-10, help=(
+        "numeric monodromy tolerance, both relative and absolute; a relative "
+        "tolerance below 100*eps ~ 2.2e-14 is raised to it (default 1e-10)")),
 }
-
-
-TOL_HELP = ("numeric monodromy tolerance, both relative and absolute; a "
-            "relative tolerance below 100*eps ~ 2.2e-14 is raised to it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -862,8 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None,
                        help="write JSON here instead of stdout")
         for flag in shared.split():
-            names, kwargs = SHARED_FLAGS[flag]
-            p.add_argument(*names, **kwargs)
+            p.add_argument(f"--{flag}", **SHARED_FLAGS[flag])
         p.set_defaults(fn=fn)
         return p
 
@@ -876,8 +879,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit", type=str, default="psi",
                    help="comma list from psi,rho,hk")
 
-    p = command("check", cmd_check, "run reality checks on one member", member)
-    p.add_argument("--checks", type=str, default=None)
+    command("check", cmd_check, "run reality checks on one member",
+            member + " checks")
 
     p = command("equiv", cmd_equiv, "gauge equivalence onto the beta=0 member",
                 "family degree rect")
@@ -886,10 +889,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list from ode,hypersurface,coupled")
 
     p = command("monodromy", cmd_monodromy, "monodromy classification",
-                "family")
+                "family radius tol")
     p.add_argument("--numeric", action="store_true")
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-10, help=TOL_HELP)
 
     p = command("autovec", cmd_autovec, "infinitesimal automorphism checks",
                 "family degree rect")
@@ -901,17 +902,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON file holding a univariate series")
     p.add_argument("--window", type=str, default=None, metavar="KMIN,KMAX")
 
-    p = command("run", cmd_run, "full verification pipeline over a grid")
-    p.add_argument("--family", action="append", default=[], metavar="m,beta",
-                   help="family member (repeatable)")
-    p.add_argument("--checks", type=str, default=None)
+    p = command("run", cmd_run, "full verification pipeline over a grid",
+                "family checks degree rect radius tol")
+    # unset, so that a config file's value stands unless its flag is given
+    p.set_defaults(degree=None, rect=None, radius=None, tol=None)
     p.add_argument("--config", type=str, default=None,
                    help="JSON config; flags override file values")
-    p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--rect", type=str, default=None)
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None,
-                   help=TOL_HELP + " (default 1e-10)")
     p.add_argument("--jobs", type=int, default=None)
 
     return parser

@@ -53,11 +53,9 @@ class FormalSolutionPair:
     h: TruncSeries1
 
 
-def formal_solutions(m: int, beta, trunc: int) -> FormalSolutionPair:
-    """Run the coefficient recursion for f to the given order, take u as its
-    conjugate, and h = f*u from its 3F0 form to order trunc + m: the
-    coefficient at w^{2n(m-1)} is the product over k < n of
-    (beta - (m-1)^2*k*(k+1))*(2k+1)/(2k+2)."""
+def formal_f(m: int, beta, trunc: int) -> TruncSeries1:
+    """f alone, by its coefficient recursion to the given order: what the
+    growth readings need, with no u and no h."""
     if m < 2:
         raise ValueError(f"the family needs m >= 2, got {m}")
     beta_q = beta_data(m, beta, 2 * m - 2).b.coefficient(2 * m - 2)
@@ -69,11 +67,19 @@ def formal_solutions(m: int, beta, trunc: int) -> FormalSolutionPair:
         if f[k].is_zero:
             break
         f[j] = (QI(k * j) - beta_q) / QI(0, 2 * j) * f[k]
+    return TruncSeries1(f, 0, trunc)
+
+
+def formal_solutions(m: int, beta, trunc: int) -> FormalSolutionPair:
+    """f from :func:`formal_f`, u as its conjugate, and h = f*u from its 3F0
+    form to order trunc + m: the coefficient at w^{2n(m-1)} is the product
+    over k < n of (beta - (m-1)^2*k*(k+1))*(2k+1)/(2k+2)."""
+    f = formal_f(m, beta, trunc)
+    beta_q = beta_data(m, beta, 2 * m - 2).b.coefficient(2 * m - 2)
     h, step = [ONE] + [ZERO] * (trunc + m), 2 * m - 2
     for k, j in enumerate(range(step, trunc + m + 1, step)):
         h[j] = (beta_q - (m - 1) ** 2 * k * (k + 1)) \
             * QI(2 * k + 1, 0, 2 * k + 2) * h[j - step]
-    f = TruncSeries1(f, 0, trunc)
     return FormalSolutionPair(m, beta_q, f, f.conj(),
                               TruncSeries1(h, 0, trunc + m))
 

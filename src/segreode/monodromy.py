@@ -1,6 +1,7 @@
 """Monodromy of the family ODE around its singular point: exact eigenvalue
 prediction from the Fuchsian residue at infinity, triviality classification,
-and an independent numerical check by contour integration.
+and an independent numerical check by contour integration of the ODE that
+``ode.beta_family`` builds, the one the exact checks verify.
 
 In the variable t = 1/w the first-order system for (z, z'w) is Fuchsian with
 residue matrix [[0, -1], [-beta, m-1]], so the residue eigenvalues solve
@@ -24,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._dop853 import dop853
+from .ode import beta_family
 
 TWO_PI = 2.0 * math.pi
 
@@ -124,16 +126,6 @@ def residue_analysis(m: int, beta) -> MonodromyReport:
     )
 
 
-def _family_polynomials(m: int, beta: Fraction):
-    """Coefficient arrays of P = 2i - m*w^{m-1} and Q = beta*w^{2m-2}."""
-    p = [0j] * m
-    p[0] = 2j
-    p[m - 1] += complex(-m)
-    q = [0j] * (2 * m - 1)
-    q[2 * m - 2] = complex(beta)
-    return p, q
-
-
 def _horner(coeffs, w: complex) -> complex:
     acc = 0j
     for c in reversed(coeffs):
@@ -143,8 +135,9 @@ def _horner(coeffs, w: complex) -> complex:
 
 def numeric_monodromy(m: int, beta, radius: float = 1.0,
                       tol: float = 1e-10) -> NumericMonodromy:
-    """Integrate the fundamental 2x2 system once around |w| = radius and
-    compare the eigenvalue set with the exact prediction.
+    """Integrate the fundamental 2x2 system of ``beta_family(m, beta)``, its
+    P and Q read in floats, once around |w| = radius and compare the
+    eigenvalue set with the exact prediction.
 
     Integrates with ``_dop853.dop853``, the adaptive DOP853 (Dormand-Prince
     8(5,3)) loop of ``scipy.integrate.solve_ivp`` repeated step for step on
@@ -155,7 +148,10 @@ def numeric_monodromy(m: int, beta, radius: float = 1.0,
     """
     exact = residue_analysis(m, beta)
     check_contour(radius, tol)
-    p_coeffs, q_coeffs = _family_polynomials(m, Fraction(beta))
+    e = beta_family(m, beta, 2 * m - 2)
+    # P = 2i - m*w^{m-1} has no cell above degree m - 1
+    p_coeffs = [complex(c.real, c.imag) for c in e.p.coeffs[:m]]
+    q_coeffs = [complex(c.real, c.imag) for c in e.q.coeffs]
 
     def rhs(theta: float, y: np.ndarray) -> np.ndarray:
         w = radius * cmath.exp(1j * theta)

@@ -1,3 +1,8 @@
+import argparse
+import contextlib
+import functools
+import importlib.util
+import io
 import json
 import math
 import os
@@ -5,11 +10,15 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import typing
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from segreode import (
     QI,
@@ -201,6 +210,18 @@ def test_cli_growth_bad_window_names_the_window(monkeypatch, capsys, window):
     err = capsys.readouterr().err
     assert err.startswith("error: window must be 'KMIN,KMAX'") \
         and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("source", [["--family", "2,1"],
+                                    ["--series", "absent.json"]])
+def test_cli_growth_negative_degree_rejected_before_work(monkeypatch, capsys,
+                                                         source):
+    """growth rejects a negative --degree as every command does, on the
+    --family and the --series path alike."""
+    _forbid_work(monkeypatch)
+    assert cli.main(["growth", *source, "--degree", "-5"]) == 2
+    assert capsys.readouterr().err == \
+        "error: degree needs to be an integer >= 0, got -5\n"
 
 
 @pytest.mark.parametrize("script, args", [
@@ -497,6 +518,28 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     assert "growth" not in payload["runs"][0]["checks"]
 
 
+def test_cli_config_file_values_reach_the_pipeline(tmp_path, monkeypatch):
+    """With no flag but --config, the file's degree, rect, radius and tol
+    stand: run's flags default to unset, not to their own defaults."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "families": [[2, "1"]], "degree": 24, "rect": [6, 12],
+        "radius": 0.5, "tol": 1e-8,
+    }))
+    seen = []
+
+    def capture(cfg):
+        seen.append(cfg)
+        return {"version": cli.REPORT_VERSION, "runs": []}, 0
+
+    monkeypatch.setattr(cli, "run_pipeline", capture)
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+    [cfg] = seen
+    assert (cfg.degree, cfg.rect, cfg.radius, cfg.tol) == \
+        (24, [6, 12], 0.5, 1e-8)
+    assert cfg.checks == list(cli.CHECKS) and cfg.jobs == 1
+
+
 def test_cli_exit_code_2_on_bad_usage(capsys):
     assert cli.main(["run", "--family", "nope"]) == 2
     capsys.readouterr()
@@ -534,6 +577,7 @@ def test_cli_growth_inverted_window_rejected_before_work(monkeypatch, capsys):
         raise AssertionError("formal solutions computed for a bad window")
 
     monkeypatch.setattr(cli, "formal_solutions", no_work)
+    monkeypatch.setattr(cli, "formal_f", no_work)
     assert cli.main(["growth", "--family", "2,1", "--window", "50,10"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -731,7 +775,7 @@ def _forbid_work(monkeypatch):
         raise AssertionError("work started on a rejected configuration")
 
     for name in ("solve_psi", "beta_data", "beta_family", "formal_solutions",
-                 "ode_from_real_data", "residue_analysis",
+                 "formal_f", "ode_from_real_data", "residue_analysis",
                  "numeric_monodromy"):
         monkeypatch.setattr(cli, name, no_work)
 
@@ -1141,3 +1185,220 @@ def test_round_floats_maps_non_finite_to_none():
     assert cli._round_floats({"a": [math.inf, -math.inf, math.nan, 0.1 + 0.2],
                               "b": (1, "x")}) == \
         {"a": [None, None, None, 0.3], "b": [1, "x"]}
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract on any argv
+# ---------------------------------------------------------------------------
+
+# flag -> (valid values, odd values); {tmp} is the example's own directory
+_FLAG_VALUES = {
+    "--family": (["2,0", "2,1", "2,-1/3", "3,2", "3,5/2", "4,1"],
+                 ["2,2/0", "2,-12800", "2,1 ", "1,1", "0,1", "2", "x,1"]),
+    "--degree": ([str(d) for d in range(4, 13)], ["-2", "-1", "0", "1", "x"]),
+    "--rect": (["3,3", "3,4", "4,6", "6,10"], ["0,5", "5,0", "1,1", "6", "x"]),
+    "--radius": (["1", "0.5", "2.5"], ["nan", "inf", "0", "-1", "0.05"]),
+    "--tol": (["1e-10", "1e-8"], ["nan", "inf", "0", "-1e-10"]),
+    "--jobs": (["1", "2"], ["-1", "0"]),
+    "--sign": (["1", "-1"], ["0"]),
+    "--m": (["2", "3"], ["0", "1", "x"]),
+    "--a": (["1*w^0", "1*w^0+1/2*w^2"], ["1*w^99", "x", "1/2*w^1"]),
+    "--b": (["1*w^2", "2/3*w^0-1*w^3"], ["1*w^99", "x"]),
+    "--window": (["4,12", "10,100"], ["50,10", "x", "3"]),
+    "--out": (["{tmp}/out.json"], ["{tmp}", "{tmp}/none/out.json"]),
+    "--series": (["{tmp}/f.json"], ["{tmp}/absent.json", "{tmp}/bad.json"]),
+    "--config": (["{tmp}/cfg.json"], ["{tmp}/absent.json", "{tmp}/bad.json"]),
+}
+# (command, flag) -> the names its comma list draws from
+_FLAG_LISTS = {
+    ("check", "--checks"): list(cli.CHECKS),
+    ("run", "--checks"): list(cli.CHECKS),
+    ("segre", "--emit"): ["psi", "rho", "hk"],
+    ("equiv", "--emit"): ["chi", "tau", "G"],
+    ("equiv", "--verify"): ["ode", "hypersurface", "coupled"],
+    ("autovec", "--check"): ["tangency", "lambda"],
+}
+# run --config key -> (valid values, odd values)
+_CONFIG_VALUES = {
+    "families": ([[[2, "1"]], [[3, "5/2"], [2, "0"]]],
+                 [5, [[2]], [[0, "1"]], [[2, "2/0"]]]),
+    "checks": ([["growth"], ["monodromy", "coupled"], ["realty", "map"]],
+               ["growth", ["bogus"]]),
+    "degree": ([6, 12], [-1, "x", 2.5, True]),
+    "rect": ([[3, 4], [4, 6]], [5, [0, 3], "4,6"]),
+    "radius": ([1.0, 0.5], [math.nan, math.inf, "1", 0.05]),
+    "tol": ([1e-10, 1e-8], [math.nan, 0, -1.0]),
+    "out": (["{tmp}/out.json"], ["{tmp}", 5]),
+    "jobs": ([1, 2], [-1, 0, "2"]),
+}
+# script -> its flags' (valid values, odd values); the beta ranges stay short
+_SCRIPT_VALUES = {
+    "divergence_scan.py": {
+        "--m": (["2", "3", "4"], ["1", "x"]),
+        "--beta-min": (["-2", "0", "1"], ["x"]),
+        "--beta-max": (["0", "2", "3"], ["-5"]),
+        "--order": (["20", "60"], ["-3", "0", "x"]),
+    },
+    "monodromy_grid.py": {
+        "--m": (["2", "3"], ["1", "x"]),
+        "--beta-min": (["-1", "0"], ["x"]),
+        "--beta-max": (["0", "2"], ["-3"]),
+        "--radius": _FLAG_VALUES["--radius"],
+        "--tol": _FLAG_VALUES["--tol"],
+    },
+    "hypersurface_from_real_data.py": {
+        "--m": _FLAG_VALUES["--m"],
+        "--a": _FLAG_VALUES["--a"],
+        "--b": _FLAG_VALUES["--b"],
+        "--rect": (["3,4", "6,10"], ["2,1", "x"]),
+    },
+}
+
+
+def _command_flags() -> dict:
+    """Each command's own flags, as its parser declares them."""
+    [sub] = [a for a in cli.build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    return {name: [opt for a in p._actions for opt in a.option_strings
+                   if opt.startswith("--") and opt != "--help"]
+            for name, p in sub.choices.items()}
+
+
+_COMMAND_FLAGS = _command_flags()
+
+
+def _valid_or_odd(draw, values):
+    """A value from valid values seven times in eight, else an odd one."""
+    valid, odd = values
+    return draw(st.sampled_from(odd if draw(st.integers(0, 7)) == 0
+                                else valid))
+
+
+def _flag_value(draw, command, flag):
+    """A value for flag: a comma list of names where the command reads one,
+    mostly of its own names."""
+    names = _FLAG_LISTS.get((command, flag))
+    if names is None:
+        return _valid_or_odd(draw, _FLAG_VALUES.get(flag, (["1"], ["x"])))
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.sampled_from(["bogus", "", f"{names[0]},,"]))
+    return ",".join(draw(st.lists(st.sampled_from(names), min_size=1,
+                                  max_size=3)))
+
+
+@st.composite
+def _cli_argv(draw):
+    """One segreode argv and the run --config it may name, biased toward
+    input the command accepts so that checks run."""
+    # run, the pipeline, is drawn as often as three other commands
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS) + ["run"] * 2))
+    own = _COMMAND_FLAGS[command]
+    member = ("--family", "--m", "--a", "--b", "--series")
+    flags = [f for f in own
+             if f not in member and draw(st.integers(0, 2)) == 0]
+    # the member: --family mostly, explicit data or --series otherwise
+    source = draw(st.sampled_from(["--family"] * 4 + [
+        f for f in ("--m", "--series") if f in own]))
+    if source == "--family" or draw(st.integers(0, 7)) == 0:
+        flags += ["--family"] * draw(st.sampled_from(
+            [0, 1, 1, 2] if command == "run" else [1] * 7 + [2]))
+    flags += {"--m": ["--m", "--a", "--b"], "--series": ["--series"]}.get(
+        source, [])
+    if draw(st.integers(0, 9)) == 0:
+        flags.append(draw(st.sampled_from(sorted(
+            {f for fs in _COMMAND_FLAGS.values() for f in fs} - set(own)))))
+    argv = [command]
+    for flag in flags:
+        argv += [flag] if flag == "--numeric" \
+            else [flag, _flag_value(draw, command, flag)]
+    config = {}
+    if "--config" in argv:
+        config = {key: _valid_or_odd(draw, values)
+                  for key, values in _CONFIG_VALUES.items()
+                  if draw(st.integers(0, 2)) == 0}
+        if draw(st.integers(0, 9)) == 0:
+            config["bogus"] = 1
+    return argv, config
+
+
+@st.composite
+def _script_argv(draw):
+    """One argv of a README example script, by its file name."""
+    script = draw(st.sampled_from(sorted(_SCRIPT_VALUES)))
+    argv = [script]
+    for flag, values in _SCRIPT_VALUES[script].items():
+        # the range flags and the required ones are mostly given
+        if draw(st.integers(0, 7)):
+            argv += [flag, _valid_or_odd(draw, values)]
+    return argv, {}
+
+
+@functools.lru_cache(maxsize=None)
+def _script_main(name):
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        name[:-3], root / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+def _exit_code(argv) -> int:
+    """The exit code of a segreode argv, or of a script's by its name."""
+    if not argv[0].endswith(".py"):
+        return cli.main(argv)
+    saved, sys.argv = sys.argv, argv
+    try:
+        return _script_main(argv[0])()
+    except SystemExit as exc:
+        return exc.code
+    finally:
+        sys.argv = saved
+
+
+def _strict_report(code, out, tmp):
+    """The report of an exit 0 or 1, on stdout or in the --out file, read as
+    strict JSON; a run report's exit code follows its checks."""
+    if out == "":
+        out = (Path(tmp) / "out.json").read_text(encoding="utf-8")
+    report = _strict_json(out)
+    if "runs" in report:
+        assert code == cli.exit_code(
+            e for run in report["runs"] for e in run["checks"].values())
+
+
+@settings(max_examples=300, deadline=5000)
+@given(st.integers(0, 4).flatmap(
+    lambda k: _script_argv() if k == 0 else _cli_argv()))
+def test_cli_contract_holds_on_any_argv(case):
+    """On any argv of the eight commands and the three scripts, and any run
+    --config file: exit 0, 1, 2 or 3 with no traceback and no warning; an
+    exit 2 prints one error: line, after argparse's usage block if any; a
+    command's exit 0 or 1 writes strict JSON."""
+    argv, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [a.replace("{tmp}", tmp) for a in argv]
+        config = {k: v.replace("{tmp}", tmp) if isinstance(v, str) else v
+                  for k, v in config.items()}
+        Path(tmp, "cfg.json").write_text(json.dumps(config))
+        Path(tmp, "bad.json").write_text('{"pole": 0, "trunc": ')
+        Path(tmp, "f.json").write_text(json.dumps(
+            TruncSeries1.from_terms({k: QI(1, 0, k + 1) for k in range(41)},
+                                    40).to_json()))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = _exit_code(argv)
+        out, err = out.getvalue(), err.getvalue()
+        event(f"{argv[0]} exits {code}")
+        assert code in (0, 1, 2, 3), (code, err)
+        assert caught == [] and "Traceback" not in err \
+            and "Warning" not in err, err
+        if code == 2:
+            *usage, last = err.splitlines()
+            assert "error:" in last and "error:" not in "".join(usage), err
+            assert not usage or usage[0].startswith("usage: ") and all(
+                line.startswith(" ") for line in usage[1:]), err
+        if code in (0, 1) and not argv[0].endswith(".py"):
+            _strict_report(code, out, tmp)

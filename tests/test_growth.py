@@ -1,3 +1,5 @@
+import importlib.util
+import json
 import math
 import os
 import subprocess
@@ -7,11 +9,14 @@ from pathlib import Path
 
 import pytest
 
+import segreode
 from segreode import (
     QI,
     SeriesError,
     TruncSeries1,
+    cli,
     diagnose,
+    equiv,
     expected_termination,
     formal_solutions,
     gevrey_estimate,
@@ -124,6 +129,31 @@ def test_divergence_scan_on_f_of_order_4():
     assert [row[:3] for row in rows] == [["0", "trivial", "True"],
                                          ["1", "nontrivial", "False"],
                                          ["2", "nontrivial", "False"]]
+
+
+def test_growth_readings_run_f_alone(monkeypatch, capsys):
+    """The growth check, growth --family and the divergence scan run f's
+    recursion alone: none builds the pair (f, u, h)."""
+    def no_pair(*_):
+        raise AssertionError("formal_solutions called for a growth reading")
+
+    for module in (segreode, equiv, cli):
+        monkeypatch.setattr(module, "formal_solutions", no_pair)
+    assert cli.main(["run", "--family", "2,-1/3", "--family", "2,2",
+                     "--checks", "growth"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [run["checks"]["growth"]["pass"] for run in report["runs"]] \
+        == [True, True]
+    assert cli.main(["growth", "--family", "4,1"]) == 0
+    assert json.loads(capsys.readouterr().out)["fit_window"][1] == 201
+    spec = importlib.util.spec_from_file_location(
+        "divergence_scan", ROOT / "scripts" / "divergence_scan.py")
+    scan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scan)
+    monkeypatch.setattr(sys, "argv", ["divergence_scan.py", "--beta-max", "2",
+                                      "--order", "60"])
+    assert scan.main() == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5
 
 
 @pytest.mark.parametrize("m, beta, n", [

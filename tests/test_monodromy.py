@@ -12,7 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from segreode import cli, monodromy, numeric_monodromy, residue_analysis
+from segreode import (
+    AdmissibleOde,
+    beta_family,
+    cli,
+    monodromy,
+    numeric_monodromy,
+    residue_analysis,
+)
 from segreode._dop853 import dop853
 from segreode.monodromy import DEVIATION_TOL
 
@@ -119,6 +126,21 @@ def test_check_contour_names_the_radius_before_the_tol(radius, tol, message):
         monodromy.check_contour(radius, tol)
     with pytest.raises(ValueError, match=message):
         numeric_monodromy(2, 1, radius, tol)
+
+
+def test_numeric_monodromy_integrates_the_beta_family_ode(monkeypatch):
+    """The integration reads P and Q from ode.beta_family, the ODE the exact
+    checks verify: doubling its Q moves the member (2, 1) onto (2, 2)."""
+    moved = numeric_monodromy(2, 2)
+
+    def doubled_q(m, beta, trunc):
+        e = beta_family(m, beta, trunc)
+        return AdmissibleOde(m, e.p, e.q + e.q)
+
+    monkeypatch.setattr(monodromy, "beta_family", doubled_q)
+    num = numeric_monodromy(2, 1)
+    assert num.matrix == moved.matrix
+    assert num.relative_deviation > DEVIATION_TOL
 
 
 def test_numeric_monodromy_checks_m_through_residue_analysis():
