@@ -22,12 +22,7 @@ from multiprocessing import Pool
 
 from .coefficients import QI
 from .growth import diagnose, expected_termination, termination_order
-from .monodromy import (
-    DEVIATION_TOL,
-    check_contour,
-    numeric_monodromy,
-    residue_analysis,
-)
+from .monodromy import check_contour, numeric_monodromy, residue_analysis
 from .ode import (
     AdmissibleOde,
     GaugeMap,
@@ -455,19 +450,18 @@ def check_selfmap(ctx: FamilyContext) -> dict:
 
 
 def check_monodromy(ctx: FamilyContext) -> dict:
-    exact = residue_analysis(ctx.m, ctx.beta)
     num = numeric_monodromy(ctx.m, ctx.beta, ctx.radius, ctx.tol)
-    ok = num.relative_deviation < DEVIATION_TOL and math.isfinite(num.det_deviation)
+    exact = num.exact
     return {
-        "pass": ok,
+        "pass": num.ok,
         "trivial": exact.trivial,
         "eigenvalue_sum": exact.eigenvalue_sum,
         "eigenvalue_product": str(exact.eigenvalue_product),
         "predicted": [[ev.real, ev.imag] for ev in exact.predicted_eigenvalues],
         "numeric_deviation": num.deviation,
         "det_deviation": num.det_deviation,
-        "witness": None if ok else {"deviation": num.deviation,
-                                    "det_deviation": num.det_deviation},
+        "witness": None if num.ok else {"deviation": num.deviation,
+                                        "det_deviation": num.det_deviation},
     }
 
 
@@ -718,9 +712,9 @@ def cmd_monodromy(args) -> int:
     if m is None:
         raise ConfigError("monodromy needs --family m,beta")
     with no_verdict():
-        report = residue_analysis(m, beta)
         num = numeric_monodromy(m, beta, args.radius, args.tol) \
             if args.numeric else None
+        report = num.exact if num else residue_analysis(m, beta)
     out = {
         "family": [m, str(beta)],
         "trivial": report.trivial,
@@ -739,8 +733,8 @@ def cmd_monodromy(args) -> int:
             "eigenvalues": [[e.real, e.imag] for e in num.eigenvalues],
             "deviation": num.deviation,
             "det_deviation": num.det_deviation,
-            "radius": num.radius,
-            "tol": num.tol,
+            "radius": args.radius,
+            "tol": args.tol,
             "n_evaluations": num.n_evaluations,
         }
     emit(out, args.out)

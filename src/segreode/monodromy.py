@@ -12,6 +12,14 @@ and the monodromy eigenvalue set is {exp(2*pi*i*lambda_j)}.  The set is
 closed under inversion (the eigenvalue sum m-1 is an integer), which makes
 the comparison with a numerically integrated loop independent of the loop
 orientation.
+
+Integer exponents lambda_1 >= lambda_2 are not enough for a trivial
+monodromy.  The Frobenius recursion in t, I(lambda+N)*c_N =
+-2i*(lambda+N-m+1)*c_{N-m+1} with I the quadratic above, steps by m-1, so
+the series of lambda_2 meets lambda_1 when r = lambda_1 - lambda_2 is a
+multiple of m-1.  At an odd multiple the factor lambda_2+N-m+1 has stopped
+it; at an even one, r = 0 included, a logarithm makes the monodromy a
+Jordan block (Ince, *Ordinary Differential Equations*, ch. XVI).
 """
 
 from __future__ import annotations
@@ -29,8 +37,8 @@ from .ode import beta_family
 
 TWO_PI = 2.0 * math.pi
 
-# Largest accepted numeric eigenvalue deviation, relative to the predicted
-# eigenvalue moduli (see NumericMonodromy.relative_deviation).
+# Largest accepted deviation of the loop's trace, determinant and (trivial
+# members) matrix from the prediction, over its scale (see numeric_monodromy).
 DEVIATION_TOL = 1e-6
 
 # Smallest accepted integration radius: closer to the irregular singularity
@@ -59,25 +67,7 @@ def check_contour(radius, tol) -> None:
 
 
 @dataclass(frozen=True)
-class NumericMonodromy:
-    matrix: tuple
-    eigenvalues: tuple
-    deviation: float
-    # deviation over max(1, |p0|, |p1|) for the predicted eigenvalues p0, p1:
-    # the integrator's tolerance is relative, and for negative beta the
-    # predicted moduli grow like exp(pi*sqrt(-4*beta - (m-1)^2)), so an
-    # absolute bound would reject accurate integrations
-    relative_deviation: float
-    det_deviation: float
-    radius: float
-    tol: float
-    n_evaluations: int
-
-
-@dataclass(frozen=True)
 class MonodromyReport:
-    m: int
-    beta: Fraction
     eigenvalue_sum: int          # m - 1
     eigenvalue_product: Fraction  # -beta
     discriminant: Fraction       # (m-1)^2 + 4*beta
@@ -87,13 +77,23 @@ class MonodromyReport:
     integer_eigenvalues: tuple | None = None
 
 
-def residue_analysis(m: int, beta) -> MonodromyReport:
-    """Exact eigenvalues of the residue quadratic and the integer test.
+@dataclass(frozen=True)
+class NumericMonodromy:
+    matrix: tuple
+    eigenvalues: tuple
+    deviation: float
+    det_deviation: float
+    n_evaluations: int
+    exact: MonodromyReport
+    ok: bool
 
-    The monodromy is trivial iff both roots are integers, i.e. iff beta is an
-    integer with discriminant (m-1)^2 + 4*beta a perfect square of the same
-    parity as m-1; equivalently beta = l*(l-m+1) for an integer l.
-    """
+
+def residue_analysis(m: int, beta) -> MonodromyReport:
+    """Exact eigenvalues of the residue quadratic and the triviality test:
+    trivial iff both roots are integers whose difference is not an even
+    multiple of m-1, i.e. beta = l*(l-m+1) for an integer l that is not an
+    odd multiple of (m-1)/2.  ``integer_eigenvalues`` is set for integer
+    roots."""
     if m < 2:
         raise ValueError(f"monodromy analysis needs m >= 2, got {m}")
     beta = Fraction(beta)
@@ -105,17 +105,13 @@ def residue_analysis(m: int, beta) -> MonodromyReport:
     except OverflowError as exc:
         raise ValueError(f"monodromy eigenvalues of m = {m}, beta = {beta} "
                          f"overflow a float: {exc}") from exc
-    trivial = False
-    integers = None
+    trivial, integers = False, None
     if beta.denominator == 1 and disc >= 0:
-        d_int = (m - 1) ** 2 + 4 * int(beta)
-        r = math.isqrt(d_int)
-        if r * r == d_int and (r - (m - 1)) % 2 == 0:
-            trivial = True
+        r = math.isqrt(int(disc))
+        if r * r == disc and (r - (m - 1)) % 2 == 0:
+            trivial = r % (2 * (m - 1)) != 0
             integers = ((m - 1 + r) // 2, (m - 1 - r) // 2)
     return MonodromyReport(
-        m=m,
-        beta=beta,
         eigenvalue_sum=m - 1,
         eigenvalue_product=-beta,
         discriminant=disc,
@@ -136,8 +132,15 @@ def _horner(coeffs, w: complex) -> complex:
 def numeric_monodromy(m: int, beta, radius: float = 1.0,
                       tol: float = 1e-10) -> NumericMonodromy:
     """Integrate the fundamental 2x2 system of ``beta_family(m, beta)``, its
-    P and Q read in floats, once around |w| = radius and compare the
-    eigenvalue set with the exact prediction.
+    P and Q read in floats, once around |w| = radius, and return the loop M
+    with ``residue_analysis(m, beta)`` as ``exact`` and the verdict as ``ok``.
+
+    With p0, p1 the predicted eigenvalues and s = max(1, |p0|, |p1|) (the
+    tolerance is relative, and the moduli grow like
+    exp(pi*sqrt(-4*beta - (m-1)^2))), ``ok`` needs |tr M - p0 - p1|/s,
+    det_deviation/s^2 and, for a trivial member, max|M - I|/s below
+    DEVIATION_TOL.  Trace and determinant keep the digits a Jordan block's
+    eigenvalues lose, so ``deviation`` is reported but not judged.
 
     Integrates with ``_dop853.dop853``, the adaptive DOP853 (Dormand-Prince
     8(5,3)) loop of ``scipy.integrate.solve_ivp`` repeated step for step on
@@ -166,6 +169,7 @@ def numeric_monodromy(m: int, beta, radius: float = 1.0,
             dw * (pw * z2p + qw * z2),
         ])
 
+    p0, p1 = exact.predicted_eigenvalues
     y0 = np.array([1, 0, 0, 1], dtype=complex)
     # an overflowing member shows as an error below, not as numpy warnings
     with np.errstate(all="ignore"):
@@ -176,25 +180,26 @@ def numeric_monodromy(m: int, beta, radius: float = 1.0,
         matrix = np.array([[yf[0], yf[2]], [yf[1], yf[3]]])
         eigs = np.linalg.eigvals(matrix)
         det = complex(np.linalg.det(matrix))
+        trace_deviation = abs(np.trace(matrix) - p0 - p1)
+        identity_deviation = np.abs(matrix - np.eye(2)).max()
 
-    p0, p1 = exact.predicted_eigenvalues
     e0, e1 = eigs
-    deviation = float(min(
-        max(abs(e0 - p0), abs(e1 - p1)),
-        max(abs(e0 - p1), abs(e1 - p0)),
-    ))
+    deviation = float(min(max(abs(e0 - p0), abs(e1 - p1)),
+                          max(abs(e0 - p1), abs(e1 - p0))))
     # Liouville-Ostrogradsky: det M = exp of the trace integral, which equals
     # 2*pi*i times the w^{m-1} coefficient of P, here exactly -m.
-    det_expected = cmath.exp(2j * math.pi * (-m))
-    det_deviation = abs(det - det_expected)
+    det_deviation = float(abs(det - cmath.exp(2j * math.pi * (-m))))
+    s = max(1.0, abs(p0), abs(p1))
+    ok = (trace_deviation / s < DEVIATION_TOL
+          and det_deviation / s / s < DEVIATION_TOL
+          and (not exact.trivial or identity_deviation / s < DEVIATION_TOL))
     return NumericMonodromy(
         matrix=tuple(tuple(row) for row in matrix),
         eigenvalues=tuple(eigs),
         deviation=deviation,
-        relative_deviation=deviation / max(1.0, abs(p0), abs(p1)),
-        det_deviation=float(det_deviation),
-        radius=radius,
-        tol=tol,
+        det_deviation=det_deviation,
         n_evaluations=nfev,
+        exact=exact,
+        ok=bool(ok),
     )
 

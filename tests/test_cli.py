@@ -1167,6 +1167,22 @@ def test_cli_overflowing_deviation_is_null_in_strict_json(argv, path):
         assert check["witness"]["det_deviation"] is None
 
 
+@pytest.mark.parametrize("member, code", [("2,-4000", 1), ("3,-1", 0)])
+def test_monodromy_check_and_grid_script_give_one_verdict(capsys, member,
+                                                          code):
+    """run's monodromy check and scripts/monodromy_grid.py read one verdict:
+    (2, -4000), whose determinant overflows, fails in both, and (3, -1), a
+    nontrivial Jordan block, passes in both."""
+    m, beta = member.split(",")
+    assert _exit_code(["run", "--family", member, "--checks", "monodromy"]) \
+        == code
+    check = _strict_json(capsys.readouterr().out)["runs"][0]["checks"][
+        "monodromy"]
+    assert check["pass"] is (code == 0) and check["trivial"] is False
+    assert _exit_code(["monodromy_grid.py", "--m", m, "--beta-min", beta,
+                       "--beta-max", beta]) == code
+
+
 def test_cli_growth_of_a_fast_decaying_series_has_null_radius(tmp_path):
     """c_k = 10^(-310k): the Cauchy-Hadamard radius exp(310k*log(10)/k)
     overflows a float; growth reports it as null, an infinite radius."""

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import itertools
 import math
 import os
@@ -16,6 +17,7 @@ from segreode import (
     AdmissibleOde,
     beta_family,
     cli,
+    expected_termination,
     monodromy,
     numeric_monodromy,
     residue_analysis,
@@ -60,9 +62,48 @@ def test_complex_eigenvalues_negative_discriminant():
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_triviality_grid_matches_integer_criterion(m):
-    reference = {l * (l - m + 1) for l in range(-12, 13)}
+    """beta = l*(l-m+1) with exponents l and m-1-l, trivial unless their
+    difference 2l-m+1 is an even multiple of m-1: for m = 3, beta = -1
+    (exponents 1, 1) and 3 (3, -1) are Jordan blocks."""
+    reference = {l * (l - m + 1) for l in range(-12, 13)
+                 if (2 * l - m + 1) % (2 * m - 2)}
     for beta in range(-3, 7):
         assert residue_analysis(m, beta).trivial == (beta in reference)
+
+
+def test_triviality_matches_termination_at_resonant_exponents():
+    """Where the exponents are integers a multiple of m-1 apart, the
+    smaller one's Frobenius series meets the larger one: it stops exactly
+    when lambda_2 = -l(m-1), i.e. when f terminates, and otherwise leaves a
+    logarithm."""
+    seen = {True: 0, False: 0}
+    for m in range(2, 10):
+        for beta in range(-100, 401):
+            rep = residue_analysis(m, beta)
+            if rep.integer_eigenvalues is None:
+                assert not rep.trivial
+                continue
+            high, low = rep.integer_eigenvalues
+            if (high - low) % (m - 1) == 0:
+                assert rep.trivial == expected_termination(m, beta)
+                seen[rep.trivial] += 1
+    assert min(seen.values()) > 10
+
+
+# integer-exponent members of m = 2..7: identity monodromy, and the
+# Jordan blocks of odd m (exponents an even multiple of m-1 apart)
+INTEGER_EXPONENT_MEMBERS = [
+    (2, 0), (2, 2), (3, -1), (3, 0), (3, 3), (3, 8), (4, -2), (4, 4),
+    (5, -4), (5, -3), (5, 12), (6, -6), (6, 6), (7, -9), (7, -8), (7, 27)]
+
+
+@pytest.mark.parametrize("m,beta", INTEGER_EXPONENT_MEMBERS)
+def test_trivial_iff_the_integrated_loop_is_the_identity(m, beta):
+    num = numeric_monodromy(m, beta)
+    assert num.exact.integer_eigenvalues is not None
+    identity_deviation = np.abs(np.array(num.matrix) - np.eye(2)).max()
+    assert num.exact.trivial == (identity_deviation < 1e-6)
+    assert num.ok
 
 
 def test_rational_beta_never_trivial():
@@ -94,7 +135,7 @@ def test_liouville_ostrogradsky_consistency():
         num = numeric_monodromy(2, beta, radius=1.0, tol=1e-10)
         m = [list(row) for row in num.matrix]
         det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        assert abs(abs(det) - 1.0) < 10 * num.tol
+        assert abs(abs(det) - 1.0) < 10 * 1e-10
 
 
 def test_tolerance_refinement_improves_deviation():
@@ -140,7 +181,7 @@ def test_numeric_monodromy_integrates_the_beta_family_ode(monkeypatch):
     monkeypatch.setattr(monodromy, "beta_family", doubled_q)
     num = numeric_monodromy(2, 1)
     assert num.matrix == moved.matrix
-    assert num.relative_deviation > DEVIATION_TOL
+    assert moved.ok and not num.ok
 
 
 def test_numeric_monodromy_checks_m_through_residue_analysis():
@@ -164,12 +205,6 @@ def test_overflowing_contour_fails_the_integration():
         numeric_monodromy(2, 1, radius=1e100)
 
 
-def test_relative_deviation_is_over_the_predicted_moduli():
-    num = numeric_monodromy(2, -5)
-    scale = max(abs(p) for p in residue_analysis(2, -5).predicted_eigenvalues)
-    assert num.relative_deviation == num.deviation / scale
-
-
 def test_monodromy_report_combined():
     """The exact classification and the contour integration of one member
     agree: beta = 1 is nontrivial, with golden-ratio residue eigenvalues."""
@@ -191,9 +226,27 @@ def test_large_predicted_eigenvalues_pass_relative_tolerance(beta):
     num = numeric_monodromy(2, beta)
     assert max(abs(p) for p in report.predicted_eigenvalues) > 1e5
     assert num.deviation > DEVIATION_TOL
-    assert num.relative_deviation < DEVIATION_TOL
+    assert num.ok
     ctx = cli.FamilyContext(2, beta=Fraction(beta))
     assert cli.check_monodromy(ctx)["pass"] is True
+
+
+def test_numeric_monodromy_returns_its_exact_analysis():
+    num = numeric_monodromy(3, Fraction(5, 2))
+    assert num.exact == residue_analysis(3, Fraction(5, 2))
+
+
+def test_wrong_trivial_claim_fails_the_verdict(monkeypatch):
+    """(3, -1) is a Jordan block with trace and determinant those of the
+    identity; claiming it trivial fails on M - I."""
+    true_analysis = monodromy.residue_analysis
+    monkeypatch.setattr(monodromy, "residue_analysis", lambda m, beta:
+                        dataclasses.replace(true_analysis(m, beta),
+                                            trivial=True))
+    num = numeric_monodromy(3, -1)
+    assert num.exact.trivial and not num.ok
+    assert not cli.check_monodromy(cli.FamilyContext(3, beta=Fraction(-1)))[
+        "pass"]
 
 
 def test_wrong_prediction_still_fails(monkeypatch):
