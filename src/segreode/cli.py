@@ -103,11 +103,8 @@ def parse_polynomial(text: str, trunc: int) -> TruncSeries1:
         if not match:
             raise ConfigError(f"cannot parse polynomial {text!r} at {stripped[pos:]!r}")
         sign, rat, deg = match.groups()
-        value = Fraction(rat)
-        if sign == "-":
-            value = -value
         degree = int(deg)
-        terms[degree] = terms.get(degree, Fraction(0)) + value
+        terms[degree] = terms.get(degree, 0) + parse_rational(sign + rat)
         pos = match.end()
     if max(terms, default=0) > trunc:
         raise ConfigError(
@@ -268,7 +265,7 @@ def _working_order(m: int, rect: tuple, degree: int) -> int:
 
 
 class FamilyContext:
-    """Memoizes the chain ODE -> profile -> defining series -> gauge map ->
+    """Caches the chain ODE -> profile -> defining series -> gauge map ->
     vector field for one family member."""
 
     def __init__(self, m: int, beta: Fraction | None = None,
@@ -293,39 +290,39 @@ class FamilyContext:
             return [self.m, str(self.beta)]
         return {"m": self.m, "explicit": True}
 
-    def _memo(self, key, builder):
+    def _cached(self, key, builder):
         if key not in self._cache:
             self._cache[key] = builder()
         return self._cache[key]
 
     def ode(self) -> AdmissibleOde:
-        return self._memo("ode", lambda: ode_from_real_data(self.data))
+        return self._cached("ode", lambda: ode_from_real_data(self.data))
 
     def family(self):
-        return self._memo("family", lambda: solve_psi(self.ode(), +1, self.rect))
+        return self._cached("family", lambda: solve_psi(self.ode(), +1, self.rect))
 
     def hyper(self):
-        return self._memo("hyper", lambda: build_rho(self.family()))
+        return self._cached("hyper", lambda: build_rho(self.family()))
 
     def zero_ode(self) -> AdmissibleOde:
-        return self._memo("zero_ode", lambda: beta_family(self.m, 0, self.work))
+        return self._cached("zero_ode", lambda: beta_family(self.m, 0, self.work))
 
     def zero_hyper(self):
-        return self._memo("zero_hyper",
-                          lambda: explicit_model(self.m, self.rect))
+        return self._cached("zero_hyper",
+                            lambda: explicit_model(self.m, self.rect))
 
     def solutions(self):
-        return self._memo(
+        return self._cached(
             "solutions",
             lambda: formal_solutions(self.m, self.beta, self.degree),
         )
 
     def chi_tau(self) -> GaugeMap:
-        return self._memo("chi_tau", lambda: build_chi_tau(self.solutions()))
+        return self._cached("chi_tau", lambda: build_chi_tau(self.solutions()))
 
     def field(self) -> VectorFieldRep:
-        return self._memo("field",
-                          lambda: build_vector_field(self.solutions()))
+        return self._cached("field",
+                            lambda: build_vector_field(self.solutions()))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,9 @@ Conventions
   across threads.
 
 Every operation works on numerator rows over Gaussian integers, so no ``QI``
-is built until a cell is read, and every series product runs through one
-kernel, :func:`_conv`, a univariate product being its one-row case.
+is built until a cell is read.  Every series product runs through one kernel,
+:func:`_conv`, one output row per call: a univariate product is one row, and
+every bivariate one, eager or online, runs row by row on the online engine.
 
 Univariate division, exp, log and fractional powers run the classical O(n^2)
 coefficient recurrences (Knuth, TAOCP vol. 2, section 4.7) through one online
@@ -34,8 +35,8 @@ taken between rows: row k is one weighted output row of :func:`_conv`.
 
 An :class:`OnlineSeries2` computes each x-row once, from rows <= k of its
 inputs (relaxed evaluation), and keeps it once, as a numerator row.  The
-row-local operations (:class:`_Rows2`) and the Taylor shift, Horner in
-delta = g - y (:func:`_horner`), are written once for eager and online series.
+product, the row-local operations (:class:`_Rows2`) and the Taylor shift
+(:func:`_horner`, Horner in delta = g - y) serve eager and online series alike.
 """
 
 from __future__ import annotations
@@ -91,36 +92,32 @@ def _numerators(cells, n: int):
                  for l, c in enumerate(cells) if c.a or c.b]
 
 
-def _conv(sa, sb, nx: int, ny: int, lo: int = 0, weight=None):
-    """The one product kernel: numerator rows (d, nums) in, those of the
-    product out on the x-rows lo..nx of the rectangle (nx, ny).  Row k sums
-    the products of the nonzero rows i of sa and k - i of sb, times
-    ``weight(i)`` if given (weight 0 leaves the pair out), over the lcm of
-    the pairs' denominators."""
-    out = []
-    for k in range(lo, nx + 1):
-        pairs = [(i, sa[i], sb[k - i])
-                 for i in range(max(0, k + 1 - len(sb)), min(k + 1, len(sa)))
-                 if sa[i][1] and sb[k - i][1] and (not weight or weight(i))]
-        den = math.lcm(*[da * db for _, (da, _), (db, _) in pairs])
-        acc_r = [0] * (ny + 1)
-        acc_i = [0] * (ny + 1)
-        for i, (da, row_a), (db, row_b) in pairs:
-            f = den // (da * db) * (weight(i) if weight else 1)
-            for la, ar, ai in row_a:
-                if la > ny:
+def _conv(sa, sb, k: int, ny: int, weight=None):
+    """The one product kernel: row k, to column ny, of the product of the
+    numerator rows (d, nums) sa and sb.  It sums the products of the nonzero
+    rows i of sa and k - i of sb, times ``weight(i)`` if given (weight 0
+    leaves the pair out), over the lcm of the pairs' denominators."""
+    pairs = [(i, sa[i], sb[k - i])
+             for i in range(max(0, k + 1 - len(sb)), min(k + 1, len(sa)))
+             if sa[i][1] and sb[k - i][1] and (not weight or weight(i))]
+    den = math.lcm(*[da * db for _, (da, _), (db, _) in pairs])
+    acc_r = [0] * (ny + 1)
+    acc_i = [0] * (ny + 1)
+    for i, (da, row_a), (db, row_b) in pairs:
+        f = den // (da * db) * (weight(i) if weight else 1)
+        for la, ar, ai in row_a:
+            if la > ny:
+                break
+            if f != 1:
+                ar, ai = ar * f, ai * f
+            top = ny - la
+            for lb, br, bi in row_b:
+                if lb > top:
                     break
-                if f != 1:
-                    ar, ai = ar * f, ai * f
-                top = ny - la
-                for lb, br, bi in row_b:
-                    if lb > top:
-                        break
-                    l = la + lb
-                    acc_r[l] += ar * br - ai * bi
-                    acc_i[l] += ar * bi + ai * br
-        out.append((den, _sparse(acc_r, acc_i)))
-    return out
+                l = la + lb
+                acc_r[l] += ar * br - ai * bi
+                acc_i[l] += ar * bi + ai * br
+    return den, _sparse(acc_r, acc_i)
 
 
 def _sum(row_a, row_b, ny: int, sign: int = 1):
@@ -229,9 +226,9 @@ def _horner(top: int, coeff, base, nx: int, ny: int):
     ``coeff(j)`` maps i to row i of C_j as a numerator row.  base has x-order
     vx >= 1, so row k of H_{j+1} * base reads rows <= k - vx of H_{j+1}:
     H_j is computed on the rows up to nx - j*vx only."""
-    acc = OnlineSeries2(nx, ny, coeff(top), False)
+    acc = OnlineSeries2(nx, ny, coeff(top))
     for j in range(top - 1, -1, -1):
-        acc = OnlineSeries2(nx, ny, coeff(j), False) + acc * base
+        acc = OnlineSeries2(nx, ny, coeff(j)) + acc * base
     return acc
 
 
@@ -330,16 +327,16 @@ def _row_recurrence(w, c0, a: int, b: int, q: int = 1, t=None, mu=None):
         if not k:
             return c0
         ws.append(w._row(k))
-        den, nums = _conv(ws, cs, k, ny, k, lambda j: a * k + b * j)[0]
+        den, nums = _conv(ws, cs, k, ny, lambda j: a * k + b * j)
         out = (den * q * k, nums)
         if t is not None:
             out = _sum(out, t._row(k), ny)
         if ms is not None:
-            out = _conv([out], ms, 0, ny)[0]
+            out = _conv([out], ms, 0, ny)
         cs.append(_reduced(out))
         return cs[k]
 
-    return w._new(w.nx, ny, row, True)
+    return w._new(w.nx, ny, row)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +542,7 @@ class TruncSeries1:
         if trunc < -pole:
             raise TruncationStarvation("product truncation exhausted")
         return TruncSeries1._new(pole, trunc, _conv(
-            [self._row], [other._row], 0, trunc + pole)[0])
+            [self._row], [other._row], 0, trunc + pole))
 
     __rmul__ = __mul__
 
@@ -628,11 +625,11 @@ class TruncSeries1:
 
 
 class _Rows2:
-    """Row-local operations, written once for :class:`TruncSeries2` and
-    :class:`OnlineSeries2`: ``s._row(k)`` is row k as a numerator row (d,
-    nums), its nonzero (l, re, im) by rising l over d > 0; ``s[k]`` is row k
-    as cells and ``s.row(k)`` as a univariate series in y; ``_new(nx, ny,
-    rows)`` makes a series of the same kind."""
+    """The product and the row-local operations, written once for
+    :class:`TruncSeries2` and :class:`OnlineSeries2`: ``s._row(k)`` is row k
+    as a numerator row (d, nums), its nonzero (l, re, im) by rising l over
+    d > 0; ``s[k]`` is row k as cells and ``s.row(k)`` as a univariate series
+    in y; ``_new(nx, ny, rows)`` makes a series of the same kind."""
 
     __slots__ = ()
 
@@ -694,6 +691,31 @@ class _Rows2:
 
     def __sub__(self, other):
         return self._zip(other, -1)
+
+    def __mul__(self, other):
+        """Row k is sum_i a_i * b_{k-i} by :func:`_conv`, on online rows
+        whatever the factors; the product is online if a factor is.  The
+        lower row of each pair is read first and a zero one leaves the other
+        unread, so a factor of x-order >= 1 never reads row k of the other."""
+        if not isinstance(other, _Rows2):
+            return self.scale(other)
+        a, b = _online(self), _online(other)
+        ny = min(self.ny, other.ny)
+
+        def row(k):
+            sa, sb = a._rows, b._rows
+            for i in range(k + 1):
+                if i < len(sa) and k - i < len(sb):
+                    continue  # both rows of the pair are stored
+                lo, hi = ((a, i), (b, k - i))[:: 1 if 2 * i <= k else -1]
+                if lo[0]._row(lo[1])[1]:
+                    hi[0]._row(hi[1])
+            return _reduced(_conv(sa, sb, k, ny))
+
+        new = (other if isinstance(other, OnlineSeries2) else self)._new
+        return new(min(self.nx, other.nx), ny, row)
+
+    __rmul__ = __mul__
 
     def scale(self, value: Scalar):
         c = _as_cell(value)
@@ -764,7 +786,7 @@ class TruncSeries2(_Rows2):
         return tuple(tuple(self[k]) for k in range(self.nx + 1))
 
     @staticmethod
-    def _new(nx: int, ny: int, rows, memo: bool = False):
+    def _new(nx: int, ny: int, rows):
         """The series whose row k is the numerator row rows(k)."""
         out = object.__new__(TruncSeries2)
         out._set(nx, ny, *_gather([rows(k) for k in range(nx + 1)]))
@@ -866,17 +888,9 @@ class TruncSeries2(_Rows2):
 
     # -- ring ops; the row-local operations are those of _Rows2 ----------------
 
-    def __mul__(self, other):
-        if isinstance(other, OnlineSeries2):
-            return NotImplemented  # OnlineSeries2.__rmul__ multiplies online
-        if not isinstance(other, TruncSeries2):
-            return self.scale(other)
-        nx, ny = min(self.nx, other.nx), min(self.ny, other.ny)
-        rows = _conv([self._row(k) for k in range(nx + 1)],
-                     [other._row(k) for k in range(nx + 1)], nx, ny)
-        return self._new(nx, ny, rows.__getitem__)
-
-    __rmul__ = __mul__
+    # bound here as well as exp: perfbench/spans.py wraps the products and
+    # exp it finds in vars(TruncSeries2)
+    __mul__ = __rmul__ = _Rows2.__mul__
 
     # -- transcendental -----------------------------------------------------------
 
@@ -964,65 +978,41 @@ class OnlineSeries2(_Rows2):
     """A bivariate series on the rectangle (nx, ny) computed one x-row at a
     time (relaxed evaluation with the naive product; van der Hoeven, "Relax,
     but don't be too lazy", J. Symb. Comp. 34, 2002): ``s._row(k)`` computes
-    row k from rows <= k of the inputs, once and in order, and keeps it (a
-    row-local series, memo False, keeps rows only when a product reads them);
-    reading row k while it is being computed raises :class:`SeriesError`.
+    the rows up to k from rows <= k of the inputs, once and in order, and
+    keeps them; reading row k while it is being computed raises
+    :class:`SeriesError`, and a row whose computation raised is retried.
     Its operations give the eager cells and rectangles, but ``substitute_y``
     by a g with y^0 terms leaves out the cap that depends on every row of g."""
 
-    __slots__ = ("nx", "ny", "_rows", "_make", "_memo", "_busy")
+    __slots__ = ("nx", "ny", "_rows", "_make", "_busy")
 
-    def __init__(self, nx: int, ny: int, make, memo: bool = True):
-        self.nx, self.ny, self._make, self._memo = nx, ny, make, memo
+    def __init__(self, nx: int, ny: int, make):
+        self.nx, self.ny, self._make = nx, ny, make
         self._rows, self._busy = [], False
 
-    def _stored(self, k: int):
+    def _row(self, k: int):
         rows = self._rows
         while len(rows) <= k:
             if self._busy:
                 raise SeriesError(f"row {len(rows)} of an online series is "
                                   "read while it is being computed")
             self._busy = True
-            rows.append(self._make(len(rows)))
-            self._busy = False
+            try:
+                rows.append(self._make(len(rows)))
+            finally:
+                self._busy = False
         return rows[k]
-
-    def _row(self, k: int):
-        return self._stored(k) if self._memo else self._make(k)
 
     def to_series(self) -> TruncSeries2:
         return TruncSeries2._new(self.nx, self.ny, self._row)
 
-    def _new(self, nx: int, ny: int, rows, memo: bool = False):
-        return OnlineSeries2(nx, ny, rows, memo)
-
-    def __mul__(self, other):
-        """Row k is sum_i a_i * b_{k-i} by :func:`_conv`.  The lower row of
-        each pair is read first and a zero one leaves the other unread, so a
-        factor of x-order >= 1 never reads row k of the other."""
-        if not isinstance(other, _Rows2):
-            return self.scale(other)
-        o = _online(other)
-        ny = min(self.ny, o.ny)
-
-        def row(k):
-            sa, sb = self._rows, o._rows
-            for i in range(k + 1):
-                if i < len(sa) and k - i < len(sb):
-                    continue  # both rows of the pair are stored
-                lo, hi = ((self, i), (o, k - i))[:: 1 if 2 * i <= k else -1]
-                if lo[0]._stored(lo[1])[1]:
-                    hi[0]._stored(hi[1])
-            return _reduced(_conv(sa, sb, k, ny, k)[0])
-
-        return OnlineSeries2(min(self.nx, o.nx), ny, row)
-
-    __rmul__ = __mul__
+    def _new(self, nx: int, ny: int, rows):
+        return OnlineSeries2(nx, ny, rows)
 
 
 def _online(s) -> OnlineSeries2:
     return s if isinstance(s, OnlineSeries2) else OnlineSeries2(
-        s.nx, s.ny, s._row, False)
+        s.nx, s.ny, s._row)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from segreode import (
@@ -60,6 +60,8 @@ def test_parse_polynomial():
         parse_polynomial("w^2", 8)
     with pytest.raises(ConfigError):
         parse_polynomial("1*w^9", 8)
+    with pytest.raises(ConfigError, match="cannot parse rational '1/0'"):
+        parse_polynomial("1/0*w^0", 8)
 
 
 def test_parse_rect():
@@ -232,6 +234,8 @@ def test_cli_growth_negative_degree_rejected_before_work(monkeypatch, capsys,
                                         "--b", "1*w^2"]),
     ("hypersurface_from_real_data.py", ["--m", "2", "--a", "1*w^0",
                                         "--b", "1*w^2", "--rect", "2,1"]),
+    ("hypersurface_from_real_data.py", ["--m", "2", "--a", "1/0*w^0",
+                                        "--b", "1*w^2"]),
     # float overflows: in the integration, and in the predicted eigenvalues
     ("monodromy_grid.py", ["--beta-min", "0", "--beta-max", "0",
                            "--radius", "1e100"]),
@@ -1218,7 +1222,8 @@ _FLAG_VALUES = {
     "--jobs": (["1", "2"], ["-1", "0"]),
     "--sign": (["1", "-1"], ["0"]),
     "--m": (["2", "3"], ["0", "1", "x"]),
-    "--a": (["1*w^0", "1*w^0+1/2*w^2"], ["1*w^99", "x", "1/2*w^1"]),
+    "--a": (["1*w^0", "1*w^0+1/2*w^2"],
+            ["1*w^99", "x", "1/2*w^1", "1/0*w^0"]),
     "--b": (["1*w^2", "2/3*w^0-1*w^3"], ["1*w^99", "x"]),
     "--window": (["4,12", "10,100"], ["50,10", "x", "3"]),
     "--out": (["{tmp}/out.json"], ["{tmp}", "{tmp}/none/out.json"]),
@@ -1386,6 +1391,9 @@ def _strict_report(code, out, tmp):
 @settings(max_examples=300, deadline=5000)
 @given(st.integers(0, 4).flatmap(
     lambda k: _script_argv() if k == 0 else _cli_argv()))
+@example((["build-ode", "--m", "2", "--a", "1/0*w^0", "--b", "1*w^2"], {}))
+@example((["hypersurface_from_real_data.py", "--m", "2", "--a", "1/0*w^0",
+           "--b", "1*w^2"], {}))
 def test_cli_contract_holds_on_any_argv(case):
     """On any argv of the eight commands and the three scripts, and any run
     --config file: exit 0, 1, 2 or 3 with no traceback and no warning; an

@@ -25,7 +25,7 @@ from segreode import (
     parse_coeff,
 )
 from segreode.coefficients import ONE, ZERO
-from segreode.series import OnlineSeries2, _horner, _online, _powers
+from segreode.series import OnlineSeries2, _horner, _online, _powers, _sum
 
 N = 10
 
@@ -1549,8 +1549,8 @@ def test_online_operations_match_eager(pair, a, b, outer):
 
 
 def test_eager_times_online_is_the_online_product():
-    """An eager left factor leaves the product to OnlineSeries2.__rmul__;
-    both orders give the eager product's cells and rectangle."""
+    """A product with an online factor is online, whichever side that factor
+    is on, and gives the eager product's cells and rectangle."""
     x = TruncSeries2.var_x(2, 2)
     a = x + TruncSeries2.var_y(3, 1).scale(QI(1, 2))
     for got in (x * _online(a), _online(a) * x, x * _online(x)):
@@ -1575,6 +1575,31 @@ def test_online_row_read_while_computed_raises():
     u = OnlineSeries2(2, 1, lambda k: u._row(k))
     with pytest.raises(SeriesError, match="read while it is being computed"):
         u[0]
+
+
+def test_online_row_that_raised_raises_again():
+    """A row whose computation raised leaves the series readable: the next
+    read retries it and raises the same error, not a false re-entry."""
+    x = TruncSeries2.var_x(2, 2) + TruncSeries2.var_y(2, 2)
+    u = OnlineSeries2(2, 2, lambda k: x._row(k))
+    p = u.shift_y(-1) * u.shift_y(-1)
+    for _ in range(2):
+        with pytest.raises(SeriesError, match=r"not divisible by y\^1"):
+            p[1]
+
+
+def test_online_rows_are_computed_once(monkeypatch):
+    """A row-local online series keeps its rows: reading a row again sums
+    nothing."""
+    x = TruncSeries2.var_x(2, 2) + TruncSeries2.var_y(2, 2)
+    u = OnlineSeries2(2, 2, lambda k: x._row(k))
+    calls = []
+    monkeypatch.setattr("segreode.series._sum",
+                        lambda *a: calls.append(1) or _sum(*a))
+    s = u + u
+    first = s[1]
+    summed = len(calls)
+    assert s[1] == first and summed and len(calls) == summed
 
 
 @pytest.mark.parametrize("g", [
