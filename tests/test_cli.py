@@ -234,14 +234,15 @@ def test_cli_growth_negative_degree_rejected_before_work(monkeypatch, capsys,
                                         "--b", "1*w^2"]),
     ("hypersurface_from_real_data.py", ["--m", "2", "--a", "1*w^0",
                                         "--b", "1*w^2", "--rect", "2,1"]),
-    ("hypersurface_from_real_data.py", ["--m", "2", "--a", "1/0*w^0",
-                                        "--b", "1*w^2"]),
     # float overflows: in the integration, and in the predicted eigenvalues
     ("monodromy_grid.py", ["--beta-min", "0", "--beta-max", "0",
                            "--radius", "1e100"]),
     ("monodromy_grid.py", ["--beta-min", "-12800", "--beta-max", "-12800"]),
     ("divergence_scan.py", ["--beta-min", "-12800", "--beta-max", "-12800",
                             "--order", "40"]),
+    # a zero denominator in a coefficient
+    ("hypersurface_from_real_data.py", ["--m", "2", "--a", "1/0*w^0",
+                                        "--b", "1*w^2"]),
 ])
 def test_scripts_reject_bad_input_with_exit_2(script, args):
     """An input a script cannot use, or one the library rejects, is an
