@@ -27,8 +27,10 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--m", type=int, required=True)
     ap.add_argument("--a", type=str, required=True,
-                    help="real polynomial, e.g. '1*w^0+1/2*w^2'")
-    ap.add_argument("--b", type=str, required=True)
+                    help="real polynomial, e.g. '1*w^0+1/2*w^2'; a leading "
+                         "minus needs --a=-1/2*w^0")
+    ap.add_argument("--b", type=str, required=True,
+                    help="as --a; a leading minus needs --b=-1*w^2")
     ap.add_argument("--rect", type=str, default="6,12")
     args = ap.parse_args()
 

@@ -434,15 +434,13 @@ def check_selfmap(ctx: FamilyContext) -> dict:
         return {"pass": None, "degree": degree,
                 "detail": "the probe runs no stage below degree 1"}
     report = self_map_probe(ctx.ode(), degree)
-    dims = [st.dimension for st in report.stages]
+    free = report.free_degrees
     return {
         "pass": report.rigid,
         "degree": degree,
-        "dimensions": dims,
+        "dimensions": [int(d in free) for d in range(1, degree + 1)],
         "verified_order": report.verified_order,
-        "witness": None if report.rigid else {"free_degrees": [
-            st.degree for st in report.stages if st.dimension > 0
-        ]},
+        "witness": None if report.rigid else {"free_degrees": list(free)},
     }
 
 
@@ -829,9 +827,10 @@ SHARED_FLAGS = {
     "family": dict(action="append", default=[], metavar="m,beta",
                    help="family member (repeatable for run)"),
     "m": dict(type=int, default=None, help="order for explicit data"),
-    "a": dict(type=str, default=None,
-              help="polynomial for a, e.g. '1*w^0+1/2*w^2'"),
-    "b": dict(type=str, default=None, help="polynomial for b, e.g. '1*w^2'"),
+    "a": dict(type=str, default=None, help="polynomial for a, e.g. "
+              "'1*w^0+1/2*w^2'; a leading minus needs --a=-1/2*w^0"),
+    "b": dict(type=str, default=None, help="polynomial for b, e.g. "
+              "'1*w^2'; a leading minus needs --b=-1*w^2"),
     "degree": dict(type=int, default=40,
                    help="univariate truncation order (default 40)"),
     "rect": dict(type=str, default="8,24",

@@ -1,6 +1,6 @@
 """Formal fundamental solutions of the one-parameter family, the divergent
 gauge equivalence onto the beta = 0 member, the coupled parameter-side map,
-and a degree-by-degree rigidity probe for gauge self-maps.
+and a rigidity probe for gauge self-maps that decides every degree at once.
 
 For z'' = (2i/w^m - m/w) z' + (beta/w^2) z the fundamental pair is
 
@@ -25,6 +25,7 @@ coupled is eta^m*tau' = tau^m*chi*conj(chi).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -175,44 +176,32 @@ def verify_map_on_hypersurface(h_beta: Hypersurface, m: int,
 
 
 @dataclass(frozen=True)
-class ProbeStage:
-    degree: int
-    dimension: int  # 1: the stage leaves g_{d+m} free
-
-
-@dataclass(frozen=True)
 class ProbeReport:
-    stages: tuple
-    rigid: bool          # every stage pinned both unknowns
-    verified_order: int  # residuals vanish to this coefficient order
+    free_degrees: tuple  # the degrees whose stage leaves g_{d+m} free
+    verified_order: int  # the identity's residual vanishes to this order
 
-
-def stage_matrix(e: AdmissibleOde, d: int) -> tuple:
-    """Stage d's linear part (a11, a12, a21, a22): the changes of P and Q at
-    w^{d-1+m} from f = 1 + w^d (a11, a21) and g = w + w^{d+m} (a12, a22).
-    The pullback's first variation at the identity, f = 1 + phi and
-    g = w + psi, is d(alpha^) = (alpha*psi)' + psi'' - 2*phi' and
-    d(gamma^) = alpha*phi' + gamma'*psi + 2*gamma*psi' - phi''; at that
-    degree only P(0), Q(0) and, for m = 1, psi'' and phi'' enter."""
-    p0, q0 = e.p.coefficient(0), e.q.coefficient(0)
-    a12 = a21 = p0 * d
-    if e.m == 1:
-        a12, a21 = a12 + d * (d + 1), a21 - d * (d - 1)
-    return QI(-2 * d), a12, a21, q0 * (2 * d)
+    @property
+    def rigid(self) -> bool:
+        return not self.free_degrees
 
 
 def self_map_probe(e: AdmissibleOde, degree: int) -> ProbeReport:
-    """Solve pullback(e, (f, g)) = e for a special gauge (f, g) degree by
-    degree.
+    """Which degrees 1..degree leave a special gauge self-map (f, g) of e,
+    pullback(e, (f, g)) = e, a free coefficient; none means rigid.
 
-    At stage d the new unknowns are f_d and g_{d+m}; the residual coefficients
-    of P and Q at w^{d-1+m} are affine in them (nonlinear corrections and
-    later unknowns only reach higher orders).  The identity solves every
-    stage, so the affine part vanishes and the rank of the linear part,
-    :func:`stage_matrix`, pins both unknowns or leaves free directions.  A
-    stage is rigid iff its determinant (for m >= 2, -d^2*(P(0)^2 + 4*Q(0)))
-    is nonzero; otherwise, as a11 = -2d is not, it has dimension 1 with free
-    direction g.
+    Stage d's unknowns f_d and g_{d+m} enter P and Q at w^{d-1+m} affinely,
+    and the identity solves every stage, so only the linear part counts: the
+    first variation at the identity, f = 1 + phi and g = w + psi, is
+    d(alpha^) = (alpha*psi)' + psi'' - 2*phi' and d(gamma^) = alpha*phi' +
+    gamma'*psi + 2*gamma*psi' - phi'', which at that degree reads only P(0),
+    Q(0) and, for m = 1, psi'' and phi''.  Its determinant,
+
+        -d^2*(P(0)^2 + 4*Q(0))              for m >= 2,
+        d^2*(d^2 - (P(0) + 1)^2 - 4*Q(0))   for m = 1,
+
+    vanishes exactly at the free degrees, each with free direction g (the f
+    entry, -2d, never vanishes): for m >= 2 every degree or none, for m = 1
+    at most the integer d with d^2 = (P(0) + 1)^2 + 4*Q(0).
 
     The identity is pulled back once, at the working order degree + 2m + 8,
     and its residual must vanish to the verified order degree + m - 1;
@@ -234,9 +223,11 @@ def self_map_probe(e: AdmissibleOde, degree: int) -> ProbeReport:
     if low <= verified:
         raise SeriesError(f"probe invariant broken: the identity's residual "
                           f"at order {low} should be zero")
-    stages = []
-    for d in range(1, degree + 1):
-        a11, a12, a21, a22 = stage_matrix(e, d)
-        stages.append(ProbeStage(d, int((a11 * a22 - a12 * a21).is_zero)))
-    rigid = all(st.dimension == 0 for st in stages)
-    return ProbeReport(tuple(stages), rigid, verified)
+    p0, q0 = e.p.coefficient(0), e.q.coefficient(0)
+    if m >= 2:
+        free = range(1, degree + 1) if (p0 * p0 + 4 * q0).is_zero else ()
+    else:
+        sq = (p0 + 1) * (p0 + 1) + 4 * q0
+        d = math.isqrt(sq.a) if sq.is_real and sq.d == 1 and sq.a > 0 else 0
+        free = (d,) if 0 < d <= degree and d * d == sq.a else ()
+    return ProbeReport(tuple(free), verified)

@@ -3,8 +3,11 @@ by least squares on log-magnitudes, Cauchy-Hadamard radius estimates, and
 exact termination detection.
 
 The Gevrey fit is a heuristic: it diagnoses divergence from finitely many
-coefficients and never proves it.  Structural divergence statements rest on
-the monodromy classification; this module corroborates them numerically.
+coefficients and never proves it.  Termination is decided exactly, by
+:func:`expected_termination` and ``equiv.formal_f``.  For m = 2, 3 a trivial
+monodromy is exactly a terminating f; for m >= 4 it is not ((4,-2) has
+trivial monodromy and a divergent f), and there the Gevrey fit is the
+pipeline's only divergence evidence.
 """
 
 from __future__ import annotations

@@ -247,15 +247,26 @@ def test_cli_growth_negative_degree_rejected_before_work(monkeypatch, capsys,
 def test_scripts_reject_bad_input_with_exit_2(script, args):
     """An input a script cannot use, or one the library rejects, is an
     argparse usage error: exit 2 with an error line, no traceback."""
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, str(root / "scripts" / script),
-                           *args], capture_output=True, text=True, env=env,
-                          timeout=300)
+    proc = _run_script(script, args)
     assert proc.returncode == 2, proc.stderr
     assert f"{script}: error: " in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _run_script(script, args):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, str(root / "scripts" / script),
+                           *args], capture_output=True, text=True, env=env,
+                          timeout=300)
+
+
+def test_script_takes_a_leading_minus_in_the_equals_form():
+    """--a=-1/2*w^0 passes a polynomial with a leading minus as the value."""
+    proc = _run_script("hypersurface_from_real_data.py", [
+        "--m", "2", "--a=-1/2*w^0", "--b", "1*w^2", "--rect", "4,8"])
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_roundtrip_names_the_first_offending_degree():
@@ -407,6 +418,18 @@ def test_cli_build_ode_explicit_polynomials(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["P"]["coeffs"][1] == "-2"
+
+
+def test_cli_build_ode_leading_minus_in_the_equals_form(capsys):
+    """--a=-1/2*w^0 passes a polynomial with a leading minus as the value;
+    as a separate word argparse reads it as an option."""
+    code = cli.main(["build-ode", "--m", "2", "--a=-1/2*w^0", "--b", "1*w^2",
+                     "--degree", "4"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["P"]["coeffs"][:2] == [
+        "-1i", "-2"]
+    assert cli.main(["build-ode", "--m", "2", "--a", "-1/2*w^0", "--b",
+                     "1*w^2", "--degree", "4"]) == 2
 
 
 def test_cli_segre_emit(capsys):

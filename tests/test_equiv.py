@@ -325,7 +325,6 @@ def test_map_identity_with_wrong_beta_leaves_witness():
 def test_probe_beta0_rigid():
     report = self_map_probe(beta_family(2, 0, 26), 12)
     assert report.rigid
-    assert all(st.dimension == 0 for st in report.stages)
     assert report.verified_order >= 12
 
 
@@ -338,8 +337,8 @@ def test_probe_flat_equation_detects_freedom():
     flat = AdmissibleOde(1, TruncSeries1.zero(24), TruncSeries1.zero(24))
     report = self_map_probe(flat, 6)
     assert not report.rigid
-    assert report.stages[0].dimension == 1
-    # dimension 1 leaves g free: the full affine solve finds the same
+    assert report.free_degrees == (1,)
+    # degree 1 leaves g free: the full affine solve finds the same
     assert _self_map_probe_oracle(flat, 6).stages[0].free_directions == ("g",)
 
 
@@ -504,6 +503,10 @@ def _probe_cases():
         yield f"complex-m{m}", lambda m=m: _random_complex_ode(m, 2 * m + 13, 0), 5
     yield "flat-m1", lambda: AdmissibleOde(1, TruncSeries1.zero(24),
                                            TruncSeries1.zero(24)), 6
+    # m = 1 with (P(0) + 1)^2 + 4 Q(0) = (2i)^2 + 20 = 4^2: degree 4 is free
+    yield "real-m1-a1-b5", lambda: ode_from_real_data(RealData(
+        1, TruncSeries1.one(24), TruncSeries1.from_terms({0: 5}, 24))), 12
+    yield "family-4,1", lambda: beta_family(4, 1, 40), 12
     # P(0)^2 + 4 Q(0) = 0 makes the stage-1 system singular
     yield "singular-m2", lambda: AdmissibleOde(
         2, TruncSeries1.from_terms({0: 2, 1: -2}, 24),
@@ -513,22 +516,38 @@ def _probe_cases():
 @pytest.mark.parametrize("make,degree", [c[1:] for c in _probe_cases()],
                          ids=[c[0] for c in _probe_cases()])
 def test_probe_matches_full_order_oracle(make, degree):
-    """The rank-only probe reports what the full affine solve reports, and
-    the affine solve never leaves the identity: every stage is consistent
-    with zero coefficients."""
+    """The closed-form probe frees the degrees where the full affine solve
+    finds dimension 1, and the affine solve never leaves the identity: every
+    stage is consistent with zero coefficients."""
     e = make()
     report = self_map_probe(e, degree)
     oracle = _self_map_probe_oracle(e, degree)
-    assert [(st.degree, st.dimension) for st in report.stages] == [
-        (st.degree, st.dimension) for st in oracle.stages]
-    # the probe's dimension 1 means g is free: so the oracle finds it
-    assert all(st.free_directions == (("g",) if st.dimension else ())
-               for st in oracle.stages)
+    assert [st.degree for st in oracle.stages] == list(range(1, degree + 1))
+    assert report.free_degrees == tuple(
+        st.degree for st in oracle.stages if st.dimension == 1)
+    # a free degree leaves g free, and no other stage leaves anything
+    assert all(st.free_directions == (
+        ("g",) if st.degree in report.free_degrees else ())
+        for st in oracle.stages)
     assert (report.rigid, report.verified_order) == (oracle.rigid,
                                                       oracle.verified_order)
     assert oracle.identity
     assert all(st.consistent and st.f_coeff.is_zero and st.g_coeff.is_zero
                for st in oracle.stages)
+
+
+@pytest.mark.parametrize("sq, degree, free", [
+    (16, 4, (4,)), (16, 3, ()), (1, 4, (1,)), (0, 4, ()), (-16, 4, ()),
+    (2, 4, ()), (Fraction(9, 4), 4, ()), (QI(16, 16), 4, ())])
+def test_probe_m1_frees_only_the_integer_root(sq, degree, free):
+    """For m = 1 the one degree that can be free is the integer d >= 1 with
+    d^2 = (P(0) + 1)^2 + 4*Q(0), and only up to the probed degree: the full
+    affine solve agrees for each kind of value d^2 can take."""
+    e = AdmissibleOde(1, TruncSeries1.from_terms({0: -1}, 24),
+                      TruncSeries1.from_terms({0: QI.of(sq) / 4}, 24))
+    assert self_map_probe(e, degree).free_degrees == free
+    assert tuple(st.degree for st in _self_map_probe_oracle(e, degree).stages
+                 if st.dimension == 1) == free
 
 
 def test_probe_raises_when_the_identity_leaves_a_residual(monkeypatch):
@@ -567,21 +586,25 @@ def _perturbed_stage_matrix(e, d):
 
 
 def test_probe_stage_entries_match_perturbed_pullbacks():
-    """The closed-form stage entries, a11 = -2d, a12 = a21 = d*P(0) and
-    a22 = 2d*Q(0), with d(d + 1) added to a12 and d(d - 1) taken from a21
-    for m = 1, are what the perturbed pullbacks give, on every probe case
-    and on (4,1)."""
-    cases = list(_probe_cases()) + [
-        ("deep-4,1", lambda: beta_family(4, 1, 40), 12)]
-    for name, make, degree in cases:
+    """The determinant the probe decides by, -d^2*(P(0)^2 + 4*Q(0)) for
+    m >= 2 and d^2*(d^2 - (P(0) + 1)^2 - 4*Q(0)) for m = 1, is that of the
+    stage matrix the perturbed pullbacks give, whose f entry -2d never
+    vanishes, on every probe case."""
+    for name, make, degree in _probe_cases():
         e = make()
+        p0, q0 = e.p.coefficient(0), e.q.coefficient(0)
         for d in range(1, degree + 1):
-            assert equiv.stage_matrix(e, d) == _perturbed_stage_matrix(e, d), \
-                (name, d)
+            a11, a12, a21, a22 = _perturbed_stage_matrix(e, d)
+            assert a11 == QI(-2 * d), (name, d)
+            if e.m >= 2:
+                det = -d * d * (p0 * p0 + 4 * q0)
+            else:
+                det = d * d * (d * d - (p0 + 1) * (p0 + 1) - 4 * q0)
+            assert a11 * a22 - a12 * a21 == det, (name, d)
 
 
 def test_rigid_probe_pulls_back_the_identity_once(monkeypatch):
-    """The stages read P(0) and Q(0), so the probe pulls back only the
+    """The verdict reads P(0) and Q(0), so the probe pulls back only the
     identity, once, at the working order degree + 2m + 8: the check on the
     pullback machinery."""
     gauges = []

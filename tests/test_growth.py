@@ -156,6 +156,21 @@ def test_growth_readings_run_f_alone(monkeypatch, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 5
 
 
+@pytest.mark.parametrize("m, beta", [(4, -2), (5, -3)])
+def test_trivial_monodromy_with_a_divergent_f(capsys, m, beta):
+    """For m >= 4 a trivial monodromy does not make f terminate: the exact
+    termination predicate and the Gevrey fit of order 1/(m - 1) are the
+    divergence evidence."""
+    assert cli.main(["run", "--family", f"{m},{beta}",
+                     "--checks", "monodromy,growth"]) == 0
+    checks = json.loads(capsys.readouterr().out)["runs"][0]["checks"]
+    assert checks["monodromy"]["pass"] and checks["monodromy"]["trivial"]
+    growth = checks["growth"]
+    assert growth["pass"] and not growth["terminated"]
+    assert not expected_termination(m, beta)
+    assert abs(growth["gevrey"] - 1 / (m - 1)) < 0.05
+
+
 @pytest.mark.parametrize("m, beta, n", [
     (2, "1", 80), (2, "-1/3", 80), (3, "5/2", 80), (4, "1", 81),
     (2, "40200", 210), (3, "24", 60),
