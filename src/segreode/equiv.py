@@ -19,8 +19,9 @@ mu1*mu2 = -beta/(m-1)^2, a Bailey-type product of two 2F0 (W. N. Bailey,
 Proc. London Math. Soc. (2) 28, 1928) with low-height coefficients.  Abel's
 identity (Liouville-Ostrogradsky; Ince, ODE, ch. V) is
 w^m*(f*u' - f'*u) + 2i*(h - 1) = 0: log(u/f) has derivative
-2i*(1/h - 1)/w^m, the gauge map (chi, tau) has tau^m/tau' = w^m*h, and
-coupled is eta^m*tau' = tau^m*chi*conj(chi).
+2i*(1/h - 1)/w^m, the gauge map (chi, tau) has chi = 1/f = u/h and
+tau^m/tau' = w^m*h, both from one inverse of h, and coupled is
+eta^m*tau' = tau^m*chi*conj(chi).
 """
 
 from __future__ import annotations
@@ -92,14 +93,16 @@ def build_chi_tau(pair: FormalSolutionPair) -> GaugeMap:
         chi = 1/f,
         tau = w * (1 + ((1-m)/2i) * w^{m-1} * log(u/f))^{1/(1-m)}.
 
-    log(u/f) integrates 2i*(1/h - 1)/w^m by Abel's identity, so tau takes
-    one inverse of the low-height h, and its coefficients are real.  The
+    Both read one inverse of the low-height h: chi = u * h^{-1}, to the
+    order n of f, and log(u/f) integrates 2i*(h^{-1} - 1)/w^m by Abel's
+    identity, so the coefficients of tau are real.  The
     normalization u(0) = 1 pins the residual scaling freedom of the
     fundamental pair, so the map is unique in this gauge.
     """
     m, n = pair.m, pair.f.trunc
-    chi = divide(TruncSeries1.one(n), pair.f)
-    dl = (pair.h.inverse() - TruncSeries1.one(n + m)).shift(-m)
+    h_inv = pair.h.inverse()
+    chi = pair.u * h_inv
+    dl = (h_inv - TruncSeries1.one(n + m)).shift(-m)
     # the inner series 1 + (1-m)*w^{m-1}*integral(dl), to order n + m - 1
     inner = TruncSeries1([ONE] + [ZERO] * (m - 1) + [
         c * QI(1 - m, 0, k) for k, c in enumerate(dl.coeffs[:n], 1)])
@@ -130,9 +133,11 @@ def coupled_map_g(gauge: GaugeMap, m: int) -> GaugeMap:
 
 def coupled_pairing_residual(gauge: GaugeMap, m: int) -> TruncSeries1:
     """The pairing of :func:`coupled_map_g` at mu = tau, lambda = conj(chi):
-    eta^m*tau' - tau^m*chi*conj(chi), known above the normalized w^m."""
+    eta^m*tau' - tau^m*chi*conj(chi), known above the normalized w^m.
+    chi*conj(chi) is the norm product of the chi the map holds, never read
+    from h, so the residual is zero exactly when f*u = h."""
     chi, tau = gauge.f, gauge.g
-    rhs = tau.pow_int(m) * (chi * chi.conj())
+    rhs = tau.pow_int(m) * chi.norm()
     if rhs.trunc <= m:
         raise TruncationStarvation(f"coupled pairing stops at w^{rhs.trunc}")
     return tau.derivative().shift(m) - rhs

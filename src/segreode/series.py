@@ -23,6 +23,8 @@ Every operation works on numerator rows over Gaussian integers, so no ``QI``
 is built until a cell is read.  Every series product runs through one kernel,
 :func:`_conv`, one output row per call: a univariate product is one row, and
 every bivariate one, eager or online, runs row by row on the online engine.
+The one exception is the univariate :meth:`TruncSeries1.norm`, s*conj(s),
+which takes each pair of cells once and keeps only the real part.
 
 Univariate division, exp, log and fractional powers run the classical O(n^2)
 coefficient recurrences (Knuth, TAOCP vol. 2, section 4.7) through one online
@@ -545,6 +547,24 @@ class TruncSeries1:
             [self._row], [other._row], 0, trunc + pole))
 
     __rmul__ = __mul__
+
+    def norm(self) -> "TruncSeries1":
+        """self * self.conj() on the truncation that product claims: each pair
+        of cells j != k taken once, as the real 2*(re_j*re_k + im_j*im_k),
+        and each cell alone as re_j^2 + im_j^2."""
+        top = self.trunc + self.pole
+        acc = [0] * (top + 1)
+        for x, (la, ar, ai) in enumerate(self.nums):
+            if 2 * la > top:
+                break
+            acc[2 * la] += ar * ar + ai * ai
+            ar, ai = 2 * ar, 2 * ai
+            for lb, br, bi in self.nums[x + 1:]:
+                if la + lb > top:
+                    break
+                acc[la + lb] += ar * br + ai * bi
+        return TruncSeries1._new(2 * self.pole, self.trunc - self.pole, (
+            self.den * self.den, [(l, r, 0) for l, r in enumerate(acc) if r]))
 
     def pow_int(self, n: int) -> "TruncSeries1":
         if n < 0:

@@ -180,10 +180,29 @@ def test_tau_equals_the_quotient_construction(m, beta, n):
     assert tau == oracle
 
 
-def test_chi_is_reciprocal_of_f():
-    pair = formal_solutions(2, 1, 20)
-    gm = build_chi_tau(pair)
-    assert gm.f * pair.f == TruncSeries1.one(gm.f.trunc)
+# the acceptance grid, the Abel members not in it, a trivial-monodromy member
+# with a divergent f, (2, -5) and the terminating (3, 8), at two orders; and
+# the three benchmark members at degree 160
+CHI_MEMBERS = [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2),
+               (2, Fraction(-1, 3)), (3, Fraction(5, 2)), (4, 1), (4, -2),
+               (2, -5), (3, 8)]
+
+
+@pytest.mark.parametrize("m,beta,n", [
+    (m, beta, n) for n in (20, 80) for m, beta in CHI_MEMBERS
+] + [(2, 1, 160), (2, Fraction(-1, 3), 160), (3, Fraction(5, 2), 160)])
+def test_chi_is_reciprocal_of_f(m, beta, n):
+    """chi = u * h^{-1} is divide(1, f), numerator for numerator and to the
+    same order.  tau^m starts at w^m, so w^{n-m} is the top cell of chi the
+    pairing reads: added to chi, it leaves the coupled witness -2 at w^n."""
+    pair = formal_solutions(m, beta, n)
+    gauge = build_chi_tau(pair)
+    chi, quotient = gauge.f, divide(TruncSeries1.one(n), pair.f)
+    assert (chi.den, chi.nums, chi.pole, chi.trunc) \
+        == (quotient.den, quotient.nums, quotient.pole, n)
+    assert chi * pair.f == TruncSeries1.one(n)
+    bad = GaugeMap(chi + TruncSeries1.monomial(1, n - m, n), gauge.g)
+    assert coupled_pairing_residual(bad, m).first_nonzero() == (n, QI(-2))
 
 
 @pytest.mark.parametrize("beta", [1, 2, 3])

@@ -390,12 +390,14 @@ ALPHAS = st.one_of(
 
 
 @st.composite
-def laurent1(draw, max_pole=3, max_trunc=8, head=sparse_qi, min_pole=0):
+def laurent1(draw, max_pole=3, max_trunc=8, head=sparse_qi, min_pole=0,
+             body=sparse_qi):
     """Gaussian-rational Laurent series with pole min_pole..max_pole, trunc
-    0..max_trunc and first stored cell drawn from ``head``."""
+    0..max_trunc, first stored cell drawn from ``head`` and the others from
+    ``body``."""
     pole = draw(st.integers(min_pole, max_pole))
     trunc = draw(st.integers(0, max_trunc))
-    cells = [draw(head)] + [draw(sparse_qi) for _ in range(trunc + pole)]
+    cells = [draw(head)] + [draw(body) for _ in range(trunc + pole)]
     return TruncSeries1(cells, pole, trunc)
 
 
@@ -796,6 +798,36 @@ def test_mul1_matches_double_sum_oracle(a, b):
             a * b
         return
     _same_cells(a * b, TruncSeries1(cells, pole, trunc))
+
+
+real_qi = st.builds(QI, st.integers(-9, 9), st.just(0), st.integers(1, 9))
+imag_qi = st.builds(QI, st.just(0), st.integers(-9, 9), st.integers(1, 9))
+# mixed cells, purely real, purely imaginary, real and imaginary cells side by
+# side (chi for m = 2), and zero cells; every kind may also draw zero
+CELL_KINDS = (qi_values, real_qi, imag_qi, st.one_of(real_qi, imag_qi),
+              st.just(ZERO))
+
+
+@given(st.sampled_from(CELL_KINDS).flatmap(
+    lambda cell: laurent1(head=cell, body=st.one_of(st.just(ZERO), cell))))
+@example(_LAURENT)
+@example(TruncSeries1([QI(1, 1), ZERO, QI(0, 2), QI(3), QI(0, -1)], 2, 2))
+@example(TruncSeries1([QI(0, 3), QI(1), QI(0, -1, 2)], 2, 0))  # raises
+@example(TruncSeries1([QI(1), QI(0, 1, 2), QI(-1, 0, 8), QI(0, -1, 16)]))
+def test_norm_is_the_product_with_the_conjugate(s):
+    """norm() has the den, numerators, pole and truncation of s * conj(s),
+    all of it real, and raises what that product raises."""
+    try:
+        expect = s * s.conj()
+    except TruncationStarvation as exc:
+        with pytest.raises(TruncationStarvation) as err:
+            s.norm()
+        assert str(err.value) == str(exc)
+        return
+    got = s.norm()
+    assert (got.den, got.nums, got.pole, got.trunc) \
+        == (expect.den, expect.nums, expect.pole, expect.trunc)
+    assert all(i == 0 for _, _, i in got.nums)
 
 
 @given(any_series2, any_series2)
