@@ -33,6 +33,8 @@ def main() -> int:
         ap.error(f"the family needs m >= 2, got --m {args.m}")
     if args.order < 0:
         ap.error(f"--order needs to be >= 0, got {args.order}")
+    if args.beta_min > args.beta_max:
+        ap.error(f"the beta range {args.beta_min}..{args.beta_max} is empty")
 
     header = f"{'beta':>6}  {'monodromy':>10}  {'terminates':>10}  " \
              f"{'degree':>6}  {'gevrey':>8}  {'radius':>10}"

@@ -25,6 +25,8 @@ def main() -> int:
     args = ap.parse_args()
     if min(args.m) < 2:
         ap.error(f"the family needs m >= 2, got --m {min(args.m)}")
+    if args.beta_min > args.beta_max:
+        ap.error(f"the beta range {args.beta_min}..{args.beta_max} is empty")
     try:
         check_contour(args.radius, args.tol)
     except ValueError as exc:

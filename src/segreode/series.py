@@ -9,10 +9,11 @@ Conventions
   ``trunc`` field of a result is always a sound guarantee.
 * A :class:`TruncSeries2` holds the cells of ``x^j * y^k``, ``0 <= j <= nx``,
   ``0 <= k <= ny``, and has no pole part.
-* Both store Gaussian-integer numerator rows over one positive denominator
-  ``den``, the layout of FLINT's ``fmpq_poly``: a row keeps its nonzero
-  cells as (l, re, im) by rising l, and gcd(den, every re and im) = 1.  The
-  univariate row's cell l has degree l - pole; bivariate row j holds x^j.
+* Both store Gaussian-integer numerator rows (d, nums), the layout of
+  FLINT's ``fmpq_poly``: a row keeps its nonzero cells as (l, re, im) by
+  rising l over a positive d, and gcd(d, every re and im) = 1.  The
+  univariate series is one row, whose cell l has degree l - pole; a
+  bivariate series keeps one row per x^j, each over its own d.
 * The queries (``coeffs``, ``rows``, ``coefficient``, ``first_nonzero``, ...)
   return reduced Gaussian rationals :class:`segreode.coefficients.QI`, built
   from the numerators when asked; floats and complex numbers are rejected.
@@ -22,7 +23,7 @@ Conventions
 Every operation works on numerator rows over Gaussian integers, so no ``QI``
 is built until a cell is read.  Every series product runs through one kernel,
 :func:`_conv`, one output row per call: a univariate product is one row, and
-every bivariate one, eager or online, runs row by row on the online engine.
+every bivariate one, eager or online, row by row on its factors' stored rows.
 The one exception is the univariate :meth:`TruncSeries1.norm`, s*conj(s),
 which takes each pair of cells once and keeps only the real part.
 
@@ -46,7 +47,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain
 from typing import Sequence, Union
 
 from .coefficients import ONE, QI, ZERO, coeff_from_json, coeff_str
@@ -174,23 +174,13 @@ def _cut(nums, ny: int):
     return [c for c in nums if c[0] <= ny] if nums and nums[-1][0] > ny else nums
 
 
-def _gather(rows):
-    """Numerator rows (d, nums) over one denominator, the lcm of theirs,
-    divided by the content of all cells: (den, [nums])."""
-    den = math.lcm(*[d for d, _ in rows])
-    nums = [ns if d == den else _over(ns, den // d) for d, ns in rows]
-    g = den
-    for _, r, i in chain.from_iterable(nums):
-        g = math.gcd(g, r, i)
-        if g == 1:
-            return den, nums
-    return den // g, [_over(ns, 1, g) for ns in nums]
-
-
 def _reduced(row):
     """The numerator row divided by its content."""
-    d, (nums,) = _gather([row])
-    return d, nums
+    g = d = row[0]
+    for _, r, i in row[1]:
+        if (g := math.gcd(g, r, i)) == 1:
+            return row
+    return d // g, _over(row[1], 1, g)
 
 
 # ---------------------------------------------------------------------------
@@ -648,8 +638,9 @@ class _Rows2:
     """The product and the row-local operations, written once for
     :class:`TruncSeries2` and :class:`OnlineSeries2`: ``s._row(k)`` is row k
     as a numerator row (d, nums), its nonzero (l, re, im) by rising l over
-    d > 0; ``s[k]`` is row k as cells and ``s.row(k)`` as a univariate series
-    in y; ``_new(nx, ny, rows)`` makes a series of the same kind."""
+    d > 0, and ``s._rows`` the rows stored so far, from row 0; ``s[k]`` is
+    row k as cells and ``s.row(k)`` as a univariate series in y;
+    ``_new(nx, ny, rows)`` makes a series of the same kind."""
 
     __slots__ = ()
 
@@ -713,21 +704,21 @@ class _Rows2:
         return self._zip(other, -1)
 
     def __mul__(self, other):
-        """Row k is sum_i a_i * b_{k-i} by :func:`_conv`, on online rows
-        whatever the factors; the product is online if a factor is.  The
-        lower row of each pair is read first and a zero one leaves the other
-        unread, so a factor of x-order >= 1 never reads row k of the other."""
+        """Row k is sum_i a_i * b_{k-i} by :func:`_conv`, on the stored rows
+        of both factors, eager or online; the product is online if a factor
+        is.  The lower row of each pair is read first and a zero one leaves
+        the other unread, so a factor of x-order >= 1 never reads row k of
+        the other."""
         if not isinstance(other, _Rows2):
             return self.scale(other)
-        a, b = _online(self), _online(other)
         ny = min(self.ny, other.ny)
 
         def row(k):
-            sa, sb = a._rows, b._rows
+            sa, sb = self._rows, other._rows
             for i in range(k + 1):
                 if i < len(sa) and k - i < len(sb):
                     continue  # both rows of the pair are stored
-                lo, hi = ((a, i), (b, k - i))[:: 1 if 2 * i <= k else -1]
+                lo, hi = ((self, i), (other, k - i))[:: 1 if 2 * i <= k else -1]
                 if lo[0]._row(lo[1])[1]:
                     hi[0]._row(hi[1])
             return _reduced(_conv(sa, sb, k, ny))
@@ -776,9 +767,10 @@ class _Rows2:
 
 class TruncSeries2(_Rows2):
     """Bivariate truncated power series on the rectangle (nx, ny), no poles:
-    numerator rows ``nums`` over ``den``, and ``rows``, their cells."""
+    ``_rows``, one reduced numerator row (d, nums) per x-row, and ``rows``,
+    their cells."""
 
-    __slots__ = ("nx", "ny", "den", "nums")
+    __slots__ = ("nx", "ny", "_rows")
 
     def __init__(self, rows: Sequence[Sequence], nx: int | None = None,
                  ny: int | None = None):
@@ -787,19 +779,20 @@ class TruncSeries2(_Rows2):
         if min(nx, ny) >= 0 and (len(rows) != nx + 1
                                  or any(len(r) != ny + 1 for r in rows)):
             raise SeriesError("rectangle shape mismatch")
-        self._set(nx, ny, *_gather([_numerators(r, ny) for r in rows[: nx + 1]]))
+        self._set(nx, ny, [_numerators(r, ny) for r in rows[: nx + 1]])
 
-    def _set(self, nx: int, ny: int, den: int, nums):
+    def _set(self, nx: int, ny: int, rows):
         if nx < 0 or ny < 0:
             raise TruncationStarvation(f"rectangle ({nx}, {ny}) is empty")
-        for name, value in zip(self.__slots__, (nx, ny, den, tuple(nums))):
+        rows = tuple(map(_reduced, rows))
+        for name, value in zip(self.__slots__, (nx, ny, rows)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, *_):
         raise AttributeError("series are immutable")
 
     def _row(self, k: int):
-        return self.den, self.nums[k]
+        return self._rows[k]
 
     @property
     def rows(self) -> tuple:
@@ -809,7 +802,7 @@ class TruncSeries2(_Rows2):
     def _new(nx: int, ny: int, rows):
         """The series whose row k is the numerator row rows(k)."""
         out = object.__new__(TruncSeries2)
-        out._set(nx, ny, *_gather([rows(k) for k in range(nx + 1)]))
+        out._set(nx, ny, [rows(k) for k in range(nx + 1)])
         return out
 
     # -- constructors -----------------------------------------------------------
@@ -880,31 +873,32 @@ class TruncSeries2(_Rows2):
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.nums)
+        return not any(nums for _, nums in self._rows)
 
     def first_nonzero(self):
         """((j, k), coefficient) minimizing total degree then x-degree."""
-        key = min(((j + nums[0][0], j) for j, nums in enumerate(self.nums)
+        key = min(((j + nums[0][0], j) for j, (_, nums) in enumerate(self._rows)
                    if nums), default=None)
         if key is None:
             return None
-        l, r, i = self.nums[key[1]][0]
-        return (key[1], l), QI(r, i, self.den)
+        d, ((l, r, i), *_) = self._rows[key[1]]
+        return (key[1], l), QI(r, i, d)
 
     def y_order(self) -> int | None:
-        return min((nums[0][0] for nums in self.nums if nums), default=None)
+        return min((nums[0][0] for _, nums in self._rows if nums), default=None)
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries2):
             return NotImplemented
-        nx, ny = min(self.nx, other.nx), min(self.ny, other.ny)
-        return all(_cut(_over(ra, other.den), ny) == _cut(_over(rb, self.den), ny)
-                   for ra, rb in zip(self.nums[: nx + 1], other.nums))
+        ny = min(self.ny, other.ny)
+        return all(_over(_cut(na, ny), db) == _over(_cut(nb, ny), da)
+                   for (da, na), (db, nb) in zip(self._rows, other._rows))
 
     __hash__ = None
 
     def __repr__(self):
-        return f"<series2 rect={self.rect} nonzero_cells={sum(map(len, self.nums))}>"
+        cells = sum(len(nums) for _, nums in self._rows)
+        return f"<series2 rect={self.rect} nonzero_cells={cells}>"
 
     # -- ring ops; the row-local operations are those of _Rows2 ----------------
 
@@ -941,7 +935,7 @@ class TruncSeries2(_Rows2):
 
         With g = y + delta, delta of x-order >= 1, this is the Taylor shift
         f(x, y + delta) = sum_{k <= nx} delta^k * D_k f with
-        (D_k f)_{j,l} = C(l+k, k) * f_{j,l+k} over f's denominator, evaluated
+        (D_k f)_{j,l} = C(l+k, k) * f_{j,l+k} over the d of f's row j, evaluated
         by :func:`_horner` in delta: at most nx bivariate products.
 
         With g of y-order >= 1 the full common rectangle carries over.  When
@@ -959,19 +953,19 @@ class TruncSeries2(_Rows2):
         ny = min(self.ny, g.ny)
         if not online and g.y_order() == 0:
             ny = _capped_ny(g, nx, ny, self.ny)
-        g = _online(g)
-        delta = g._new(g.nx, g.ny, lambda k: g._row(k) if k else (1, []))
-        f, den = self.nums[: nx + 1], self.den
+        delta = OnlineSeries2(g.nx, g.ny, lambda k: g._row(k) if k else (1, []))
+        f = self._rows[: nx + 1]
         # no D_j f with j > top has a nonzero cell on rows <= nx - j
-        top = max((min(c[0], nx - i) for i, row in enumerate(f) for c in row),
-                  default=0)
+        top = max((min(c[0], nx - i) for i, (_, row) in enumerate(f)
+                   for c in row), default=0)
 
         def shifted(j):
             # cells f_{i,l+j} beyond the outer truncation meet delta^j, of
             # y-order >= j (total order >= j when delta has y^0 terms), so
             # they land outside the rectangle and count as zero
-            return lambda i: (den, [(l - j, r * (b := math.comb(l, j)), im * b)
-                                    for l, r, im in f[i] if j <= l <= ny + j])
+            return lambda i: (f[i][0], [
+                (l - j, r * (b := math.comb(l, j)), im * b)
+                for l, r, im in f[i][1] if j <= l <= ny + j])
 
         out = _horner(top, shifted, delta, nx, ny)
         return out if online else out.to_series()
@@ -1028,11 +1022,6 @@ class OnlineSeries2(_Rows2):
 
     def _new(self, nx: int, ny: int, rows):
         return OnlineSeries2(nx, ny, rows)
-
-
-def _online(s) -> OnlineSeries2:
-    return s if isinstance(s, OnlineSeries2) else OnlineSeries2(
-        s.nx, s.ny, s._row)
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,9 @@ def test_cli_growth_negative_degree_rejected_before_work(monkeypatch, capsys,
     # a zero denominator in a coefficient
     ("hypersurface_from_real_data.py", ["--m", "2", "--a", "1/0*w^0",
                                         "--b", "1*w^2"]),
+    # an empty beta range, which would pass on zero members
+    ("monodromy_grid.py", ["--beta-min", "3", "--beta-max", "1"]),
+    ("divergence_scan.py", ["--beta-min", "3", "--beta-max", "1"]),
 ])
 def test_scripts_reject_bad_input_with_exit_2(script, args):
     """An input a script cannot use, or one the library rejects, is an

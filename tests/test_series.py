@@ -25,9 +25,16 @@ from segreode import (
     parse_coeff,
 )
 from segreode.coefficients import ONE, ZERO
-from segreode.series import OnlineSeries2, _horner, _online, _powers, _sum
+from segreode.series import OnlineSeries2, _horner, _powers, _sum
 
 N = 10
+
+
+def _online(s):
+    """s itself if it is online, else an online series reading its rows."""
+    return s if isinstance(s, OnlineSeries2) else OnlineSeries2(
+        s.nx, s.ny, s._row)
+
 
 qi_values = st.builds(QI, st.integers(-9, 9), st.integers(-9, 9),
                       st.integers(1, 9))
@@ -127,8 +134,8 @@ def _counting_qi(monkeypatch):
 
 def test_sparse_product_builds_no_zero_cells(monkeypatch):
     """rho of (2,1) is sparse; rho*rho stores only the nonzero cells of the
-    product, as integer numerators, and builds no QI; reading its cells
-    builds one QI per nonzero cell, none for its zero cells."""
+    product, as reduced integer numerator rows, and builds no QI; reading
+    its cells builds one QI per nonzero cell, none for its zero cells."""
     rho = family_hyper(2, "1", 8, 24).rho
     built = _counting_qi(monkeypatch)
     square = rho * rho
@@ -136,15 +143,16 @@ def test_sparse_product_builds_no_zero_cells(monkeypatch):
     cells = [c for row in square.rows for c in row]
     monkeypatch.undo()
     nonzero = sum(1 for c in cells if c)
-    assert len(built) == nonzero == sum(map(len, square.nums))
+    assert len(built) == nonzero == sum(len(nums) for _, nums in square._rows)
     assert nonzero < len(cells)
+    _assert_layout(square)
 
 
 def test_conj_and_neg_build_no_qi_for_real_or_zero_cells(monkeypatch):
     """rho of (2,1) is sparse with i-multiple cells; its conjugate and its
-    negation build no QI, keep rho's denominator and give the cells of the
-    arithmetic definitions; on QI, a real value is its own conjugate and
-    zero its own negation."""
+    negation build no QI, keep the denominator of each row of rho and give
+    the cells of the arithmetic definitions; on QI, a real value is its own
+    conjugate and zero its own negation."""
     rho = family_hyper(2, "1", 8, 24).rho
     cells = [c for row in rho.rows for c in row]
     half, zero = QI(3, 0, 2), QI(0, 0, 5)
@@ -153,7 +161,10 @@ def test_conj_and_neg_build_no_qi_for_real_or_zero_cells(monkeypatch):
     real = (half.conj(), ZERO.conj(), -ZERO, -zero)
     monkeypatch.undo()
     assert not built
-    assert conj.den == neg.den == rho.den
+    dens = [[d for d, _ in s._rows] for s in (conj, neg, rho)]
+    assert dens[0] == dens[1] == dens[2]
+    for s in (conj, neg):
+        _assert_layout(s)
     assert real[0] is half and all(z is ZERO for z in real[1:])
     assert [c for row in conj.rows for c in row] == [
         QI(c.a, -c.b, c.d) for c in cells]
@@ -921,15 +932,16 @@ def _grid_log1p(g, nx, ny):
 
 
 def _assert_layout(s):
-    """den > 0, gcd(den, every numerator) = 1, and each row holds only its
-    nonzero cells, by rising column, inside the rectangle."""
-    assert s.den > 0 and len(s.nums) == s.nx + 1
-    flat = [x for row in s.nums for _, r, i in row for x in (r, i)]
-    assert math.gcd(s.den, *flat) == 1
-    for row in s.nums:
-        cols = [l for l, _, _ in row]
+    """One stored row (d, nums) per x-row, each with d > 0, gcd(d, every
+    numerator of the row) = 1, and only its nonzero cells, by rising column,
+    inside the rectangle."""
+    assert len(s._rows) == s.nx + 1
+    for d, nums in s._rows:
+        assert d > 0
+        assert math.gcd(d, *[x for _, r, i in nums for x in (r, i)]) == 1
+        cols = [l for l, _, _ in nums]
         assert cols == sorted(set(cols)) and all(0 <= l <= s.ny for l in cols)
-        assert all(r or i for _, r, i in row)
+        assert all(r or i for _, r, i in nums)
 
 
 def _layout_cases(a, b, c, j):
@@ -979,8 +991,11 @@ def _layout_cases(a, b, c, j):
 @given(layout_series(), layout_series(), wide_qi, st.integers(0, 2))
 def test_layout_matches_cellwise_oracle(a, b, c, j):
     """Every bivariate operation, eager and online, gives the oracle's
-    reduced cells and stores them in the numerator-row layout."""
+    reduced cells and stores them in the numerator-row layout; the queries
+    that read the stored rows give the oracle's answers."""
     for op, cells, rect in _layout_cases(a, b, c, j):
+        nonzero = [((k, l), x) for k, row in enumerate(cells)
+                   for l, x in enumerate(row) if x]
         for got in (op(a, b), op(_online(a), _online(b))):
             if isinstance(got, OnlineSeries2):
                 got = got.to_series()
@@ -989,6 +1004,12 @@ def test_layout_matches_cellwise_oracle(a, b, c, j):
             assert [list(r) for r in got.rows] == cells
             assert all(math.gcd(x.a, x.b, x.d) == 1 and x.d > 0
                        for row in got.rows for x in row)
+            assert got == TruncSeries2(cells)
+            assert got.is_zero == (not nonzero)
+            assert got.y_order() == min((l for (_, l), _ in nonzero),
+                                        default=None)
+            assert got.first_nonzero() == min(
+                nonzero, key=lambda c: (sum(c[0]), c[0][0]), default=None)
 
 
 @st.composite
@@ -1578,6 +1599,30 @@ def test_online_operations_match_eager(pair, a, b, outer):
     except TruncationStarvation:
         return
     _same_rect_cells(compose(outer, _online(g)).to_series(), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(substitution_pairs(cell=wide_qi), layout_series(), layout_series())
+def test_eager_and_online_results_store_the_same_rows(pair, a, b):
+    """A product, a sum, exp and substitute_y, computed eagerly and computed
+    on online inputs then gathered by to_series(), store the same reduced
+    numerator rows; an online substitute_y by a g with y^0 terms has no
+    total-degree cap, so its rows are compared on the eager rectangle."""
+    f, g = pair
+    k0 = TruncSeries2.constant(a.coefficient(0, 0), *a.rect)
+    oa, ob = _online(a), _online(b)
+    cases = [(lambda: a * b, lambda: oa * ob), (lambda: a * b, lambda: a * ob),
+             (lambda: a + b, lambda: oa + ob),
+             (lambda: (a - k0).exp(), lambda: (oa - k0).exp()),
+             (lambda: f.substitute_y(g), lambda: f.substitute_y(_online(g)))]
+    for eager, online in cases:
+        try:
+            want = eager()
+        except TruncationStarvation:
+            continue
+        got = online().to_series()
+        _assert_layout(got)
+        assert got.restrict(*want.rect)._rows == want._rows
 
 
 def test_eager_times_online_is_the_online_product():
