@@ -49,7 +49,12 @@ def main() -> int:
             term, report = diagnose(formal_f(args.m, beta, order))
         except LIBRARY_ERRORS as exc:
             ap.error(f"beta = {beta}: {exc}")
-        assert term.terminated == expected_termination(args.m, beta)
+        # a failed check is a verdict, exit 1, under python -O too
+        if term.terminated != expected_termination(args.m, beta):
+            print(f"termination check failed at beta = {beta}: f "
+                  f"terminated is {term.terminated}, the resonance "
+                  f"condition says {not term.terminated}")
+            return 1
         if report is None:
             growth_str = f"{'-':>8}  {'inf':>10}"
             degree = "-" if term.degree is None else term.degree

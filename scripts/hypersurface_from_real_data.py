@@ -59,8 +59,16 @@ def main() -> int:
     print("\nprofile rows (eta-series per x power):")
     for k in range(2, min(4, nx) + 1):
         print(f"  psi_{k}: [{cells(fam.psi.row(k))}, ...]")
-    assert structural.ok, "dual/conjugated families differ"
-    assert identity.is_zero, "reality identity failed"
+    # a failed check is a verdict, exit 1, under python -O too
+    if not structural.ok:
+        print(f"\nreality check failed: the dual family differs from the "
+              f"conjugated one, witness {structural.witness}")
+        return 1
+    if not identity.is_zero:
+        cell, value = identity.first_nonzero()
+        print(f"\nreality check failed: the realty identity residual is "
+              f"{coeff_str(value)} at cell {list(cell)}")
+        return 1
     print(f"\nnormal form sign: {nf.sign:+d}")
     for k in sorted(nf.hks):
         print(f"  h_{k}: [{cells(nf.hks[k])}, ...]")

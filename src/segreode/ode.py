@@ -177,21 +177,18 @@ def pullback_under_gauge(target: AdmissibleOde, gauge: GaugeMap,
         gamma^ = alpha(g)*g'*(f'/f) + gamma(g)*(g')^2 + (g''/g')*(f'/f) - f''/f
 
     which are repackaged as (P^, Q^) with declared pole orders m_pulled and
-    2*m_pulled; exceeding those is an error.
-    """
-    f, g = gauge.f, gauge.g
-    fp = f.derivative()
-    fpp = fp.derivative()
-    gp = g.derivative()
-    gpp = gp.derivative()
-    f_ratio = divide(fp, f)
-    g_ratio = divide(gpp, gp)
-    alpha_g = compose(target.alpha(), g)
-    gamma_g = compose(target.gamma(), g)
+    2*m_pulled; exceeding those is an error.  With f''/f = (f'/f)' + (f'/f)^2,
+    f'/f is the one quotient read from f, and
 
-    a_hat = alpha_g * gp + g_ratio - f_ratio.scale(2)
-    c_hat = (alpha_g * gp * f_ratio + gamma_g * (gp * gp)
-             + g_ratio * f_ratio - divide(fpp, f))
+        gamma^ = (alpha^ + f'/f)*(f'/f) + gamma(g)*(g')^2 - (f'/f)'
+    """
+    g = gauge.g
+    gp = g.derivative()
+    f_ratio = divide(gauge.f.derivative(), gauge.f)
+    a_hat = (compose(target.alpha(), g) * gp
+             + divide(gp.derivative(), gp) - f_ratio.scale(2))
+    c_hat = ((a_hat + f_ratio) * f_ratio
+             + compose(target.gamma(), g) * (gp * gp) - f_ratio.derivative())
 
     p_hat = a_hat.shift(m_pulled)
     if p_hat.pole > 0:

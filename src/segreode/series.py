@@ -202,16 +202,6 @@ def _powers(base, kmax: int):
         yield power
 
 
-def _power_sum(acc, base, coeffs: dict):
-    """acc + sum_k coeffs[k] * base^k over the keys k >= 1 of ``coeffs``,
-    Gaussian rationals (re, im, den); powering stops at the largest key.
-    Univariate composition (:func:`_compose_1_1`) is its only caller."""
-    for k, power in enumerate(_powers(base, max(coeffs, default=0)), 1):
-        if k in coeffs:
-            acc = acc + power._times(coeffs[k])
-    return acc
-
-
 def _horner(top: int, coeff, base, nx: int, ny: int):
     """sum_{j=0..top} C_j * base^j on the rectangle (nx, ny) by Horner,
     H_j = C_j + H_{j+1} * base, as online sums and products, where
@@ -1054,8 +1044,11 @@ def divide(a: TruncSeries1, b: TruncSeries1) -> TruncSeries1:
 def compose(outer: TruncSeries1, inner):
     """Composition outer(inner); inner must have zero constant term.
 
-    If the outer series has a pole part, the inner series must have order
-    exactly 1 (otherwise negative powers do not exist as Laurent series).
+    A pole part is shifted off: outer = w^-p * B with B pole-free gives
+    outer(g) = B(g) * g^-p, the pole-free power sum times the Laurent series
+    g^-p, for g of any order v >= 1.  With n = g.trunc and T = outer.trunc
+    the claim is min(n, (T+1)*v - 1) for p = 0 and min(n - (p+1)*v,
+    (T+1)*v - 1) for p >= 1.
 
     A bivariate inner g needs g(0, y) = y, else :class:`SeriesError`; outer(g)
     is then the Taylor shift embed_y(outer).substitute_y(g), at most nx
@@ -1074,19 +1067,15 @@ def _compose_1_1(outer: TruncSeries1, inner: TruncSeries1) -> TruncSeries1:
         raise SeriesError("inner series must have zero constant term")
     if v is None:
         v = inner.trunc + 1
-    if outer.pole > 0 and v != 1:
-        raise SeriesError(
-            "outer pole part needs an invertible inner series (order exactly 1)"
-        )
-    cap = (outer.trunc + 1) * v - 1
-    n = inner.trunc
-    cells = {l - outer.pole: (r, i, outer.den) for l, r, i in outer.nums}
-    acc = _power_sum(TruncSeries1.one(n)._times(cells.get(0, (0, 0, 1))),
-                     inner, cells)
-    if outer.pole > 0:
-        acc = _power_sum(acc, divide(TruncSeries1.one(n), inner),
-                         {-k: c for k, c in cells.items() if k < 0})
-    return acc.truncate(min(acc.trunc, cap))
+    # cell l of outer is the coefficient of w^l in B = w^p * outer
+    p = outer.pole
+    cells = {l: (r, i, outer.den) for l, r, i in outer.nums}
+    acc = TruncSeries1.one(inner.trunc)._times(cells.get(0, (0, 0, 1)))
+    for k, power in enumerate(_powers(inner, max(cells, default=0)), 1):
+        if k in cells:
+            acc = acc + power._times(cells[k])
+    acc = acc.truncate(min(acc.trunc, (outer.trunc + p + 1) * v - 1))
+    return acc * inner.pow_int(-p) if p else acc
 
 
 def _compose_1_2(outer: TruncSeries1, inner):

@@ -39,6 +39,7 @@ from segreode.cli import (
     run_pipeline,
 )
 from segreode.monodromy import MIN_RADIUS
+from segreode.segre import RealityTest
 from segreode.series import TruncSeries1, TruncationStarvation
 
 
@@ -270,6 +271,41 @@ def test_script_takes_a_leading_minus_in_the_equals_form():
     proc = _run_script("hypersurface_from_real_data.py", [
         "--m", "2", "--a=-1/2*w^0", "--b", "1*w^2", "--rect", "4,8"])
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("script, args, name, fake, line", [
+    ("hypersurface_from_real_data.py", ["--rect", "4,8"],
+     "real_structure_test",
+     lambda fam: RealityTest(False, witness={"cell": [2, 3]}),
+     "reality check failed: the dual family differs from the conjugated "
+     "one, witness {'cell': [2, 3]}"),
+    ("hypersurface_from_real_data.py", ["--rect", "4,8"],
+     "realty_identity_check",
+     lambda hyper: TruncSeries2.from_rows(
+         {2: TruncSeries1.monomial(QI(1, 0, 3), 3, 8)}, 4, 8),
+     "reality check failed: the realty identity residual is 1/3 at cell "
+     "[2, 3]"),
+    # beta = 0 terminates and passes; beta = 1 does not terminate
+    ("divergence_scan.py", ["--beta-min", "0", "--beta-max", "1",
+                            "--order", "60"],
+     "expected_termination", lambda m, beta: True,
+     "termination check failed at beta = 1: f terminated is False, the "
+     "resonance condition says True"),
+], ids=["structure", "realty", "termination"])
+def test_script_check_failure_is_a_verdict(monkeypatch, capsys, script, args,
+                                           name, fake, line):
+    """A failed check of a script prints which check failed, and for which
+    beta, and exits 1, with no traceback; it is no assert, which python -O
+    would drop."""
+    main = _script_main(script)
+    monkeypatch.setitem(main.__globals__, name, fake)
+    monkeypatch.setattr(sys, "argv", [script, "--m", "2", "--a", "1*w^0",
+                                      "--b", "1*w^2", *args]
+                        if script.startswith("hyper") else [script, *args])
+    assert main() == 1
+    out = capsys.readouterr().out
+    assert out.rstrip("\n").endswith(line)
+    assert "Traceback" not in out
 
 
 def test_cli_roundtrip_names_the_first_offending_degree():

@@ -1050,28 +1050,36 @@ def _zip1_oracle(a, b, op):
 
 
 def _compose1_oracle(outer, inner):
-    """sum_k outer_k * inner^k for a pole-free outer, by cell-wise products,
-    on the truncation min(inner.trunc, (outer.trunc + 1) * v - 1), v the
-    order of inner."""
-    n = inner.trunc
+    """outer(inner) for outer = w^-p * sum_k c_k w^k, by cell-wise products:
+    sum_k c_k * inner^k on the truncation min(n, (T + p + 1) * v - 1), then
+    times the inverse that _divide_oracle takes, p times; with n = inner.trunc,
+    T = outer.trunc and v the order of inner, that is min(n - (p + 1) * v,
+    (T + 1) * v - 1) for p >= 1."""
+    n, p = inner.trunc, outer.pole
     v = inner.order() or n + 1
-    top = min(n, (outer.trunc + 1) * v - 1)
+    top = min(n, (outer.trunc + p + 1) * v - 1)
     power = [ONE] + [ZERO] * n
-    acc = [outer.coefficient(0) * x for x in power]
-    for k in range(1, outer.trunc + 1):
+    acc = [outer.coefficient(-p) * x for x in power]
+    for k in range(1, outer.trunc + p + 1):
         power = [sum((power[j] * inner.coefficient(l - j) for j in range(l + 1)),
                      ZERO) for l in range(n + 1)]
-        acc = [x + outer.coefficient(k) * y for x, y in zip(acc, power)]
-    return acc[: top + 1], 0, top
+        acc = [x + outer.coefficient(k - p) * y for x, y in zip(acc, power)]
+    result = acc[: top + 1], 0, top
+    if p:
+        inverse = _divide_oracle(TruncSeries1.one(n), inner)
+        for _ in range(p):
+            result = _normalized1(*_mul1_oracle(TruncSeries1(*result), inverse))
+    return result
 
 
 def _series1(s):
     return list(s.coeffs), s.pole, s.trunc
 
 
-def _layout1_cases(a, b, p, u, f, o, c, k, alpha):
+def _layout1_cases(a, b, p, u, f, o, g, c, k, alpha):
     """(operation, its cell-wise oracle) on a and b, a pole series p, a unit
-    u, a series f with zero constant term and a pole-free series o."""
+    u, a series f with zero constant term, a pole-free series o and a series
+    g of order 1 to 3."""
     t = min(k, a.trunc)
     shifted = max(a.pole - k, 0)
     return [
@@ -1099,6 +1107,7 @@ def _layout1_cases(a, b, p, u, f, o, c, k, alpha):
         (lambda: u.log(), lambda: _series1(_log_oracle(u))),
         (lambda: u.pow_frac(alpha), lambda: _series1(_pow_frac_oracle(u, alpha))),
         (lambda: compose(o, f), lambda: _compose1_oracle(o, f)),
+        (lambda: compose(p, g), lambda: _compose1_oracle(p, g)),
     ]
 
 
@@ -1118,13 +1127,17 @@ def _assert_layout1(s):
        layout_series1(head=wide_qi.filter(bool), min_pole=1),
        layout_series1(max_pole=0, head=st.just(ONE)),
        layout_series1(max_pole=0, head=st.just(ZERO)),
-       layout_series1(max_pole=0), wide_qi, st.integers(0, 4), ALPHAS)
-def test_layout1_matches_cellwise_oracle(a, b, p, u, f, o, c, k, alpha):
+       layout_series1(max_pole=0),
+       st.builds(TruncSeries1.shift,
+                 layout_series1(max_pole=0, head=wide_qi.filter(bool)),
+                 st.integers(1, 3)),
+       wide_qi, st.integers(0, 4), ALPHAS)
+def test_layout1_matches_cellwise_oracle(a, b, p, u, f, o, g, c, k, alpha):
     """Every univariate operation gives the cell-wise oracle's reduced
     cells, pole and truncation, stores them in the numerator-row layout, and
     builds no QI until a cell is read."""
     ops, expect = [], []
-    for op, oracle in _layout1_cases(a, b, p, u, f, o, c, k, alpha):
+    for op, oracle in _layout1_cases(a, b, p, u, f, o, g, c, k, alpha):
         try:
             want = oracle()
         except SeriesError as exc:
@@ -1210,12 +1223,14 @@ def test_compose_claim_is_sound(data, outer, inner):
                           _extended(data.draw, inner)))
 
 
-# inner series of order exactly 1, as a pole part needs
-order_one = laurent1(max_pole=0, max_trunc=7,
-                     head=qi_values.filter(bool)).map(lambda s: s.shift(1))
+# inner series of order 1 to 3, whose inverse powers a pole part takes
+orders_one_to_three = st.builds(
+    TruncSeries1.shift,
+    laurent1(max_pole=0, max_trunc=7, head=qi_values.filter(bool)),
+    st.integers(1, 3))
 
 
-@given(st.data(), laurent1(min_pole=1), order_one)
+@given(st.data(), laurent1(min_pole=1), orders_one_to_three)
 def test_compose_with_pole_part_claim_is_sound(data, outer, inner):
     outer_big = _extended(data.draw, outer)
     inner_big = _extended(data.draw, inner)
